@@ -2,16 +2,21 @@
 incremental mean recursion.
 
 Two interchangeable implementations live here. The numba ``@njit`` versions
-carry the load by default; a pure-numpy path (vectorized dot products plus
-``math.fsum`` reduction) is selected when numba is unavailable or when the
-environment variable ``SPHEREMIX_BACKEND`` says so:
+carry the load by default; a pure-numpy path is selected when numba is
+unavailable or when the environment variable ``SPHEREMIX_BACKEND`` says so:
 
     SPHEREMIX_BACKEND=auto    use numba if importable, else numpy (default)
     SPHEREMIX_BACKEND=numba   require numba, fail at import if missing
     SPHEREMIX_BACKEND=numpy   force the pure-numpy fallback
 
-All kernel sums are compensated (Kahan in the numba path, fsum in the numpy
-path): support sets can reach 1e4-1e5 terms of wildly varying magnitude.
+Support sets can reach 1e4-1e5 terms of wildly varying magnitude. The numba
+path sums them with Kahan compensation. The numpy path evaluates a whole
+(rows x support) block in place and reduces it with numpy's pairwise
+summation, whose relative error for positive terms is O(log2(n) * eps)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4):
+about 1.6e-15 at 1e4 terms. Its evaluation rows are split into blocks of at
+most ``_BLOCK_BYTES``. The split changes no row's summation order, but BLAS
+may round a dot product differently in the last bit for another block shape.
 ``absolute=True`` switches the distance from the sphere arc length
 arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
 """
@@ -52,6 +57,11 @@ def _as_matrix(a) -> np.ndarray:
 
 # -- pure-numpy implementations ----------------------------------------------
 
+# Largest dense (rows x support) block one numpy kernel_sums step allocates.
+# 8 MiB holds a 2000-row evaluation against 500 support points in one block.
+_BLOCK_BYTES = 8 << 20
+
+
 def _np_arc_distances(pts, center, absolute):
     dots = pts @ center
     if absolute:
@@ -59,23 +69,34 @@ def _np_arc_distances(pts, center, absolute):
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def _np_kernel_values(pts, center, inv_two_sigma_sq, absolute):
-    d = _np_arc_distances(pts, center, absolute)
-    return np.exp(-(d * d) * inv_two_sigma_sq)
-
-
-def _np_kernel_total(pts, center, inv_two_sigma_sq, absolute):
-    return math.fsum(_np_kernel_values(pts, center, inv_two_sigma_sq, absolute))
-
-
-def _np_kernel_sums(eval_pts, support, inv_two_bw_sq, absolute):
-    dots = eval_pts @ support.T
+def _np_kernel_terms(dots, inv_two_sigma_sq, absolute):
+    """Turn dot products into exp(-arccos(dots)^2 * inv_two_sigma_sq), in place."""
     if absolute:
         np.abs(dots, out=dots)
     np.clip(dots, -1.0, 1.0, out=dots)
-    d = np.arccos(dots)
-    terms = np.exp(-(d * d) * inv_two_bw_sq)
-    return np.array([math.fsum(row) for row in terms])
+    np.arccos(dots, out=dots)
+    np.square(dots, out=dots)
+    # multiplying by the negated factor equals negating the product exactly
+    np.multiply(dots, -inv_two_sigma_sq, out=dots)
+    return np.exp(dots, out=dots)
+
+
+def _np_kernel_values(pts, center, inv_two_sigma_sq, absolute):
+    return _np_kernel_terms(pts @ center, inv_two_sigma_sq, absolute)
+
+
+def _np_kernel_total(pts, center, inv_two_sigma_sq, absolute):
+    return float(_np_kernel_values(pts, center, inv_two_sigma_sq, absolute).sum())
+
+
+def _np_kernel_sums(eval_pts, support, inv_two_bw_sq, absolute):
+    n = eval_pts.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, support.shape[0])))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        block = eval_pts[start:start + rows] @ support.T
+        out[start:start + rows] = _np_kernel_terms(block, inv_two_bw_sq, absolute).sum(axis=1)
+    return out
 
 
 def _np_incremental_mean(pts, sign_align):
@@ -245,7 +266,7 @@ def kernel_values(pts, center, inv_two_sigma_sq: float, *, absolute: bool = Fals
 
 
 def kernel_total(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> float:
-    """Compensated sum of kernel_values over all rows of ``pts``."""
+    """Sum of kernel_values over all rows of ``pts``."""
     pts = _as_matrix(pts)
     center = _as_matrix(center)
     if _USE_NUMBA:
@@ -254,7 +275,7 @@ def kernel_total(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False
 
 
 def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = False) -> np.ndarray:
-    """Per-row compensated kernel sums of ``eval_pts`` against ``support``."""
+    """Per-row kernel sums of ``eval_pts`` against ``support``."""
     eval_pts = _as_matrix(eval_pts)
     support = _as_matrix(support)
     if _USE_NUMBA:

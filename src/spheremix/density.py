@@ -21,7 +21,6 @@ leave-one-out), exactly as the normalizer's double sum is written.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import DimensionMismatch, EmptySampleSet
 from .estimators import (
     DEFAULT_SIGMA_FLOOR,
     SampleSet,
-    empirical_normalizer,
+    empirical_normalizer,  # not called here; pipebench/tracing.py patches this name
     incremental_frechet_mean,
     sample_sigma,
 )
@@ -126,20 +125,38 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
     return (4.0 * sigma_hat**5 / (3.0 * n)) ** 0.2
 
 
+def _train_matrix(all_network_train) -> np.ndarray:
+    train = stack_points(all_network_train)
+    if train.size == 0:
+        raise EmptySampleSet("the normalizer needs a non-empty training set")
+    return train
+
+
 def fit_gaussian(
     class_samples: SampleSet,
     all_network_train,
     *,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
+    out: np.ndarray | None = None,
 ) -> GaussianDensity:
     """Estimate (mu, sigma, C) for one (network, class) cell.
 
     ``all_network_train`` is the embedded output of the same network on the
-    whole training set (all classes); it feeds only the normalizer.
+    whole training set (all classes); it feeds only the normalizer, the
+    inverse of the kernel mass those rows give the unnormalized Gaussian
+    (`estimators.empirical_normalizer`). When ``out`` is given, the fitted
+    density at each training row is written into it, from the same kernel
+    values, bit-equal to ``pdf_batch(all_network_train)``.
     """
     mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
-    normalizer = empirical_normalizer(all_network_train, mu, sigma)
+    values = _kernels.kernel_values(
+        _train_matrix(all_network_train), point_vector(mu), 1.0 / (2.0 * sigma**2),
+        absolute=class_samples.space == GRASSMANN,
+    )
+    normalizer = 1.0 / float(values.sum())
+    if out is not None:
+        np.multiply(normalizer, values, out=out)
     return GaussianDensity(mu=mu, sigma=sigma, normalizer=normalizer)
 
 
@@ -150,12 +167,16 @@ def fit_kde(
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     max_support: int = 0,
     seed: int = 0,
+    out: np.ndarray | None = None,
 ) -> KernelDensity:
     """Fit the kernel density for one (network, class) cell.
 
     The full class sample set is retained as support by default;
     ``max_support`` > 0 caps it by a seeded subsample (dispersion is still
     estimated on the full set, the bandwidth's |F| is the retained size).
+    When ``out`` is given, the fitted density at each training row is
+    written into it from the kernel sums that set the normalizer, bit-equal
+    to ``pdf_batch(all_network_train)``.
     """
     mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
@@ -168,12 +189,11 @@ def fit_kde(
             class_samples.network_id, class_samples.class_id,
         )
     bandwidth = silverman_bandwidth(sigma, len(support))
-    train = stack_points(all_network_train)
-    if train.size == 0:
-        raise EmptySampleSet("KDE normalizer needs a non-empty training set")
     sums = _kernels.kernel_sums(
-        train, support.points, 1.0 / (2.0 * bandwidth**2),
+        _train_matrix(all_network_train), support.points, 1.0 / (2.0 * bandwidth**2),
         absolute=support.space == GRASSMANN,
     )
-    normalizer = len(support) / math.fsum(sums)
+    normalizer = len(support) / float(sums.sum())
+    if out is not None:
+        np.multiply(normalizer / len(support), sums, out=out)
     return KernelDensity(support=support, bandwidth=bandwidth, normalizer=normalizer)

@@ -304,7 +304,7 @@ def _sphere_step(at: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 def fit_weights(
-    densities,
+    P_train: np.ndarray,
     batch: LabeledBatch,
     *,
     eta: float = 0.1,
@@ -316,6 +316,8 @@ def fit_weights(
 ):
     """Learn the mixture weights by Riemannian gradient descent on S^{m-1}.
 
+    ``P_train`` is the batch's (n, m, c) pdf tensor, as returned by
+    ``fit_densities`` (equal to ``pdf_grid(densities, batch.features)``).
     Starts from the uniform mixture, stops when the relative loss change
     falls below ``tol`` (|dL| <= tol * max(1, L)) or after ``max_iters``
     steps. ``backtrack`` halves an individual step while it would increase
@@ -323,9 +325,14 @@ def fit_weights(
     """
     if eta <= 0.0 or tol <= 0.0 or max_iters < 1:
         raise ValueError("eta and tol must be positive, max_iters >= 1")
-    P = pdf_grid(densities, batch.features)
+    if P_train.ndim != 3 or P_train.shape[:2] != (batch.n, batch.m):
+        raise DimensionMismatch(
+            f"pdf tensor of shape {P_train.shape} for {batch.n} samples of {batch.m} networks"
+        )
+    if np.any(batch.labels >= P_train.shape[2]):
+        raise LabelOutOfRange(f"labels must lie in [0, {P_train.shape[2]})")
     return fit_weights_from_pdf(
-        P, batch.labels, eta=eta, max_iters=max_iters, tol=tol,
+        P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol,
         grad_mode=grad_mode, backtrack=backtrack, seed=seed,
     )
 
@@ -403,20 +410,28 @@ def fit_densities(
     seed: int = 0,
     threads: int = 1,
 ):
-    """Fit the m x c grid of class densities on a labeled batch."""
+    """Fit the m x c grid of class densities on a labeled batch.
+
+    Returns (densities, P_train). P_train is the (n, m, c) tensor of
+    p_ij(x_i) on the batch itself, filled cell by cell from the kernel
+    evaluation that sets each cell's normalizer; it equals
+    ``pdf_grid(densities, batch.features)`` bit for bit.
+    """
     if kind not in (PARAMETRIC, KDE):
         raise ValueError(f"unknown model kind {kind!r}")
     if np.any(batch.labels >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
+    P_train = np.empty((batch.n, batch.m, c))
 
     def fit_cell(i: int, j: int):
         rows = batch.features[i][batch.labels == j]
         cell = SampleSet(rows, batch.space, network_id=i, class_id=j)
+        out = P_train[:, i, j]
         if kind == PARAMETRIC:
-            return fit_gaussian(cell, batch.features[i], sigma_floor=sigma_floor)
+            return fit_gaussian(cell, batch.features[i], sigma_floor=sigma_floor, out=out)
         return fit_kde(
             cell, batch.features[i], sigma_floor=sigma_floor,
-            max_support=kde_max_support, seed=seed + i * c + j,
+            max_support=kde_max_support, seed=seed + i * c + j, out=out,
         )
 
     cells = [(i, j) for i in range(batch.m) for j in range(c)]
@@ -425,7 +440,7 @@ def fit_densities(
             flat = list(pool.map(lambda ij: fit_cell(*ij), cells))
     else:
         flat = [fit_cell(i, j) for i, j in cells]
-    return [flat[i * c:(i + 1) * c] for i in range(batch.m)]
+    return [flat[i * c:(i + 1) * c] for i in range(batch.m)], P_train
 
 
 def fit_ensemble(
@@ -444,12 +459,12 @@ def fit_ensemble(
     threads: int = 1,
 ) -> EnsembleModel:
     """Estimate all densities, then learn the mixture weights."""
-    densities = fit_densities(
+    densities, P_train = fit_densities(
         batch, c, kind, sigma_floor=sigma_floor,
         kde_max_support=kde_max_support, seed=seed, threads=threads,
     )
     weights, meta = fit_weights(
-        densities, batch, eta=eta, max_iters=max_iters, tol=tol,
+        P_train, batch, eta=eta, max_iters=max_iters, tol=tol,
         grad_mode=grad_mode, backtrack=backtrack, seed=seed,
     )
     return EnsembleModel(

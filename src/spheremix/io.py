@@ -221,9 +221,8 @@ def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_
     )
 
 
-def save_model(model: EnsembleModel) -> bytes:
-    """Serialize a fitted model to its JSON document (UTF-8 bytes)."""
-    doc = {
+def _model_doc(model: EnsembleModel) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": model.kind,
         "space": model.space,
@@ -234,7 +233,11 @@ def save_model(model: EnsembleModel) -> bytes:
         "fit_meta": model.fit_meta,
         "densities": [[_density_to_dict(d) for d in row] for row in model.densities],
     }
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+def save_model(model: EnsembleModel) -> bytes:
+    """Serialize a fitted model to its JSON document (UTF-8 bytes)."""
+    return (json.dumps(_model_doc(model), indent=1) + "\n").encode("utf-8")
 
 
 def load_model(data: bytes) -> EnsembleModel:
@@ -268,9 +271,13 @@ def load_model(data: bytes) -> EnsembleModel:
 
 
 def save_model_file(model: EnsembleModel, path):
+    """Write the bytes of ``save_model(model)`` to ``path``, streamed: the
+    document is never held as one string."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(save_model(model))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_model_doc(model), fh, indent=1)
+        fh.write("\n")
 
 
 def load_model_file(path) -> EnsembleModel:

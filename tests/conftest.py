@@ -54,10 +54,10 @@ def fitted_models(desk_suite):
     out = {}
     for kind in (PARAMETRIC, KDE):
         t0 = time.perf_counter()
-        densities = fit_densities(desk_suite["train"], SUITE_C, kind, seed=SUITE_SEED)
+        densities, P_train = fit_densities(desk_suite["train"], SUITE_C, kind, seed=SUITE_SEED)
         t_densities = time.perf_counter() - t0
         t0 = time.perf_counter()
-        weights, meta = fit_weights(densities, desk_suite["train"])
+        weights, meta = fit_weights(P_train, desk_suite["train"])
         t_weights = time.perf_counter() - t0
         model = EnsembleModel(
             kind=kind, space="sphere", m=SUITE_M, c=SUITE_C,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spheremix import ensemble
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
@@ -137,6 +138,22 @@ class TestPredictCommand:
             assert len(row) == 5
             assert 0 <= int(row[0]) < 4
             assert abs(sum(map(float, row[1:])) - 1.0) <= 1e-12
+
+    def test_scores_once_and_class_is_argmax(self, runner, suite_dir, fitted, tmp_path,
+                                             monkeypatch):
+        calls = []
+        real = ensemble.pdf_grid
+        monkeypatch.setattr(ensemble, "pdf_grid", lambda *a: calls.append(1) or real(*a))
+        out = tmp_path / "pred.csv"
+        result = runner.invoke(main, [
+            "predict", "--model-file", str(fitted),
+            *table_args("test", suite_dir, 3, "--table"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        for line in out.read_text().strip().splitlines():
+            cells = line.split(",")
+            assert int(cells[0]) == int(np.argmax([float(v) for v in cells[1:]]))
 
     def test_single_row(self, runner, suite_dir, fitted, tmp_path):
         single = []

@@ -19,6 +19,7 @@ from spheremix.ensemble import (
     fit_weights_from_pdf,
     label_distance,
     loss,
+    pdf_grid,
     predict,
     predict_batch,
     riemannian_gradient,
@@ -31,6 +32,7 @@ from spheremix.errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
+from spheremix.io import embed_feature_rows
 from spheremix.sphere import SpherePoint
 
 
@@ -260,7 +262,7 @@ class TestFitWeights:
         batch = LabeledBatch(feats, labels)
         from spheremix.ensemble import fit_weights
 
-        w, meta = fit_weights(grid, batch)
+        w, meta = fit_weights(pdf_grid(grid, batch.features), batch)
         assert w.alpha[0] > w.alpha[1]
         assert w.alpha[0] == pytest.approx(fx["expected"]["alpha_accurate"], abs=fx["tolerance"])
         assert meta["final_loss"] <= fx["expected"]["uniform_loss"] + 1e-12
@@ -364,9 +366,60 @@ class TestBatchValidation:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         feats = [np.sqrt(e / e.sum(axis=1, keepdims=True)) for _ in range(2)]
         batch = LabeledBatch(feats, labels)
-        serial = fit_densities(batch, c, threads=1)
-        threaded = fit_densities(batch, c, threads=4)
+        serial, P_serial = fit_densities(batch, c, threads=1)
+        threaded, P_threaded = fit_densities(batch, c, threads=4)
         for row_a, row_b in zip(serial, threaded):
             for a, b in zip(row_a, row_b):
                 np.testing.assert_array_equal(a.mu.coords, b.mu.coords)
                 assert a.sigma == b.sigma and a.normalizer == b.normalizer
+        np.testing.assert_array_equal(P_serial, P_threaded)
+
+
+def sphere_batch(rng, m, c, n):
+    labels = rng.integers(0, c, n)
+    feats = []
+    for _ in range(m):
+        logits = np.eye(c)[labels] + rng.standard_normal((n, c))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        feats.append(np.sqrt(e / e.sum(axis=1, keepdims=True)))
+    return LabeledBatch(feats, labels)
+
+
+def grassmann_batch(rng, dims, c, n):
+    labels = rng.integers(0, c, n)
+    feats = []
+    for d in dims:
+        centers = rng.standard_normal((c, d))
+        feats.append(embed_feature_rows(centers[labels] + 0.5 * rng.standard_normal((n, d))))
+    return LabeledBatch(feats, labels, "grassmann")
+
+
+class TestFusedTrainTensor:
+    """fit_densities' train tensor comes from the kernel evaluations that set
+    the normalizers; it must equal a separate pdf_grid pass bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    def test_equals_pdf_grid(self, kind, space):
+        rng = np.random.default_rng(7)
+        c = 3
+        if space == "sphere":
+            batch = sphere_batch(rng, 3, c, 90)
+        else:
+            batch = grassmann_batch(rng, (4, 6, 5), c, 90)
+        densities, P_train = fit_densities(batch, c, kind, kde_max_support=20)
+        assert P_train.shape == (batch.n, batch.m, c)
+        np.testing.assert_array_equal(P_train, pdf_grid(densities, batch.features))
+        threaded, P_threaded = fit_densities(batch, c, kind, kde_max_support=20, threads=4)
+        np.testing.assert_array_equal(P_threaded, P_train)
+        for row_a, row_b in zip(densities, threaded):
+            assert [a.normalizer for a in row_a] == [b.normalizer for b in row_b]
+
+    def test_fit_weights_checks_tensor_shape(self):
+        batch = sphere_batch(np.random.default_rng(9), 2, 3, 30)
+        from spheremix.ensemble import fit_weights
+
+        with pytest.raises(DimensionMismatch):
+            fit_weights(np.ones((30, 3, 3)), batch)
+        with pytest.raises(LabelOutOfRange):
+            fit_weights(np.ones((30, 2, 1)), batch)

@@ -198,6 +198,13 @@ class TestModelRoundTrip:
                     assert a.bandwidth == b.bandwidth
                 assert a.normalizer == b.normalizer
 
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_file_bytes_equal_save_model(self, kind, tmp_path):
+        model, _ = small_fitted_model(np.random.default_rng(5), kind=kind)
+        path = tmp_path / "model.json"
+        save_model_file(model, path)
+        assert path.read_bytes() == save_model(model)
+
     def test_identical_predictions_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         model, batch = small_fitted_model(rng, n=100)

@@ -65,6 +65,40 @@ class TestAgainstReference:
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
+    def test_sums_match_fsum_over_many_magnitudes(self):
+        # 2e4 support terms from about 1 down to about 1e-214.
+        # The evaluation rows are basis vectors, so every dot product is an
+        # exact support coordinate and only the summation is under test.
+        rng = np.random.default_rng(11)
+        support = random_unit_rows(rng, 20_000, 3)
+        inv = 50.0
+        eval_pts = np.eye(3)
+        expected = [
+            math.fsum(math.exp(-math.acos(x) ** 2 * inv) for x in support[:, k])
+            for k in range(3)
+        ]
+        np.testing.assert_allclose(
+            _kernels.kernel_sums(eval_pts, support, inv), expected, rtol=1e-13
+        )
+        assert _kernels.kernel_total(support, eval_pts[0], inv) == pytest.approx(
+            expected[0], rel=1e-13
+        )
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_row_blocks_change_nothing(self, monkeypatch, absolute):
+        # signed basis rows make every dot product exact whatever the BLAS
+        # call shape, so blocking may not change a single bit
+        rng = np.random.default_rng(12)
+        support = random_unit_rows(rng, 300, 5)
+        eval_pts = np.eye(5)[rng.integers(0, 5, 37)] * rng.choice([-1.0, 1.0], (37, 1))
+        inv = 1.0 / (2 * 0.3**2)
+        whole = _kernels._np_kernel_sums(eval_pts, support, inv, absolute)
+        for budget in (1, 3 * 8 * 300):
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(
+                _kernels._np_kernel_sums(eval_pts, support, inv, absolute), whole
+            )
+
     def test_absolute_flag(self, data):
         flipped = data["eval"].copy()
         flipped[::2] *= -1.0
