@@ -24,7 +24,7 @@ from .ensemble import (
     PARAMETRIC,
     EnsembleModel,
     LabeledBatch,
-    density_argmax_accuracy,
+    density_argmax_accuracies,
     ensemble_probability_batch,
     evaluate,
     fit_densities,
@@ -58,19 +58,17 @@ def _write_report(report_path, text: str, metrics: dict):
     json_path.write_text(json.dumps(metrics, indent=1) + "\n", encoding="utf-8")
 
 
-def _standalone_accuracies(model: EnsembleModel, batch: LabeledBatch, P=None) -> list:
+def _standalone_accuracies(model: EnsembleModel, batch: LabeledBatch,
+                           density_accuracies: list | None) -> list:
     """Per-network standalone accuracy: argmax of the network's own
     probabilities on the sphere (the square-root embedding is monotone),
     its density classifier on the Grassmannian (no probabilities exist),
-    read from the batch's pdf tensor ``P`` when the caller already has it."""
+    as already read from the batch's pdf tensor into ``density_accuracies``."""
     if model.space == SPHERE:
         return [
             float(np.mean(np.argmax(f, axis=1) == batch.labels)) for f in batch.features
         ]
-    if P is not None:
-        return [float(np.mean(np.argmax(P[:, i, :], axis=1) == batch.labels))
-                for i in range(model.m)]
-    return [density_argmax_accuracy(model, batch, i) for i in range(model.m)]
+    return density_accuracies
 
 
 def _load_batch(tables, labels_path, space: str, c: int | None, threads: int = 1):
@@ -165,14 +163,18 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
                           densities=densities, weights=weights, fit_meta=meta)
     save_model_file(model, out_path)
 
-    standalone = _standalone_accuracies(model, batch, P_train)
+    standalone = _standalone_accuracies(
+        model, batch,
+        density_argmax_accuracies(P_train, batch.labels) if space == GRASSMANN else None)
     order = np.argsort(weights.alpha)[::-1]
     lines = [
         f"fitted {kind} ensemble: m={batch.m} networks, c={c} classes, space={space}",
         f"model file: {out_path}",
         f"density fit: {t_densities:.2f} s   weight learning: {t_weights:.2f} s "
         f"({meta['iterations_run']} iterations, kernel backend: {_kernels.backend()})",
-        f"final loss: {meta['final_loss']:.6f}",
+        f"final loss: {meta['final_loss']:.6f}   uniform-weight loss: {meta['uniform_loss']:.6f}",
+        f"descent stopped by {meta['stop_reason']}   gradient norm: {meta['grad_norm']:.3e}   "
+        f"effective networks: {meta['effective_networks']:.3f}",
         "learned weights (sorted):",
     ]
     lines += [f"  net {i:02d}  alpha = {weights.alpha[i]:.6f}" for i in order]
@@ -235,7 +237,7 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
     labels = load_labels(labels_path, model.c)
     batch = LabeledBatch(features, labels, model.space)
     result = evaluate(model, batch)
-    standalone = _standalone_accuracies(model, batch)
+    standalone = _standalone_accuracies(model, batch, result["density_argmax_accuracy"])
     average = float(np.mean(standalone))
     delta = result["accuracy"] - average
     lines = [
@@ -301,6 +303,11 @@ def inspect(model_file):
     click.echo(
         f"fit:   eta={meta.get('eta')}  iterations={meta.get('iterations_run')}  "
         f"final_loss={meta.get('final_loss')}  seed={meta.get('seed')}"
+    )
+    click.echo(
+        f"       stop_reason={meta.get('stop_reason')}  grad_norm={meta.get('grad_norm')}  "
+        f"uniform_loss={meta.get('uniform_loss')}  "
+        f"effective_networks={meta.get('effective_networks')}"
     )
     click.echo("alpha (sorted):")
     for i in np.argsort(model.weights.alpha)[::-1]:

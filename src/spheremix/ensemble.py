@@ -16,6 +16,11 @@ tangent space (g - <g, at> at), and each update follows the sphere exponential
 map with step -eta, taking absolute values afterwards to stay in the closed
 positive quadrant (alpha = alpha_tilde^2 is unchanged by sign flips). Density
 parameters are estimated beforehand and held fixed throughout.
+
+Every (n, m, c) pdf tensor is stored sample x class x network, so its
+(n*c, m) matrix view is free and each weighted sum over the networks (the
+scores, and the gradient's sum over samples and classes) is one
+matrix-vector product. A descent step costs one pass of each kind.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,15 +168,41 @@ class EnsembleModel:
         return [row[0].dim for row in self.densities]
 
 
+# -- the pdf tensor and its matrix view ------------------------------------------
+
+
+def _empty_pdf_tensor(n: int, m: int, c: int) -> np.ndarray:
+    """Uninitialized (n, m, c) pdf tensor, stored sample x class x network.
+
+    Its (n*c, m) matrix view ``_pdf_matrix`` is then free, so every weighted
+    sum over the networks is one matrix-vector product on that view.
+    """
+    return np.empty((n, c, m)).transpose(0, 2, 1)
+
+
+def _pdf_matrix(P: np.ndarray) -> np.ndarray:
+    """(n*c, m) matrix of an (n, m, c) pdf tensor; row k*c + j holds p_ij(x_k)
+    over the networks i. A view for tensors from ``_empty_pdf_tensor``, a
+    single copy for any other layout."""
+    n, m, c = P.shape
+    return np.ascontiguousarray(P.transpose(0, 2, 1)).reshape(n * c, m)
+
+
+def _scores(Pm: np.ndarray, alpha: np.ndarray, c: int) -> np.ndarray:
+    """(n, c) ensemble scores sum_i alpha_i p_ij(x_k): one pass over ``Pm``."""
+    return (Pm @ alpha).reshape(-1, c)
+
+
 # -- scoring and prediction ----------------------------------------------------
 
 
 def pdf_grid(densities, features) -> np.ndarray:
-    """(n, m, c) tensor of p_ij(x_i) values for a batch of features."""
+    """(n, m, c) tensor of p_ij(x_i) values for a batch of features, stored
+    sample x class x network (see ``_empty_pdf_tensor``)."""
     m = len(densities)
     c = len(densities[0])
     n = features[0].shape[0]
-    out = np.empty((n, m, c))
+    out = _empty_pdf_tensor(n, m, c)
     for i in range(m):
         fi = features[i]
         if fi.shape[1] != densities[i][0].dim:
@@ -191,7 +223,7 @@ def _batch_features(model: EnsembleModel, sample) -> list:
 
 def class_scores_batch(model: EnsembleModel, features) -> np.ndarray:
     P = pdf_grid(model.densities, features)
-    return np.tensordot(P, model.weights.alpha, axes=([1], [0]))
+    return _scores(_pdf_matrix(P), model.weights.alpha, model.c)
 
 
 def class_scores(model: EnsembleModel, sample) -> np.ndarray:
@@ -239,59 +271,75 @@ def label_distance(y: int, p) -> float:
 # -- loss and its gradient on the alpha_tilde sphere ----------------------------
 
 
-def _cosine_to_label(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(scores, axis=1)
-    if np.any(norms < _SCORE_EPS):
-        raise DegenerateScores("all class scores underflowed for at least one sample")
-    sy = scores[np.arange(scores.shape[0]), labels]
-    return np.clip(sy / norms, 0.0, 1.0), norms, sy
+class _Point(NamedTuple):
+    """The loss at one alpha_tilde, with what its gradient reuses."""
+
+    at: np.ndarray
+    scores: np.ndarray  # (n, c)
+    norms: np.ndarray  # ||s_k||
+    u: np.ndarray  # cosine s_{k,y_k} / ||s_k||, clipped to [0, 1]
+    d: np.ndarray  # arc distance arccos(u)
+    loss: float
+
+
+class _Objective:
+    """The batch loss over one pdf tensor, laid out once as its (n*c, m)
+    matrix, with the flat row k*c + y_k of each sample's label."""
+
+    def __init__(self, P: np.ndarray, labels):
+        n, _, c = P.shape
+        self.c = c
+        self.Pm = _pdf_matrix(P)
+        self.label_rows = np.arange(n) * c + np.asarray(labels, dtype=np.int64)
+
+    def at(self, at: np.ndarray) -> _Point:
+        """Scores, norms, cosines and loss at ``at``: one scores pass."""
+        scores = _scores(self.Pm, at * at, self.c)
+        # np.linalg.norm(scores, axis=1), bit for bit, without its conjugate copy
+        norms = np.sqrt(np.add.reduce(scores * scores, axis=1))
+        if np.any(norms < _SCORE_EPS):
+            raise DegenerateScores("all class scores underflowed for at least one sample")
+        u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
+        d = np.arccos(u)
+        return _Point(at, scores, norms, u, d, float(np.mean(d * d)))
+
+    def gradient(self, point: _Point, grad_mode: str = "analytic") -> np.ndarray:
+        """Tangent-space gradient at ``point``. Analytic: one gradient pass
+        over the pdf matrix, reusing the point's scores. Finite-difference:
+        central differences of the loss, two scores passes per network."""
+        at = point.at
+        if grad_mode == "finite-difference":
+            g = self._fd_gradient(at)
+        else:
+            u, d, norms = point.u, point.d, point.norms
+            # d(d^2)/du = -2 d / sqrt(1 - u^2); the ratio d/sqrt(1-u^2) -> 1 as u -> 1
+            one_minus = 1.0 - u * u
+            w = np.where(one_minus > 1e-24, d / np.sqrt(np.maximum(one_minus, 1e-300)), 1.0)
+            # dL/ds_k = a_k ((u_k / ||s_k||) s_k - e_{y_k}), with a_k = (2/n) w_k / ||s_k||
+            g_scores = (u / norms)[:, None] * point.scores
+            g_scores.flat[self.label_rows] -= 1.0
+            g_scores *= ((2.0 / norms.shape[0]) * w / norms)[:, None]
+            g = 2.0 * at * (g_scores.ravel() @ self.Pm)
+        return g - (g @ at) * at
+
+    def _fd_gradient(self, at: np.ndarray, h: float = 1e-6) -> np.ndarray:
+        g = np.empty_like(at)
+        for i in range(at.shape[0]):
+            e = np.zeros_like(at)
+            e[i] = h
+            g[i] = (self.at(at + e).loss - self.at(at - e).loss) / (2.0 * h)
+        return g
 
 
 def _loss_from_pdf(P: np.ndarray, labels: np.ndarray, alpha_tilde: np.ndarray) -> float:
-    scores = np.tensordot(P, alpha_tilde * alpha_tilde, axes=([1], [0]))
-    u, _, _ = _cosine_to_label(scores, labels)
-    d = np.arccos(u)
-    return float(np.mean(d * d))
-
-
-def _loss_and_euclidean_grad(P, labels, alpha_tilde):
-    n, _, c = P.shape
-    scores = np.tensordot(P, alpha_tilde * alpha_tilde, axes=([1], [0]))
-    u, norms, _ = _cosine_to_label(scores, labels)
-    d = np.arccos(u)
-    loss = float(np.mean(d * d))
-    # d(d^2)/du = -2 d / sqrt(1 - u^2); the ratio d/sqrt(1-u^2) -> 1 as u -> 1
-    one_minus = 1.0 - u * u
-    w = np.where(one_minus > 1e-24, d / np.sqrt(np.maximum(one_minus, 1e-300)), 1.0)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    g_scores = -(2.0 / n) * w[:, None] * (onehot - (u / norms)[:, None] * scores) / norms[:, None]
-    g_alpha = np.einsum("kj,kij->i", g_scores, P)
-    return loss, 2.0 * alpha_tilde * g_alpha
-
-
-def _tangent_project(g: np.ndarray, at: np.ndarray) -> np.ndarray:
-    return g - (g @ at) * at
-
-
-def _fd_gradient(P, labels, alpha_tilde, h: float = 1e-6) -> np.ndarray:
-    g = np.empty_like(alpha_tilde)
-    for i in range(alpha_tilde.shape[0]):
-        e = np.zeros_like(alpha_tilde)
-        e[i] = h
-        g[i] = (
-            _loss_from_pdf(P, labels, alpha_tilde + e)
-            - _loss_from_pdf(P, labels, alpha_tilde - e)
-        ) / (2.0 * h)
-    return _tangent_project(g, alpha_tilde)
+    return _Objective(P, labels).at(np.asarray(alpha_tilde, dtype=np.float64)).loss
 
 
 def riemannian_gradient(P, labels, alpha_tilde, *, grad_mode: str = "analytic") -> np.ndarray:
     """Tangent-space gradient of the batch loss at alpha_tilde on S^{m-1}."""
-    if grad_mode == "finite-difference":
-        return _fd_gradient(P, labels, np.asarray(alpha_tilde, dtype=np.float64))
-    _, g = _loss_and_euclidean_grad(P, labels, np.asarray(alpha_tilde, dtype=np.float64))
-    return _tangent_project(g, alpha_tilde)
+    objective = _Objective(P, labels)
+    point = objective.at(np.asarray(alpha_tilde, dtype=np.float64))
+    return objective.gradient(point, grad_mode)
 
 
 def _sphere_step(at: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -348,39 +396,54 @@ def fit_weights_from_pdf(
     backtrack: bool = False,
     seed: int = 0,
 ):
-    """fit_weights, starting from a precomputed (n, m, c) pdf tensor."""
+    """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
+
+    Each step is one gradient pass at the accepted point, whose scores are
+    carried over from when it was a candidate, and one scores pass for the
+    next candidate (more only while ``backtrack`` halves the step).
+    fit_meta records why descent stopped (``stop_reason``: "tol", or
+    "max_iters" when the step cap ended it), the Riemannian gradient norm at
+    the returned weights, the loss of the uniform start and the effective
+    number of networks 1 / sum(alpha^2).
+    """
+    objective = _Objective(P, labels)
     m = P.shape[1]
-    at = np.full(m, 1.0 / math.sqrt(m))
-    loss_prev = _loss_from_pdf(P, labels, at)
-    if not np.isfinite(loss_prev):
-        raise NonFiniteLoss(f"initial loss is {loss_prev}")
+    point = objective.at(np.full(m, 1.0 / math.sqrt(m)))
+    uniform_loss = point.loss
+    if not np.isfinite(uniform_loss):
+        raise NonFiniteLoss(f"initial loss is {uniform_loss}")
     iterations = 0
+    # a single network has nothing to learn: its gradient is zero
+    stop_reason = "tol" if m == 1 else "max_iters"
     if m > 1:
         for _ in range(max_iters):
-            grad = riemannian_gradient(P, labels, at, grad_mode=grad_mode)
-            candidate = _sphere_step(at, -eta * grad)
-            loss_new = _loss_from_pdf(P, labels, candidate)
+            grad = objective.gradient(point, grad_mode)
+            candidate = objective.at(_sphere_step(point.at, -eta * grad))
             if backtrack:
                 step_eta = eta
-                while loss_new > loss_prev and step_eta > 1e-12:
+                while candidate.loss > point.loss and step_eta > 1e-12:
                     step_eta *= 0.5
-                    candidate = _sphere_step(at, -step_eta * grad)
-                    loss_new = _loss_from_pdf(P, labels, candidate)
-            if not np.isfinite(loss_new):
+                    candidate = objective.at(_sphere_step(point.at, -step_eta * grad))
+            if not np.isfinite(candidate.loss):
                 raise NonFiniteLoss("loss became non-finite; reduce eta")
-            at = candidate
+            converged = abs(candidate.loss - point.loss) <= tol * max(1.0, candidate.loss)
+            point = candidate
             iterations += 1
-            if abs(loss_new - loss_prev) <= tol * max(1.0, loss_new):
-                loss_prev = loss_new
+            if converged:
+                stop_reason = "tol"
                 break
-            loss_prev = loss_new
+    weights = MixtureWeights(point.at)
     meta = {
         "eta": float(eta),
         "iterations_run": iterations,
-        "final_loss": float(loss_prev),
+        "final_loss": float(point.loss),
         "seed": int(seed),
+        "stop_reason": stop_reason,
+        "grad_norm": float(np.linalg.norm(objective.gradient(point, grad_mode))),
+        "uniform_loss": float(uniform_loss),
+        "effective_networks": float(1.0 / np.sum(weights.alpha * weights.alpha)),
     }
-    return MixtureWeights(at), meta
+    return weights, meta
 
 
 def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
@@ -414,14 +477,14 @@ def fit_densities(
 
     Returns (densities, P_train). P_train is the (n, m, c) tensor of
     p_ij(x_i) on the batch itself, filled cell by cell from the kernel
-    evaluation that sets each cell's normalizer; it equals
-    ``pdf_grid(densities, batch.features)`` bit for bit.
+    evaluation that sets each cell's normalizer; it has the layout of
+    ``pdf_grid(densities, batch.features)`` and equals it bit for bit.
     """
     if kind not in (PARAMETRIC, KDE):
         raise ValueError(f"unknown model kind {kind!r}")
     if np.any(batch.labels >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    P_train = np.empty((batch.n, batch.m, c))
+    P_train = _empty_pdf_tensor(batch.n, batch.m, c)
 
     def fit_cell(i: int, j: int):
         rows = batch.features[i][batch.labels == j]
@@ -474,14 +537,12 @@ def fit_ensemble(
 
 
 def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
-    """Accuracy, per-class accuracy, and mean loss of the model on a batch."""
+    """Accuracy, per-class accuracy, and mean loss of the model on a batch,
+    plus each network's density-classifier accuracy, all from one pdf tensor."""
     _check_batch(model, batch)
     P = pdf_grid(model.densities, batch.features)
-    scores = np.tensordot(P, model.weights.alpha, axes=([1], [0]))
-    if np.any(scores.sum(axis=1) < _SCORE_EPS):
-        raise DegenerateScores("all class scores underflowed for at least one sample")
-    predicted = np.argmax(scores, axis=1)
-    hits = predicted == batch.labels
+    point = _Objective(P, batch.labels).at(model.weights.alpha_tilde)
+    hits = np.argmax(point.scores, axis=1) == batch.labels
     per_class = np.full(model.c, np.nan)
     for j in range(model.c):
         mask = batch.labels == j
@@ -490,8 +551,16 @@ def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
     return {
         "accuracy": float(np.mean(hits)),
         "per_class_accuracy": per_class,
-        "mean_loss": _loss_from_pdf(P, batch.labels, model.weights.alpha_tilde),
+        "mean_loss": point.loss,
+        "density_argmax_accuracy": density_argmax_accuracies(P, batch.labels),
     }
+
+
+def density_argmax_accuracies(P: np.ndarray, labels: np.ndarray) -> list:
+    """Accuracy of each network's density classifier argmax_j p_ij(x_i),
+    read from the batch's (n, m, c) pdf tensor one network at a time (an
+    argmax over the strided class axis copies what it reduces)."""
+    return [float(np.mean(np.argmax(P[:, i, :], axis=1) == labels)) for i in range(P.shape[1])]
 
 
 def density_argmax_accuracy(model: EnsembleModel, batch: LabeledBatch, network: int) -> float:

@@ -133,6 +133,89 @@ def oracle_fd_gradient(loss_fn, alpha_tilde, h: float = 1e-6):
     return g - (g @ at) * at
 
 
+# -- reference weight descent (the formula-by-formula loop) ----------------------------
+#
+# The descent as first written: scores by tensordot over the network axis of
+# the (n, m, c) tensor, the gradient by einsum, and the loss evaluated twice
+# per step (once inside the gradient, once for the candidate). The package's
+# loop must follow the same iterates.
+
+def _ref_scores(P, alpha_tilde):
+    return np.tensordot(P, alpha_tilde * alpha_tilde, axes=([1], [0]))
+
+
+def _ref_cosines(scores, labels):
+    norms = np.linalg.norm(scores, axis=1)
+    sy = scores[np.arange(scores.shape[0]), labels]
+    return np.clip(sy / norms, 0.0, 1.0), norms
+
+
+def ref_descent_loss(P, labels, alpha_tilde) -> float:
+    u, _ = _ref_cosines(_ref_scores(P, alpha_tilde), labels)
+    d = np.arccos(u)
+    return float(np.mean(d * d))
+
+
+def ref_descent_gradient(P, labels, alpha_tilde, grad_mode: str = "analytic"):
+    """Riemannian gradient of ref_descent_loss at alpha_tilde."""
+    at = np.asarray(alpha_tilde, dtype=np.float64)
+    if grad_mode == "finite-difference":
+        h = 1e-6
+        g = np.empty_like(at)
+        for i in range(at.shape[0]):
+            e = np.zeros_like(at)
+            e[i] = h
+            g[i] = (ref_descent_loss(P, labels, at + e)
+                    - ref_descent_loss(P, labels, at - e)) / (2.0 * h)
+        return g - (g @ at) * at
+    n, _, c = P.shape
+    scores = _ref_scores(P, at)
+    u, norms = _ref_cosines(scores, labels)
+    d = np.arccos(u)
+    one_minus = 1.0 - u * u
+    w = np.where(one_minus > 1e-24, d / np.sqrt(np.maximum(one_minus, 1e-300)), 1.0)
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    g_scores = -(2.0 / n) * w[:, None] * (onehot - (u / norms)[:, None] * scores) / norms[:, None]
+    g = 2.0 * at * np.einsum("kj,kij->i", g_scores, P)
+    return g - (g @ at) * at
+
+
+def _ref_sphere_step(at, step):
+    nv = float(np.linalg.norm(step))
+    if nv < 1e-300:
+        return at
+    out = np.abs(math.cos(nv) * at + math.sin(nv) * (step / nv))
+    return out / np.linalg.norm(out)
+
+
+def ref_fit_weights(P, labels, eta: float = 0.1, max_iters: int = 5000, tol: float = 1e-8,
+                    grad_mode: str = "analytic", backtrack: bool = False):
+    """Returns (alpha_tilde, iterations_run, final_loss)."""
+    m = P.shape[1]
+    at = np.full(m, 1.0 / math.sqrt(m))
+    loss_prev = ref_descent_loss(P, labels, at)
+    iterations = 0
+    if m > 1:
+        for _ in range(max_iters):
+            grad = ref_descent_gradient(P, labels, at, grad_mode)
+            candidate = _ref_sphere_step(at, -eta * grad)
+            loss_new = ref_descent_loss(P, labels, candidate)
+            if backtrack:
+                step_eta = eta
+                while loss_new > loss_prev and step_eta > 1e-12:
+                    step_eta *= 0.5
+                    candidate = _ref_sphere_step(at, -step_eta * grad)
+                    loss_new = ref_descent_loss(P, labels, candidate)
+            at = candidate
+            iterations += 1
+            converged = abs(loss_new - loss_prev) <= tol * max(1.0, loss_new)
+            loss_prev = loss_new
+            if converged:
+                break
+    return at, iterations, loss_prev
+
+
 # -- reference density fitting (transliteration of the estimators) ------------------
 
 def ref_incremental_mean(points):

@@ -294,6 +294,32 @@ class TestInspectCommand:
         assert "alpha" in result.output
         assert "m:     3 networks" in result.output
 
+    def test_prints_descent_diagnostics(self, runner, suite_dir, tmp_path):
+        fit_result, model_path = run_fit(runner, suite_dir, tmp_path, "--max-iters", "5")
+        assert fit_result.exit_code == 0, fit_result.output
+        assert "descent stopped by max_iters" in fit_result.output
+        assert "uniform-weight loss" in fit_result.output
+        assert "effective networks" in fit_result.output
+        meta = json.loads(model_path.read_text())["fit_meta"]
+        result = runner.invoke(main, ["inspect", "--model-file", str(model_path)])
+        assert result.exit_code == 0
+        assert "stop_reason=max_iters" in result.output
+        assert f"grad_norm={meta['grad_norm']}" in result.output
+        assert f"uniform_loss={meta['uniform_loss']}" in result.output
+        assert f"effective_networks={meta['effective_networks']}" in result.output
+
+
+def write_feature_suite(fx, outdir):
+    for split in ("train", "test"):
+        for i, table in enumerate(fx[split]):
+            path = outdir / f"{split}_net{i:02d}.csv"
+            path.write_text(
+                "\n".join(",".join(repr(float(v)) for v in row) for row in table) + "\n"
+            )
+        (outdir / f"{split}_labels.txt").write_text(
+            "\n".join(str(v) for v in fx[f"{split}_labels"]) + "\n"
+        )
+
 
 class TestGrassmannCli:
     def test_feature_mode_end_to_end(self, runner, tmp_path):
@@ -302,16 +328,7 @@ class TestGrassmannCli:
         fx = oracles.grassmann_feature_suite(21, dims=(5, 8), c=3,
                                              n_train=90, n_test=45,
                                              noise=(0.3, 0.35))
-        for split in ("train", "test"):
-            for i, table in enumerate(fx[split]):
-                path = tmp_path / f"{split}_net{i:02d}.csv"
-                path.write_text(
-                    "\n".join(",".join(repr(float(v)) for v in row) for row in table) + "\n"
-                )
-        for split in ("train", "test"):
-            (tmp_path / f"{split}_labels.txt").write_text(
-                "\n".join(str(v) for v in fx[f"{split}_labels"]) + "\n"
-            )
+        write_feature_suite(fx, tmp_path)
         model_path = tmp_path / "gr.json"
         result = runner.invoke(main, [
             "fit", "--space", "grassmann", "--classes", "3",
@@ -332,6 +349,40 @@ class TestGrassmannCli:
         assert result.exit_code == 0, result.output
         metrics = json.loads((tmp_path / "eval.json").read_text())
         assert metrics["accuracy"] > 0.5
+
+    def test_kde_evaluate_evaluates_each_density_once(self, runner, tmp_path, monkeypatch):
+        from spheremix import _kernels
+
+        import oracles
+
+        fx = oracles.grassmann_feature_suite(22, dims=(4, 6), c=3, n_train=60, n_test=30,
+                                             noise=(0.3, 0.35))
+        write_feature_suite(fx, tmp_path)
+        model_path = tmp_path / "gr.json"
+        result = runner.invoke(main, [
+            "fit", "--space", "grassmann", "--classes", "3", "--model", "kde",
+            "--train-table", str(tmp_path / "train_net00.csv"),
+            "--train-table", str(tmp_path / "train_net01.csv"),
+            "--labels", str(tmp_path / "train_labels.txt"), "--out", str(model_path),
+        ])
+        assert result.exit_code == 0, result.output
+        calls = []
+        kernel_sums = _kernels.kernel_sums
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return kernel_sums(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "kernel_sums", counting)
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(model_path),
+            "--table", str(tmp_path / "test_net00.csv"),
+            "--table", str(tmp_path / "test_net01.csv"),
+            "--labels", str(tmp_path / "test_labels.txt"),
+        ])
+        assert result.exit_code == 0, result.output
+        # one kernel sum per (network, class) density over the 30 test rows
+        assert calls == [30] * 6
 
     def test_grassmann_requires_classes(self, runner, tmp_path):
         p = tmp_path / "f.csv"

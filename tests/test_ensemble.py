@@ -16,6 +16,7 @@ from spheremix.ensemble import (
     evaluate,
     fit_densities,
     fit_ensemble,
+    fit_weights,
     fit_weights_from_pdf,
     label_distance,
     loss,
@@ -260,8 +261,6 @@ class TestFitWeights:
         feats = [np.asarray(f) for f in fx["inputs"]["features"]]
         labels = np.asarray(fx["inputs"]["labels"])
         batch = LabeledBatch(feats, labels)
-        from spheremix.ensemble import fit_weights
-
         w, meta = fit_weights(pdf_grid(grid, batch.features), batch)
         assert w.alpha[0] > w.alpha[1]
         assert w.alpha[0] == pytest.approx(fx["expected"]["alpha_accurate"], abs=fx["tolerance"])
@@ -417,9 +416,126 @@ class TestFusedTrainTensor:
 
     def test_fit_weights_checks_tensor_shape(self):
         batch = sphere_batch(np.random.default_rng(9), 2, 3, 30)
-        from spheremix.ensemble import fit_weights
-
         with pytest.raises(DimensionMismatch):
             fit_weights(np.ones((30, 3, 3)), batch)
         with pytest.raises(LabelOutOfRange):
             fit_weights(np.ones((30, 2, 1)), batch)
+
+
+def random_pdf_problem(seed, n=80, m=5, c=4):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.01, 2.0, (n, m, c)), rng.integers(0, c, n)
+
+
+class TestDescentMatchesReference:
+    """The descent on the (n*c, m) layout, with one scores pass and one
+    gradient pass per step, follows the iterates of the formula-by-formula
+    reference loop in oracles.py (tensordot scores, einsum gradient, two
+    loss evaluations per step)."""
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"max_iters": 300, "tol": 1e-300},
+        {"eta": 2.0, "backtrack": True},
+        {"eta": 0.5, "grad_mode": "finite-difference", "max_iters": 200},
+    ], ids=["tol-stop", "fixed-steps", "backtrack", "finite-difference"])
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_same_iterates(self, options, seed):
+        P, labels = random_pdf_problem(seed)
+        w, meta = fit_weights_from_pdf(P, labels, **options)
+        ref_at, ref_iterations, ref_loss = oracles.ref_fit_weights(P, labels, **options)
+        assert meta["iterations_run"] == ref_iterations
+        np.testing.assert_allclose(w.alpha_tilde, ref_at, rtol=0, atol=1e-13)
+        assert meta["final_loss"] == pytest.approx(ref_loss, rel=1e-13)
+
+    def test_gradient_and_loss(self):
+        P, labels = random_pdf_problem(13)
+        at = np.abs(np.random.default_rng(14).standard_normal(P.shape[1]))
+        at /= np.linalg.norm(at)
+        assert _loss_from_pdf(P, labels, at) == pytest.approx(
+            oracles.ref_descent_loss(P, labels, at), rel=1e-14)
+        for mode in ("analytic", "finite-difference"):
+            np.testing.assert_allclose(
+                riemannian_gradient(P, labels, at, grad_mode=mode),
+                oracles.ref_descent_gradient(P, labels, at, mode), rtol=0, atol=1e-14)
+
+
+class TestPdfLayout:
+    """pdf tensors are stored sample x class x network, so the descent's
+    (n*c, m) matrix is a view, not a copy."""
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_fit_densities_and_pdf_grid_layout(self, kind):
+        batch = sphere_batch(np.random.default_rng(15), 3, 4, 50)
+        densities, P_train = fit_densities(batch, 4, kind)
+        P = pdf_grid(densities, batch.features)
+        for T in (P_train, P):
+            assert T.shape == (50, 3, 4)
+            assert T.transpose(0, 2, 1).flags.c_contiguous
+            assert np.shares_memory(T.transpose(0, 2, 1).reshape(50 * 4, 3), T)
+
+    def test_plain_array_gives_bit_equal_weights(self):
+        batch = sphere_batch(np.random.default_rng(16), 4, 3, 60)
+        _, P_train = fit_densities(batch, 3)
+        plain = np.ascontiguousarray(P_train)
+        assert plain.flags.c_contiguous and not P_train.flags.c_contiguous
+        for options in ({}, {"backtrack": True, "eta": 2.0}):
+            w_view, meta_view = fit_weights(P_train, batch, **options)
+            w_plain, meta_plain = fit_weights(plain, batch, **options)
+            np.testing.assert_array_equal(w_view.alpha_tilde, w_plain.alpha_tilde)
+            assert meta_view == meta_plain
+
+    def test_degenerate_scores_raised_during_descent(self):
+        n, c = 12, 3
+        labels = np.arange(n) % c
+        P = np.empty((n, 2, c))
+        P[:, 0, :] = 0.05
+        P[np.arange(n), 0, labels] = 1.0  # network 0 is sharp and right
+        P[:, 1, :] = 1.0  # network 1 is flat
+        P[0, 0, :] = 0.0  # only network 1 sees sample 0, at 1e-150
+        P[0, 1, :] = 1e-150
+        uniform = np.full(2, math.sqrt(0.5))
+        assert np.isfinite(_loss_from_pdf(P, labels, uniform))
+        # a first step of arc length pi/4 lands on the vertex of network 0,
+        # where sample 0's scores underflow
+        eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(P, labels, uniform))
+        with pytest.raises(DegenerateScores):
+            fit_weights_from_pdf(P, labels, eta=eta, max_iters=1)
+
+
+class TestDescentDiagnostics:
+    def test_fit_meta_fields(self):
+        P, labels = random_pdf_problem(17, m=4)
+        w, meta = fit_weights_from_pdf(P, labels)
+        assert meta["stop_reason"] == "tol"
+        assert meta["iterations_run"] < 5000
+        uniform = np.full(4, 0.5)
+        assert meta["uniform_loss"] == _loss_from_pdf(P, labels, uniform)
+        assert meta["final_loss"] <= meta["uniform_loss"]
+        assert meta["grad_norm"] == pytest.approx(
+            float(np.linalg.norm(riemannian_gradient(P, labels, w.alpha_tilde))), rel=1e-12)
+        assert meta["effective_networks"] == pytest.approx(1.0 / np.sum(w.alpha ** 2), rel=1e-15)
+        assert 1.0 <= meta["effective_networks"] <= 4.0
+
+    def test_stop_reason_max_iters(self):
+        P, labels = random_pdf_problem(18)
+        _, meta = fit_weights_from_pdf(P, labels, max_iters=3)
+        assert meta["stop_reason"] == "max_iters" and meta["iterations_run"] == 3
+
+    def test_single_network(self):
+        P, labels = random_pdf_problem(19, m=1)
+        _, meta = fit_weights_from_pdf(P, labels)
+        assert meta["iterations_run"] == 0 and meta["stop_reason"] == "tol"
+        assert meta["grad_norm"] == 0.0 and meta["effective_networks"] == 1.0
+        assert meta["uniform_loss"] == meta["final_loss"]
+
+
+class TestEvaluateDensityAccuracies:
+    def test_matches_per_network_classifier(self):
+        rng = np.random.default_rng(20)
+        batch = grassmann_batch(rng, (4, 6), 3, 60)
+        model = fit_ensemble(batch, 3, "kde")
+        result = evaluate(model, batch)
+        assert result["density_argmax_accuracy"] == [
+            density_argmax_accuracy(model, batch, i) for i in range(model.m)
+        ]

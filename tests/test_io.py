@@ -179,6 +179,14 @@ def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric"):
 
 
 class TestModelRoundTrip:
+    def test_descent_diagnostics_survive(self):
+        model, _ = small_fitted_model(np.random.default_rng(2), m=3)
+        clone = load_model(save_model(model))
+        for key in ("stop_reason", "grad_norm", "uniform_loss", "effective_networks"):
+            assert key in model.fit_meta
+            assert clone.fit_meta[key] == model.fit_meta[key]
+        assert clone.fit_meta["stop_reason"] in ("tol", "max_iters")
+
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_fields_bit_exact(self, kind):
         model, _ = small_fitted_model(np.random.default_rng(1), kind=kind)
