@@ -71,8 +71,8 @@ def _standalone_accuracies(model: EnsembleModel, batch: LabeledBatch,
     return density_accuracies
 
 
-def _load_batch(tables, labels_path, space: str, c: int | None, threads: int = 1):
-    features, raw = load_split(tables, space, threads=threads)
+def _load_batch(tables, labels_path, space: str, c: int | None):
+    features, raw = load_split(tables, space)
     if space == SPHERE:
         width = raw[0].d
         if c is None:
@@ -142,8 +142,8 @@ def _with_options(options):
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, seed, sigma_floor, grad_mode, kde_max_support, backtrack, threads):
     """Fit densities and mixture weights on training tables."""
-    _validate_common(eta, max_iters, tol, sigma_floor, threads)
-    batch, c = _load_batch(tables, labels_path, space, classes, threads=threads)
+    _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads)
+    batch, c = _load_batch(tables, labels_path, space, classes)
 
     t0 = time.perf_counter()
     densities, P_train = fit_densities(
@@ -314,10 +314,12 @@ def inspect(model_file):
         click.echo(f"  net {i:02d}  alpha = {model.weights.alpha[i]:.6f}")
 
 
-def _validate_common(eta, max_iters, tol, sigma_floor, threads):
-    if eta <= 0 or tol <= 0 or max_iters < 1 or sigma_floor <= 0 or threads < 1:
+def _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads):
+    if (eta <= 0 or tol <= 0 or max_iters < 1 or sigma_floor <= 0 or kde_max_support < 0
+            or threads < 1):
         raise InvalidConfig(
-            "eta, tol and sigma-floor must be positive; max-iters and threads >= 1"
+            "eta, tol and sigma-floor must be positive; kde-max-support >= 0; "
+            "max-iters and threads >= 1"
         )
 
 

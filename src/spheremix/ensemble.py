@@ -193,6 +193,16 @@ def _scores(Pm: np.ndarray, alpha: np.ndarray, c: int) -> np.ndarray:
     return (Pm @ alpha).reshape(-1, c)
 
 
+def _check_scores(sizes: np.ndarray):
+    """Raise DegenerateScores, naming the first sample, if any per-sample
+    score total or norm in ``sizes`` is below _SCORE_EPS."""
+    low = sizes < _SCORE_EPS
+    if low.any():
+        raise DegenerateScores(
+            f"all class scores underflowed for sample {int(low.argmax())}"
+        )
+
+
 # -- scoring and prediction ----------------------------------------------------
 
 
@@ -234,8 +244,7 @@ def class_scores(model: EnsembleModel, sample) -> np.ndarray:
 def ensemble_probability_batch(model: EnsembleModel, features) -> np.ndarray:
     scores = class_scores_batch(model, features)
     totals = scores.sum(axis=1)
-    if np.any(totals < _SCORE_EPS):
-        raise DegenerateScores("all class scores underflowed for at least one sample")
+    _check_scores(totals)
     return scores / totals[:, None]
 
 
@@ -246,8 +255,7 @@ def ensemble_probability(model: EnsembleModel, sample) -> np.ndarray:
 
 def predict_batch(model: EnsembleModel, features) -> np.ndarray:
     scores = class_scores_batch(model, features)
-    if np.any(scores.sum(axis=1) < _SCORE_EPS):
-        raise DegenerateScores("all class scores underflowed for at least one sample")
+    _check_scores(scores.sum(axis=1))
     return np.argmax(scores, axis=1)
 
 
@@ -297,8 +305,7 @@ class _Objective:
         scores = _scores(self.Pm, at * at, self.c)
         # np.linalg.norm(scores, axis=1), bit for bit, without its conjugate copy
         norms = np.sqrt(np.add.reduce(scores * scores, axis=1))
-        if np.any(norms < _SCORE_EPS):
-            raise DegenerateScores("all class scores underflowed for at least one sample")
+        _check_scores(norms)
         u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
         d = np.arccos(u)
         return _Point(at, scores, norms, u, d, float(np.mean(d * d)))

@@ -12,6 +12,7 @@ real field bit-exactly.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,8 +63,11 @@ class OutputTable:
         return self.values.shape[1]
 
 
-def _parse_rows(path) -> np.ndarray:
+def _parse_rows(path):
+    """The rows of a CSV table, plus the row count at each blank line it
+    skipped, from which ``_file_line`` gives each row's file line."""
     rows = []
+    blanks = []
     width = None
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -73,6 +77,7 @@ def _parse_rows(path) -> np.ndarray:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                blanks.append(len(rows))
                 continue
             cells = line.split(",")
             if width is None:
@@ -87,7 +92,13 @@ def _parse_rows(path) -> np.ndarray:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise EmptyBatch(f"{path}: no rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64), blanks
+
+
+def _file_line(blanks, row: int) -> int:
+    """1-based file line of data row ``row``: one past the row index, plus
+    every blank line skipped before it."""
+    return row + 1 + bisect_right(blanks, row)
 
 
 def load_output_table(path, mode: str = PROBABILITY, network_id: int = 0) -> OutputTable:
@@ -99,23 +110,23 @@ def load_output_table(path, mode: str = PROBABILITY, network_id: int = 0) -> Out
     """
     if mode not in (PROBABILITY, FEATURE):
         raise ValueError(f"unknown table mode {mode!r}")
-    values = _parse_rows(path)
+    values, blanks = _parse_rows(path)
     if mode == PROBABILITY:
         if np.any(values < -1e-9):
-            row = int(np.where(values < -1e-9)[0][0])
-            raise NegativeProbability(f"{path}: row {row} has a negative probability")
+            line = _file_line(blanks, int(np.where(values < -1e-9)[0][0]))
+            raise NegativeProbability(f"{path}: line {line} has a negative probability")
         values = np.maximum(values, 0.0)
         sums = values.sum(axis=1)
         off = np.abs(sums - 1.0)
         if np.any(off > _ROW_SUM_HARD):
             row = int(np.argmax(off))
-            raise NotNormalized(f"{path}: row {row} sums to {sums[row]:.6g}")
+            raise NotNormalized(f"{path}: line {_file_line(blanks, row)} sums to {sums[row]:.6g}")
         values = values / sums[:, None]
     else:
         norms = np.linalg.norm(values, axis=1)
         if np.any(norms <= 1e-12):
-            row = int(np.argmin(norms))
-            raise ZeroFeature(f"{path}: row {row} is a zero feature vector")
+            line = _file_line(blanks, int(np.argmin(norms)))
+            raise ZeroFeature(f"{path}: line {line} is a zero feature vector")
     return OutputTable(values=values, mode=mode, network_id=network_id)
 
 
@@ -167,25 +178,14 @@ def embed_feature_rows(values: np.ndarray) -> np.ndarray:
     return reps * signs[:, None]
 
 
-def load_split(table_paths, space: str = SPHERE, threads: int = 1):
+def load_split(table_paths, space: str = SPHERE):
     """Load and embed one split's per-network tables.
 
     Returns (features, tables): embedded (n, d_i) matrices plus the raw
-    OutputTable objects, with the cross-network alignment checked. Files
-    are read concurrently when ``threads`` > 1.
+    OutputTable objects, with the cross-network alignment checked.
     """
     mode = PROBABILITY if space == SPHERE else FEATURE
-    paths = list(table_paths)
-    if threads > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tables = list(pool.map(
-                lambda ip: load_output_table(ip[1], mode, network_id=ip[0]),
-                enumerate(paths),
-            ))
-    else:
-        tables = [load_output_table(p, mode, network_id=i) for i, p in enumerate(paths)]
+    tables = [load_output_table(p, mode, network_id=i) for i, p in enumerate(table_paths)]
     check_alignment(tables)
     if space == SPHERE:
         features = [embed_probability_rows(t.values) for t in tables]

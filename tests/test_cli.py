@@ -101,6 +101,12 @@ class TestFitCommand:
         result, _ = run_fit(runner, suite_dir, tmp_path, "--eta", "-1.0")
         assert result.exit_code == 2
 
+    def test_negative_kde_max_support(self, runner, suite_dir, tmp_path):
+        result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde",
+                                     "--kde-max-support", "-5")
+        assert result.exit_code == 2
+        assert "InvalidConfig" in result.output and not model_path.exists()
+
     def test_kde_fit(self, runner, suite_dir, tmp_path):
         result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde")
         assert result.exit_code == 0, result.output

@@ -13,6 +13,7 @@ from spheremix.ensemble import (
     class_scores,
     density_argmax_accuracy,
     ensemble_probability,
+    ensemble_probability_batch,
     evaluate,
     fit_densities,
     fit_ensemble,
@@ -151,8 +152,13 @@ class TestScoring:
                  GaussianDensity(mu=SpherePoint([1.0, 0.0]), sigma=1e-3, normalizer=1.0)]]
         model = EnsembleModel(kind="parametric", space="sphere", m=1, c=2,
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
-        with pytest.raises(DegenerateScores):
+        with pytest.raises(DegenerateScores, match="for sample 0$"):
             ensemble_probability(model, [SpherePoint([0.0, 1.0])])
+        # a batch names its first underflowing sample
+        features = [np.asarray([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])]
+        for score in (ensemble_probability_batch, predict_batch):
+            with pytest.raises(DegenerateScores, match="for sample 2$"):
+                score(model, features)
 
 
 class TestLabelDistance:
@@ -492,14 +498,14 @@ class TestPdfLayout:
         P[:, 0, :] = 0.05
         P[np.arange(n), 0, labels] = 1.0  # network 0 is sharp and right
         P[:, 1, :] = 1.0  # network 1 is flat
-        P[0, 0, :] = 0.0  # only network 1 sees sample 0, at 1e-150
-        P[0, 1, :] = 1e-150
+        P[7, 0, :] = 0.0  # only network 1 sees sample 7, at 1e-150
+        P[7, 1, :] = 1e-150
         uniform = np.full(2, math.sqrt(0.5))
         assert np.isfinite(_loss_from_pdf(P, labels, uniform))
         # a first step of arc length pi/4 lands on the vertex of network 0,
-        # where sample 0's scores underflow
+        # where sample 7's scores underflow
         eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(P, labels, uniform))
-        with pytest.raises(DegenerateScores):
+        with pytest.raises(DegenerateScores, match="for sample 7$"):
             fit_weights_from_pdf(P, labels, eta=eta, max_iters=1)
 
 

@@ -47,7 +47,7 @@ class TestOutputTable:
     def test_negative_probability(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("0.5,0.5\n1.01,-0.01\n")
-        with pytest.raises(NegativeProbability, match="row 1"):
+        with pytest.raises(NegativeProbability, match="line 2"):
             load_output_table(p)
 
     def test_badly_unnormalized(self, tmp_path):
@@ -55,6 +55,18 @@ class TestOutputTable:
         p.write_text("0.6,0.6\n")
         with pytest.raises(NotNormalized):
             load_output_table(p)
+
+    @pytest.mark.parametrize("text, mode, error", [
+        ("\n0.5,0.5\n0.2,0.8\n-0.5,1.5\n", "probability", NegativeProbability),
+        ("\n0.5,0.5\n0.2,0.8\n0.6,0.6\n", "probability", NotNormalized),
+        ("\n1.0,2.0\n\n0.0,0.0\n", "feature", ZeroFeature),
+    ])
+    def test_value_errors_name_the_file_line(self, tmp_path, text, mode, error):
+        # blank lines hold no row, but the error still counts them
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(error, match=r"t\.csv: line 4 "):
+            load_output_table(p, mode=mode)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -87,7 +99,7 @@ class TestOutputTable:
     def test_feature_mode_zero_row(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1.0,2.0\n0.0,0.0\n")
-        with pytest.raises(ZeroFeature, match="row 1"):
+        with pytest.raises(ZeroFeature, match="line 2"):
             load_output_table(p, mode="feature")
 
     def test_feature_mode_accepts_any_scale(self, tmp_path):
