@@ -305,6 +305,12 @@ class _Objective:
         scores = _scores(self.Pm, at * at, self.c)
         # np.linalg.norm(scores, axis=1), bit for bit, without its conjugate copy
         norms = np.sqrt(np.add.reduce(scores * scores, axis=1))
+        low = norms < _SCORE_EPS
+        if low.any():  # squares underflow below ~1.5e-162: rescale those rows by their maximum
+            s = scores[low]
+            top = s.max(axis=1)
+            s /= np.where(top > 0.0, top, 1.0)[:, None]
+            norms[low] = top * np.sqrt(np.add.reduce(s * s, axis=1))
         _check_scores(norms)
         u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
         d = np.arccos(u)

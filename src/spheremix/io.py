@@ -4,13 +4,15 @@ Input tables are headerless CSV, one row per sample, one file per network
 per split: softmax probabilities (d = c columns) in probability mode, raw
 feature vectors (d = d_i columns) in feature mode. Labels are one base-10
 integer per line. Models are stored as a single self-describing JSON
-document with an explicit schema_version; floats use Python's shortest
-round-trip representation, so deserialize(serialize(M)) reproduces every
-real field bit-exactly.
+document with an explicit schema_version (2; version 1 is still read). Every
+float array is a blob {"shape": [...], "f8": base64 of its little-endian
+float64 bytes}, so deserialize(serialize(M)) reproduces every array bit for
+bit by construction; scalars are plain JSON numbers, which round-trip too.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -37,7 +39,8 @@ from .estimators import SampleSet
 from .grassmann import GrassmannPoint
 from .sphere import SpherePoint
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE_SCHEMAS = (1, 2)
 
 PROBABILITY = "probability"
 FEATURE = "feature"
@@ -197,12 +200,28 @@ def load_split(table_paths, space: str = SPHERE):
 # -- model files -----------------------------------------------------------------
 
 
+def _blob(a: np.ndarray) -> dict:
+    """A float array as its shape and the base64 of its little-endian float64 bytes."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _array(obj) -> np.ndarray:
+    """The float64 array of a blob (schema 2) or of a nested list (schema 1).
+    Bad base64, a byte count that is not a multiple of 8 and a shape that
+    does not hold the bytes raise ValueError."""
+    if isinstance(obj, dict):
+        raw = base64.b64decode(obj["f8"], validate=True)
+        return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
+    return np.asarray(obj, dtype=np.float64)
+
+
 def _density_to_dict(d) -> dict:
     if isinstance(d, GaussianDensity):
         vec = d.mu.rep if d.space == GRASSMANN else d.mu.coords
-        return {"mu": vec.tolist(), "sigma": d.sigma, "normalizer": d.normalizer}
+        return {"mu": _blob(vec), "sigma": d.sigma, "normalizer": d.normalizer}
     return {
-        "support": d.support.points.tolist(),
+        "support": _blob(d.support.points),
         "bandwidth": d.bandwidth,
         "normalizer": d.normalizer,
     }
@@ -210,54 +229,50 @@ def _density_to_dict(d) -> dict:
 
 def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
     if kind == PARAMETRIC:
-        vec = np.asarray(obj["mu"], dtype=np.float64)
+        vec = _array(obj["mu"])
         mu = GrassmannPoint(vec) if space == GRASSMANN else SpherePoint(vec)
         return GaussianDensity(mu=mu, sigma=float(obj["sigma"]), normalizer=float(obj["normalizer"]))
-    support = SampleSet(
-        np.asarray(obj["support"], dtype=np.float64), space, network_id, class_id
-    )
+    support = SampleSet(_array(obj["support"]), space, network_id, class_id)
     return KernelDensity(
         support=support, bandwidth=float(obj["bandwidth"]), normalizer=float(obj["normalizer"])
     )
 
 
-def _model_doc(model: EnsembleModel) -> dict:
-    return {
+def save_model(model: EnsembleModel) -> bytes:
+    """Serialize a fitted model to its JSON document (UTF-8 bytes), on one
+    line: without ``indent`` CPython runs its C encoder."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": model.kind,
         "space": model.space,
         "m": model.m,
         "c": model.c,
-        "alpha": model.weights.alpha.tolist(),
-        "alpha_tilde": model.weights.alpha_tilde.tolist(),
+        "alpha": model.weights.alpha.tolist(),  # readable only; alpha_tilde is read back
+        "alpha_tilde": _blob(model.weights.alpha_tilde),
         "fit_meta": model.fit_meta,
         "densities": [[_density_to_dict(d) for d in row] for row in model.densities],
     }
-
-
-def save_model(model: EnsembleModel) -> bytes:
-    """Serialize a fitted model to its JSON document (UTF-8 bytes)."""
-    return (json.dumps(_model_doc(model), indent=1) + "\n").encode("utf-8")
+    return (json.dumps(doc) + "\n").encode("utf-8")
 
 
 def load_model(data: bytes) -> EnsembleModel:
-    """Rebuild an EnsembleModel from its JSON document."""
+    """Rebuild an EnsembleModel from its JSON document (schema 1 or 2)."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"unreadable model file: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptModel("model file is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version") not in _READABLE_SCHEMAS:
         raise SchemaMismatch(
-            f"model schema_version {doc.get('schema_version')!r}, supported: {SCHEMA_VERSION}"
+            f"model schema_version {doc.get('schema_version')!r}, supported: {_READABLE_SCHEMAS}"
         )
     try:
         kind = doc["kind"]
         space = doc["space"]
         if kind not in (PARAMETRIC, KDE) or space not in (SPHERE, GRASSMANN):
             raise CorruptModel(f"unknown kind/space: {kind!r}/{space!r}")
-        weights = MixtureWeights(np.asarray(doc["alpha_tilde"], dtype=np.float64))
+        weights = MixtureWeights(_array(doc["alpha_tilde"]))
         densities = [
             [_density_from_dict(cell, kind, space, i, j) for j, cell in enumerate(row)]
             for i, row in enumerate(doc["densities"])
@@ -271,13 +286,11 @@ def load_model(data: bytes) -> EnsembleModel:
 
 
 def save_model_file(model: EnsembleModel, path):
-    """Write the bytes of ``save_model(model)`` to ``path``, streamed: the
-    document is never held as one string."""
+    """Write the bytes of ``save_model(model)`` to ``path``, creating its
+    parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_model_doc(model), fh, indent=1)
-        fh.write("\n")
+    path.write_bytes(save_model(model))
 
 
 def load_model_file(path) -> EnsembleModel:

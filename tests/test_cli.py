@@ -8,6 +8,7 @@ from spheremix import ensemble
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
+from test_io import BLOB_DAMAGE, corrupt_blob
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,19 @@ class TestPredictCommand:
             "--out", str(tmp_path / "p.csv"),
         ])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("how", BLOB_DAMAGE)
+    def test_damaged_array_blob(self, runner, suite_dir, fitted, tmp_path, how):
+        doc = json.loads(fitted.read_text())
+        corrupt_blob(doc["densities"][1][2]["mu"], how)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in (["inspect", "--model-file", str(bad)], [
+            "predict", "--model-file", str(bad),
+            *table_args("test", suite_dir, 3, "--table"), "--out", str(tmp_path / "p.csv"),
+        ]):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 4 and "CorruptModel" in result.output
 
     def test_separable_fixture_all_correct(self, runner, tmp_path):
         # near-noiseless networks: the class means are the test points

@@ -199,6 +199,29 @@ class TestLoss:
         at = np.ones(1)
         assert _loss_from_pdf(P, labels, at) <= 1e-12
 
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-295])
+    @pytest.mark.parametrize("pattern", [
+        np.ones((2, 3)),
+        np.asarray([[1.0, 0.5, 0.25], [0.3, 0.6, 0.9]]),
+    ])
+    def test_tiny_scores_keep_their_norm(self, tiny, pattern):
+        # the squares of scores below ~1.5e-162 underflow to 0, the norm must not
+        n, c = 12, 3
+        labels = np.arange(n) % c
+        P = np.random.default_rng(21).uniform(0.05, 1.0, (n, 2, c))
+        uniform = np.full(2, math.sqrt(0.5))
+        P[0] = pattern
+        reference = _loss_from_pdf(P, labels, uniform)
+        reference_gradient = riemannian_gradient(P, labels, uniform)
+        P[0] = tiny * pattern
+        assert _loss_from_pdf(P, labels, uniform) == pytest.approx(reference, abs=1e-15)
+        gradient = riemannian_gradient(P, labels, uniform)
+        assert np.all(np.isfinite(gradient))
+        np.testing.assert_allclose(gradient, reference_gradient, rtol=0, atol=1e-14)
+        P[0] = 0.0
+        with pytest.raises(DegenerateScores, match="for sample 0$"):
+            _loss_from_pdf(P, labels, uniform)
+
     def test_fixture_vs_summation_oracle(self):
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
@@ -498,12 +521,12 @@ class TestPdfLayout:
         P[:, 0, :] = 0.05
         P[np.arange(n), 0, labels] = 1.0  # network 0 is sharp and right
         P[:, 1, :] = 1.0  # network 1 is flat
-        P[7, 0, :] = 0.0  # only network 1 sees sample 7, at 1e-150
-        P[7, 1, :] = 1e-150
+        P[7, 0, :] = 0.0  # only network 1 sees sample 7, at 1e-290
+        P[7, 1, :] = 1e-290
         uniform = np.full(2, math.sqrt(0.5))
         assert np.isfinite(_loss_from_pdf(P, labels, uniform))
-        # a first step of arc length pi/4 lands on the vertex of network 0,
-        # where sample 7's scores underflow
+        # a first step of arc length pi/4 lands next to the vertex of network 0
+        # (alpha_1 ~ 5e-32), where sample 7's scores fall to ~5e-322 < _SCORE_EPS
         eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(P, labels, uniform))
         with pytest.raises(DegenerateScores, match="for sample 7$"):
             fit_weights_from_pdf(P, labels, eta=eta, max_iters=1)
@@ -545,3 +568,29 @@ class TestEvaluateDensityAccuracies:
         assert result["density_argmax_accuracy"] == [
             density_argmax_accuracy(model, batch, i) for i in range(model.m)
         ]
+
+
+class TestDeskWeightsPinned:
+    """Pins what the paper's loss learns on the seeded desk suite, without
+    endorsing it: the parametric mixture collapses onto one network and
+    scores that network's level, while uniform weights score 1.000. A
+    change here must be deliberate."""
+
+    def test_parametric_collapses_to_network_2(self, desk_suite, fitted_models):
+        model = fitted_models["parametric"]["model"]
+        assert model.fit_meta["iterations_run"] == 1328
+        assert model.fit_meta["effective_networks"] < 1.01
+        assert int(np.argmax(model.weights.alpha)) == 2
+        accuracy = evaluate(model, desk_suite["test"])["accuracy"]
+        assert accuracy == 0.696
+        assert abs(accuracy - desk_suite["standalone_test_accuracy"][2]) <= 0.002
+        uniform = EnsembleModel(
+            kind=model.kind, space=model.space, m=model.m, c=model.c,
+            densities=model.densities, weights=MixtureWeights.uniform(model.m), fit_meta={},
+        )
+        assert evaluate(uniform, desk_suite["test"])["accuracy"] == 1.0
+
+    def test_kde_keeps_many_networks(self, fitted_models):
+        meta = fitted_models["kde"]["model"].fit_meta
+        assert meta["iterations_run"] == 1428
+        assert meta["effective_networks"] > 5

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -179,15 +182,71 @@ class TestEmbedding:
         assert embedded[1, 1] > 0
 
 
-def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric"):
+def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric", space="sphere"):
     labels = rng.integers(0, c, n)
     feats = []
-    for _ in range(m):
+    for i in range(m):
+        if space == "grassmann":
+            d = c + 1 + i
+            centers = rng.standard_normal((c, d))
+            feats.append(embed_feature_rows(centers[labels] + 0.5 * rng.standard_normal((n, d))))
+            continue
         logits = np.eye(c)[labels] / 0.7 + 0.7 * rng.standard_normal((n, c))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         feats.append(np.sqrt(e / e.sum(axis=1, keepdims=True)))
-    batch = LabeledBatch(feats, labels)
+    batch = LabeledBatch(feats, labels, space)
     return fit_ensemble(batch, c, kind), batch
+
+
+def v1_document(model) -> bytes:
+    """The model as schema 1 wrote it: every array a nested decimal list."""
+    def cell(d):
+        if model.kind == "parametric":
+            vec = d.mu.rep if model.space == "grassmann" else d.mu.coords
+            return {"mu": vec.tolist(), "sigma": d.sigma, "normalizer": d.normalizer}
+        return {"support": d.support.points.tolist(), "bandwidth": d.bandwidth,
+                "normalizer": d.normalizer}
+    doc = {
+        "schema_version": 1, "kind": model.kind, "space": model.space,
+        "m": model.m, "c": model.c,
+        "alpha": model.weights.alpha.tolist(),
+        "alpha_tilde": model.weights.alpha_tilde.tolist(),
+        "fit_meta": model.fit_meta,
+        "densities": [[cell(d) for d in row] for row in model.densities],
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+def density_arrays(model):
+    for row in model.densities:
+        for d in row:
+            if model.kind == "kde":
+                yield d.support.points
+            else:
+                yield d.mu.rep if model.space == "grassmann" else d.mu.coords
+
+
+def assert_same_model(a, b):
+    assert (a.kind, a.space, a.m, a.c) == (b.kind, b.space, b.m, b.c)
+    np.testing.assert_array_equal(a.weights.alpha_tilde, b.weights.alpha_tilde)
+    assert a.fit_meta == b.fit_meta
+    for x, y in zip(density_arrays(a), density_arrays(b)):
+        np.testing.assert_array_equal(x, y)
+    for row_a, row_b in zip(a.densities, b.densities):
+        for da, db in zip(row_a, row_b):
+            assert da.normalizer == db.normalizer
+
+
+def corrupt_blob(blob: dict, how: str):
+    if how == "invalid base64":  # a lenient decoder would skip the stray byte and load
+        blob["f8"] = "!" + blob["f8"]
+    elif how == "truncated":
+        blob["f8"] = blob["f8"][:-4]
+    else:  # wrong shape
+        blob["shape"] = [blob["shape"][0] + 1] + blob["shape"][1:]
+
+
+BLOB_DAMAGE = ["invalid base64", "truncated", "wrong shape"]
 
 
 class TestModelRoundTrip:
@@ -276,9 +335,57 @@ class TestModelRoundTrip:
             load_model(b"\x00\xff garbage")
 
     def test_missing_fields(self):
-        with pytest.raises(CorruptModel):
-            load_model(b'{"schema_version": 1, "kind": "parametric"}')
+        for version in (1, 2):
+            with pytest.raises(CorruptModel):
+                load_model(b'{"schema_version": %d, "kind": "parametric"}' % version)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptModel):
             load_model_file(tmp_path / "absent.json")
+
+
+class TestSchema2:
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_arrays_are_blobs(self, kind):
+        model, _ = small_fitted_model(np.random.default_rng(6), kind=kind)
+        text = save_model(model)
+        assert text.count(b"\n") == 1  # one line: no indent
+        doc = json.loads(text)
+        assert doc["schema_version"] == 2
+        assert doc["alpha"] == model.weights.alpha.tolist()
+        key = "support" if kind == "kde" else "mu"
+        blobs = [doc["alpha_tilde"]] + [cell[key] for row in doc["densities"] for cell in row]
+        arrays = [model.weights.alpha_tilde] + list(density_arrays(model))
+        for blob, array in zip(blobs, arrays):
+            assert set(blob) == {"shape", "f8"} and blob["shape"] == list(array.shape)
+            assert base64.b64decode(blob["f8"]) == array.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_v1_document_still_loads(self, kind, space):
+        model, batch = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
+        clone = load_model(v1_document(model))
+        assert_same_model(clone, model)
+        assert_same_model(clone, load_model(save_model(model)))
+        np.testing.assert_array_equal(
+            predict_batch(clone, batch.features), predict_batch(model, batch.features)
+        )
+
+    @pytest.mark.parametrize("field", ["alpha_tilde", "mu"])
+    @pytest.mark.parametrize("how", BLOB_DAMAGE)
+    def test_damaged_blob_is_corrupt(self, how, field):
+        model, _ = small_fitted_model(np.random.default_rng(8))
+        doc = json.loads(save_model(model))
+        corrupt_blob(doc["alpha_tilde"] if field == "alpha_tilde" else doc["densities"][0][0]["mu"], how)
+        with pytest.raises(CorruptModel):
+            load_model(json.dumps(doc).encode("utf-8"))
+
+    def test_desk_kde_model_round_trips_bit_exact(self, desk_suite, fitted_models):
+        model = fitted_models["kde"]["model"]
+        clone = load_model(save_model(model))
+        assert_same_model(clone, model)
+        for row_a, row_b in zip(model.densities, clone.densities):
+            for a, b in zip(row_a, row_b):
+                assert a.bandwidth == b.bandwidth
+        features = desk_suite["test"].features
+        np.testing.assert_array_equal(predict_batch(clone, features), predict_batch(model, features))
