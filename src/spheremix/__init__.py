@@ -15,8 +15,6 @@ from .density import (
     KernelDensity,
     fit_gaussian,
     fit_kde,
-    gaussian_pdf,
-    kde_pdf,
     silverman_bandwidth,
 )
 from .ensemble import (
@@ -46,8 +44,7 @@ from .sphere import SpherePoint, TangentVector, arc_distance, exp_map, geodesic,
 
 __all__ = [
     "kernel_backend",
-    "GaussianDensity", "KernelDensity", "fit_gaussian", "fit_kde",
-    "gaussian_pdf", "kde_pdf", "silverman_bandwidth",
+    "GaussianDensity", "KernelDensity", "fit_gaussian", "fit_kde", "silverman_bandwidth",
     "KDE", "PARAMETRIC", "EnsembleModel", "LabeledBatch", "MixtureWeights",
     "class_scores", "ensemble_probability", "evaluate", "fit_densities",
     "fit_ensemble", "fit_weights", "label_distance", "loss", "predict",

@@ -1,7 +1,9 @@
 """Hot numeric kernels: batched arc distances, Gaussian kernel sums, and the
 incremental mean recursion, in numpy.
 
-Every kernel turns a block of dot products into terms
+``kernel_sums`` is the one routine that computes kernel terms; the
+one-centre ``kernel_values`` and ``kernel_total`` are adapters over it. It
+turns a block of dot products into terms
 exp(-arccos(<x,y>)^2 * inv_two_sigma_sq) in place and reduces them with
 numpy's pairwise summation. Support sets can reach 1e4-1e5 terms of wildly
 varying magnitude; all terms are positive, so there is no cancellation, and
@@ -55,14 +57,13 @@ def arc_distances(pts, center, *, absolute: bool = False) -> np.ndarray:
 
 
 def kernel_values(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> np.ndarray:
-    """exp(-d(x, center)^2 * inv_two_sigma_sq) for each row x of ``pts``."""
-    return _kernel_terms(_as_matrix(pts) @ _as_matrix(center), inv_two_sigma_sq, absolute)
+    """exp(-d(x, center)^2 * inv_two_sigma_sq) per row x: the one-centre kernel_sums."""
+    return kernel_sums(pts, _as_matrix(center)[None, :], inv_two_sigma_sq, absolute=absolute)
 
 
 def kernel_total(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> float:
     """Sum of kernel_values over all rows of ``pts``."""
-    dots = _as_matrix(pts) @ _as_matrix(center)
-    return float(_kernel_terms(dots, inv_two_sigma_sq, absolute).sum())
+    return float(kernel_values(pts, center, inv_two_sigma_sq, absolute=absolute).sum())
 
 
 def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = False) -> np.ndarray:

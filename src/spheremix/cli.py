@@ -95,41 +95,6 @@ def main():
     """Aggregate pre-trained weak classifiers into a boosted ensemble."""
 
 
-_fit_options = [
-    click.option("--model", "kind", type=click.Choice([PARAMETRIC, KDE]), default=PARAMETRIC,
-                 show_default=True, help="Density family."),
-    click.option("--space", type=click.Choice([SPHERE, GRASSMANN]), default=SPHERE,
-                 show_default=True,
-                 help="sphere: tables are class probabilities; grassmann: raw features."),
-    click.option("--classes", type=int, default=None,
-                 help="Class count (required for --space grassmann)."),
-    click.option("--eta", type=float, default=0.1, show_default=True, help="Descent step size."),
-    click.option("--max-iters", type=int, default=5000, show_default=True),
-    click.option("--tol", type=float, default=1e-8, show_default=True,
-                 help="Stop when |dL| <= tol * max(1, L)."),
-    click.option("--seed", type=int, default=42, show_default=True,
-                 help="Seed for every random choice (KDE support subsampling)."),
-    click.option("--sigma-floor", type=float, default=1e-3, show_default=True),
-    click.option("--grad-mode", type=click.Choice(["analytic", "finite-difference"]),
-                 default="analytic", show_default=True),
-    click.option("--kde-max-support", type=int, default=0, show_default=True,
-                 help="Cap KDE support per class by seeded subsampling; 0 = unlimited."),
-    click.option("--backtrack", is_flag=True, default=False,
-                 help="Halve a step while it would increase the loss."),
-    click.option("--threads", type=int, default=1, show_default=True,
-                 help="Worker threads for per-(network, class) density fitting."),
-]
-
-
-def _with_options(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
-
-
 @main.command()
 @click.option("--train-table", "tables", type=click.Path(), multiple=True, required=True,
               help="Per-network training CSV; repeat once per network, in order.")
@@ -137,7 +102,28 @@ def _with_options(options):
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Model file to write.")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the text report here (+ JSON metrics beside it).")
-@_with_options(_fit_options)
+@click.option("--model", "kind", type=click.Choice([PARAMETRIC, KDE]), default=PARAMETRIC,
+              show_default=True, help="Density family.")
+@click.option("--space", type=click.Choice([SPHERE, GRASSMANN]), default=SPHERE,
+              show_default=True,
+              help="sphere: tables are class probabilities; grassmann: raw features.")
+@click.option("--classes", type=int, default=None,
+              help="Class count (required for --space grassmann).")
+@click.option("--eta", type=float, default=0.1, show_default=True, help="Descent step size.")
+@click.option("--max-iters", type=int, default=5000, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True,
+              help="Stop when |dL| <= tol * max(1, L).")
+@click.option("--seed", type=int, default=42, show_default=True,
+              help="Seed for every random choice (KDE support subsampling).")
+@click.option("--sigma-floor", type=float, default=1e-3, show_default=True)
+@click.option("--grad-mode", type=click.Choice(["analytic", "finite-difference"]),
+              default="analytic", show_default=True)
+@click.option("--kde-max-support", type=int, default=0, show_default=True,
+              help="Cap KDE support per class by seeded subsampling; 0 = unlimited.")
+@click.option("--backtrack", is_flag=True, default=False,
+              help="Halve a step while it would increase the loss.")
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Worker threads for per-(network, class) density fitting.")
 @_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, seed, sigma_floor, grad_mode, kde_max_support, backtrack, threads):

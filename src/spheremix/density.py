@@ -1,27 +1,27 @@
 """Per-network, per-class densities on the sphere or Grassmannian.
 
-Parametric model: a Gaussian in the geodesic distance,
+Both families are one object, a normalized Gaussian kernel sum over a matrix
+of centres, evaluated by `_kernels.kernel_sums` alone:
 
-    p(x) = C * exp(-d^2(x, mu) / (2 sigma^2)),
+    p(x) = C / |centres| * sum_{y in centres} exp(-d^2(x, y) / (2 w^2)).
 
-with C the *empirical* normalizer of `estimators.empirical_normalizer` (the
-analytic sphere constant is intractable and is never needed: training and
-prediction only ever use the empirical one).
+Parametric model: a Gaussian in the geodesic distance, the one-centre case
+(centre mu = the incremental Fréchet mean, width sigma = RMS distance to it).
+Non-parametric model: a kernel density estimate whose centres are the
+retained class features F, width b = (4 sigma^5 / (3 |F|))^(1/5) (Silverman).
 
-Non-parametric model: a kernel density estimate over the retained class
-features,
-
-    p(x) = C(b) / |F| * sum_{y in F} exp(-d^2(x, y) / (2 b^2)),
-
-with bandwidth b from Silverman's rule b = (4 sigma^5 / (3 |F|))^(1/5) and
-C(b) inverting the mean kernel mass over the network's full training set.
-A support point evaluates its own kernel term (self-inclusion, no
-leave-one-out), exactly as the normalizer's double sum is written.
+C is the *empirical* normalizer: C / |centres| inverts the kernel mass the
+centres give the network's whole training set (all classes). For the
+Gaussian that is `estimators.empirical_normalizer`; the analytic sphere
+constant is intractable and never needed. A KDE support point evaluates its
+own kernel term (self-inclusion, no leave-one-out), exactly as the
+normalizer's double sum is written. Densities are read through `pdf` and
+`pdf_batch`; there are no separate `gaussian_pdf`/`kde_pdf` functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,87 +37,81 @@ from .estimators import (
 )
 
 
-def _check_dim(have: int, want: int):
-    if have != want:
-        raise DimensionMismatch(f"point of dimension {have} against density of dimension {want}")
+class _KernelSum:
+    """What both families share: validation, and the density as
+    normalizer/|centres| times the kernel sums over ``centres`` at ``width``."""
+
+    _width_name = "width"
+
+    def __post_init__(self):
+        if not (self.width > 0.0):
+            raise ValueError(f"{self._width_name} must be positive")
+        if not (np.isfinite(self.normalizer) and self.normalizer > 0.0):
+            raise ValueError("normalizer must be finite and positive")
+
+    @property
+    def dim(self) -> int:
+        return self.centres.shape[1]
+
+    def pdf(self, x) -> float:
+        return float(self.pdf_batch(point_vector(x)[None, :])[0])
+
+    def pdf_batch(self, pts: np.ndarray) -> np.ndarray:
+        if pts.shape[1] != self.dim:
+            raise DimensionMismatch(
+                f"point of dimension {pts.shape[1]} against density of dimension {self.dim}"
+            )
+        return (self.normalizer / len(self.centres)) * self._sums(pts)
+
+    def _sums(self, pts) -> np.ndarray:
+        return _kernels.kernel_sums(
+            pts, self.centres, 1.0 / (2.0 * self.width**2), absolute=self.space == GRASSMANN
+        )
 
 
 @dataclass(frozen=True)
-class GaussianDensity:
-    """Gaussian in geodesic distance with an empirical normalizer."""
+class GaussianDensity(_KernelSum):
+    """Gaussian in geodesic distance with an empirical normalizer: the
+    one-centre kernel sum at mu with width sigma."""
 
     mu: object
     sigma: float
     normalizer: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
-        if not (np.isfinite(self.normalizer) and self.normalizer > 0.0):
-            raise ValueError("normalizer must be finite and positive")
+    _width_name = "sigma"
 
     @property
     def space(self) -> str:
         return infer_space(self.mu)
 
     @property
-    def dim(self) -> int:
-        return point_vector(self.mu).shape[0]
+    def centres(self) -> np.ndarray:
+        return point_vector(self.mu)[None, :]
 
-    def pdf(self, x) -> float:
-        return float(self.pdf_batch(point_vector(x)[None, :])[0])
-
-    def pdf_batch(self, pts: np.ndarray) -> np.ndarray:
-        _check_dim(pts.shape[1], self.dim)
-        values = _kernels.kernel_values(
-            pts, point_vector(self.mu), 1.0 / (2.0 * self.sigma**2),
-            absolute=self.space == GRASSMANN,
-        )
-        return self.normalizer * values
+    @property
+    def width(self) -> float:
+        return self.sigma
 
 
 @dataclass(frozen=True)
-class KernelDensity:
+class KernelDensity(_KernelSum):
     """Gaussian-kernel density over a retained class sample set."""
 
     support: SampleSet
     bandwidth: float
     normalizer: float
-
-    def __post_init__(self):
-        if not (self.bandwidth > 0.0):
-            raise ValueError("bandwidth must be positive")
-        if not (np.isfinite(self.normalizer) and self.normalizer > 0.0):
-            raise ValueError("normalizer must be finite and positive")
+    _width_name = "bandwidth"
 
     @property
     def space(self) -> str:
         return self.support.space
 
     @property
-    def dim(self) -> int:
-        return self.support.dim
+    def centres(self) -> np.ndarray:
+        return self.support.points
 
-    def pdf(self, x) -> float:
-        return float(self.pdf_batch(point_vector(x)[None, :])[0])
-
-    def pdf_batch(self, pts: np.ndarray) -> np.ndarray:
-        _check_dim(pts.shape[1], self.dim)
-        sums = _kernels.kernel_sums(
-            pts, self.support.points, 1.0 / (2.0 * self.bandwidth**2),
-            absolute=self.space == GRASSMANN,
-        )
-        return (self.normalizer / len(self.support)) * sums
-
-
-def gaussian_pdf(density: GaussianDensity, x) -> float:
-    """normalizer * exp(-d^2(x, mu) / (2 sigma^2)); strictly positive."""
-    return density.pdf(x)
-
-
-def kde_pdf(density: KernelDensity, x) -> float:
-    """normalizer/|support| times the kernel sum over all support points."""
-    return density.pdf(x)
+    @property
+    def width(self) -> float:
+        return self.bandwidth
 
 
 def silverman_bandwidth(sigma_hat: float, n: int) -> float:
@@ -125,11 +119,19 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
     return (4.0 * sigma_hat**5 / (3.0 * n)) ** 0.2
 
 
-def _train_matrix(all_network_train) -> np.ndarray:
+def _normalized(density, all_network_train, out: np.ndarray | None):
+    """``density`` with its empirical normalizer: |centres| over the kernel
+    mass the centres give every training row of the network. When ``out`` is
+    given, the fitted density at each of those rows is written into it from
+    the same sums, bit-equal to ``pdf_batch(all_network_train)``."""
     train = stack_points(all_network_train)
     if train.size == 0:
         raise EmptySampleSet("the normalizer needs a non-empty training set")
-    return train
+    sums = density._sums(train)
+    normalizer = len(density.centres) / float(sums.sum())
+    if out is not None:
+        np.multiply(normalizer / len(density.centres), sums, out=out)
+    return replace(density, normalizer=normalizer)
 
 
 def fit_gaussian(
@@ -142,22 +144,13 @@ def fit_gaussian(
     """Estimate (mu, sigma, C) for one (network, class) cell.
 
     ``all_network_train`` is the embedded output of the same network on the
-    whole training set (all classes); it feeds only the normalizer, the
-    inverse of the kernel mass those rows give the unnormalized Gaussian
-    (`estimators.empirical_normalizer`). When ``out`` is given, the fitted
-    density at each training row is written into it, from the same kernel
-    values, bit-equal to ``pdf_batch(all_network_train)``.
+    whole training set (all classes); it feeds only the normalizer. When
+    ``out`` is given, the fitted density at each training row is written
+    into it (see ``_normalized``).
     """
     mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
-    values = _kernels.kernel_values(
-        _train_matrix(all_network_train), point_vector(mu), 1.0 / (2.0 * sigma**2),
-        absolute=class_samples.space == GRASSMANN,
-    )
-    normalizer = 1.0 / float(values.sum())
-    if out is not None:
-        np.multiply(normalizer, values, out=out)
-    return GaussianDensity(mu=mu, sigma=sigma, normalizer=normalizer)
+    return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
 
 
 def fit_kde(
@@ -174,9 +167,7 @@ def fit_kde(
     The full class sample set is retained as support by default;
     ``max_support`` > 0 caps it by a seeded subsample (dispersion is still
     estimated on the full set, the bandwidth's |F| is the retained size).
-    When ``out`` is given, the fitted density at each training row is
-    written into it from the kernel sums that set the normalizer, bit-equal
-    to ``pdf_batch(all_network_train)``.
+    ``out`` is filled as in ``fit_gaussian``.
     """
     mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
@@ -189,11 +180,4 @@ def fit_kde(
             class_samples.network_id, class_samples.class_id,
         )
     bandwidth = silverman_bandwidth(sigma, len(support))
-    sums = _kernels.kernel_sums(
-        _train_matrix(all_network_train), support.points, 1.0 / (2.0 * bandwidth**2),
-        absolute=support.space == GRASSMANN,
-    )
-    normalizer = len(support) / float(sums.sum())
-    if out is not None:
-        np.multiply(normalizer / len(support), sums, out=out)
-    return KernelDensity(support=support, bandwidth=bandwidth, normalizer=normalizer)
+    return _normalized(KernelDensity(support, bandwidth, 1.0), all_network_train, out)

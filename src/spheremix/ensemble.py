@@ -193,6 +193,21 @@ def _scores(Pm: np.ndarray, alpha: np.ndarray, c: int) -> np.ndarray:
     return (Pm @ alpha).reshape(-1, c)
 
 
+def _row_norms(scores: np.ndarray) -> np.ndarray:
+    """||s_k|| of each row of ``scores``. Squares underflow below about
+    1.5e-162, so rows whose plain norm falls under _SCORE_EPS are rescaled by
+    their maximum first; only an all-zero row keeps norm 0."""
+    # np.linalg.norm(scores, axis=1), bit for bit, without its conjugate copy
+    norms = np.sqrt(np.add.reduce(scores * scores, axis=1))
+    low = norms < _SCORE_EPS
+    if low.any():
+        s = scores[low]
+        top = s.max(axis=1)
+        s /= np.where(top > 0.0, top, 1.0)[:, None]
+        norms[low] = top * np.sqrt(np.add.reduce(s * s, axis=1))
+    return norms
+
+
 def _check_scores(sizes: np.ndarray):
     """Raise DegenerateScores, naming the first sample, if any per-sample
     score total or norm in ``sizes`` is below _SCORE_EPS."""
@@ -270,7 +285,7 @@ def label_distance(y: int, p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if y < 0 or y >= p.shape[0]:
         raise LabelOutOfRange(f"label {y} outside [0, {p.shape[0]})")
-    norm = float(np.linalg.norm(p))
+    norm = float(_row_norms(p[None, :])[0])
     if norm < _SCORE_EPS:
         raise DegenerateScores("cannot measure a direction of the zero vector")
     return math.acos(min(1.0, max(0.0, float(p[y]) / norm)))
@@ -303,14 +318,7 @@ class _Objective:
     def at(self, at: np.ndarray) -> _Point:
         """Scores, norms, cosines and loss at ``at``: one scores pass."""
         scores = _scores(self.Pm, at * at, self.c)
-        # np.linalg.norm(scores, axis=1), bit for bit, without its conjugate copy
-        norms = np.sqrt(np.add.reduce(scores * scores, axis=1))
-        low = norms < _SCORE_EPS
-        if low.any():  # squares underflow below ~1.5e-162: rescale those rows by their maximum
-            s = scores[low]
-            top = s.max(axis=1)
-            s /= np.where(top > 0.0, top, 1.0)[:, None]
-            norms[low] = top * np.sqrt(np.add.reduce(s * s, axis=1))
+        norms = _row_norms(scores)
         _check_scores(norms)
         u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
         d = np.arccos(u)
@@ -579,6 +587,5 @@ def density_argmax_accuracies(P: np.ndarray, labels: np.ndarray) -> list:
 def density_argmax_accuracy(model: EnsembleModel, batch: LabeledBatch, network: int) -> float:
     """Accuracy of one network's own density classifier argmax_j p_ij(x_i)."""
     _check_batch(model, batch)
-    fi = batch.features[network]
-    values = np.column_stack([model.densities[network][j].pdf_batch(fi) for j in range(model.c)])
-    return float(np.mean(np.argmax(values, axis=1) == batch.labels))
+    P = pdf_grid([model.densities[network]], [batch.features[network]])
+    return density_argmax_accuracies(P, batch.labels)[0]

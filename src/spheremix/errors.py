@@ -101,7 +101,3 @@ class DegenerateScores(NumericError):
 
 class NonFiniteLoss(NumericError):
     pass
-
-
-class NonConvergence(NumericError):
-    pass

@@ -97,8 +97,8 @@ def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
     pts = stack_points(all_train_points)
     if pts.size == 0:
         raise EmptySampleSet("empirical normalizer needs a non-empty training set")
-    total = _kernels.kernel_total(
-        pts, point_vector(mu), 1.0 / (2.0 * sigma * sigma),
+    sums = _kernels.kernel_sums(
+        pts, point_vector(mu)[None, :], 1.0 / (2.0 * sigma * sigma),
         absolute=infer_space(mu) == GRASSMANN,
     )
-    return 1.0 / total
+    return 1.0 / float(sums.sum())

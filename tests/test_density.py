@@ -10,12 +10,11 @@ from spheremix.density import (
     KernelDensity,
     fit_gaussian,
     fit_kde,
-    gaussian_pdf,
-    kde_pdf,
     silverman_bandwidth,
 )
 from spheremix.errors import DimensionMismatch
 from spheremix.estimators import SampleSet
+from spheremix.grassmann import GrassmannPoint
 from spheremix.sphere import SpherePoint
 
 
@@ -26,14 +25,14 @@ def sample_set(rows, space="sphere", **kw):
 class TestGaussianPdf:
     def test_at_mu_is_normalizer(self):
         d = GaussianDensity(mu=SpherePoint([1, 0, 0]), sigma=0.5, normalizer=0.2)
-        assert gaussian_pdf(d, SpherePoint([1, 0, 0])) == 0.2
+        assert d.pdf(SpherePoint([1, 0, 0])) == 0.2
 
     def test_half_height_point(self):
         sigma = 0.5
         r = sigma * math.sqrt(2.0 * math.log(2.0))
         d = GaussianDensity(mu=SpherePoint([1, 0, 0]), sigma=sigma, normalizer=0.8)
         x = SpherePoint([math.cos(r), math.sin(r), 0.0])
-        assert gaussian_pdf(d, x) == pytest.approx(0.4, rel=1e-12)
+        assert d.pdf(x) == pytest.approx(0.4, rel=1e-12)
 
     def test_fixture(self):
         fx = load_fixture("gaussian_pdf")
@@ -42,7 +41,7 @@ class TestGaussianPdf:
             sigma=fx["inputs"]["sigma"],
             normalizer=fx["inputs"]["normalizer"],
         )
-        got = gaussian_pdf(d, SpherePoint(fx["inputs"]["x"]))
+        got = d.pdf(SpherePoint(fx["inputs"]["x"]))
         assert got == pytest.approx(fx["expected"]["pdf"], abs=fx["tolerance"])
 
     def test_dimension_mismatch(self):
@@ -87,14 +86,14 @@ class TestKdePdf:
     def test_single_self_term(self):
         x = [0.6, 0.8]
         d = KernelDensity(support=sample_set([x]), bandwidth=0.3, normalizer=0.77)
-        assert kde_pdf(d, SpherePoint(x)) == 0.77
+        assert d.pdf(SpherePoint(x)) == 0.77
 
     def test_two_equidistant_points(self):
         r = 0.5
         support = sample_set([[math.cos(r), math.sin(r)], [math.cos(r), -math.sin(r)]])
         d = KernelDensity(support=support, bandwidth=0.4, normalizer=1.0)
         expected = math.exp(-(r * r) / (2 * 0.4**2))
-        assert kde_pdf(d, SpherePoint([1.0, 0.0])) == pytest.approx(expected, rel=1e-12)
+        assert d.pdf(SpherePoint([1.0, 0.0])) == pytest.approx(expected, rel=1e-12)
 
     def test_fixture_vs_summation(self):
         fx = load_fixture("kde_pdf")
@@ -103,17 +102,23 @@ class TestKdePdf:
             bandwidth=fx["inputs"]["bandwidth"],
             normalizer=fx["inputs"]["normalizer"],
         )
-        got = kde_pdf(d, SpherePoint(fx["inputs"]["x"]))
+        got = d.pdf(SpherePoint(fx["inputs"]["x"]))
         assert got == pytest.approx(fx["expected"]["pdf"], rel=fx["tolerance"])
 
     def test_degenerates_to_gaussian_shape(self):
+        # a one-point KDE and the Gaussian at that point are one kernel sum
         center = [0.6, 0.8, 0.0]
-        kd = KernelDensity(support=sample_set([center]), bandwidth=0.35, normalizer=0.9)
-        gd = GaussianDensity(mu=SpherePoint(center), sigma=0.35, normalizer=0.9)
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = oracles.positive_quadrant_point(rng, 3)
-            assert kd.pdf(x) == pytest.approx(gd.pdf(x), rel=1e-12)
+        pts = np.asarray([oracles.positive_quadrant_point(rng, 3) for _ in range(20)])
+        for space, point, rows in [
+            ("sphere", SpherePoint(center), pts),
+            ("grassmann", GrassmannPoint(center), pts * rng.choice([-1.0, 1.0], (20, 1))),
+        ]:
+            kd = KernelDensity(support=sample_set([center], space), bandwidth=0.35,
+                               normalizer=0.9)
+            gd = GaussianDensity(mu=point, sigma=0.35, normalizer=0.9)
+            np.testing.assert_array_equal(kd.pdf_batch(rows), gd.pdf_batch(rows))
+            assert kd.pdf(rows[0]) == gd.pdf(rows[0])
 
     def test_dimension_mismatch(self):
         d = KernelDensity(support=sample_set([[1.0, 0.0]]), bandwidth=0.3, normalizer=1.0)

@@ -177,6 +177,11 @@ class TestLabelDistance:
         with pytest.raises(DegenerateScores):
             label_distance(0, [0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-295])
+    def test_underflowing_scores_keep_their_direction(self, scale):
+        # the squares of these scores underflow to 0, their direction does not
+        assert label_distance(0, [scale, scale]) == pytest.approx(math.pi / 4, abs=1e-15)
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             label_distance(3, [0.5, 0.5])

@@ -99,6 +99,20 @@ class TestAgainstReference:
                 _kernels.kernel_sums(eval_pts, support, inv, absolute=absolute), whole
             )
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_one_centre_adapters(self, data, absolute):
+        # kernel_values and kernel_total are the one-centre kernel_sums, bit for bit
+        inv = 1.0 / (2 * 0.35**2)
+        sums = _kernels.kernel_sums(
+            data["eval"], data["center"][None, :], inv, absolute=absolute
+        )
+        np.testing.assert_array_equal(
+            _kernels.kernel_values(data["eval"], data["center"], inv, absolute=absolute), sums
+        )
+        assert _kernels.kernel_total(
+            data["eval"], data["center"], inv, absolute=absolute
+        ) == float(sums.sum())
+
     def test_absolute_flag(self, data):
         flipped = data["eval"].copy()
         flipped[::2] *= -1.0
