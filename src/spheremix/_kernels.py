@@ -14,11 +14,14 @@ terms. ``kernel_sums`` splits its evaluation rows into blocks of at most
 round a dot product differently in the last bit for another block shape.
 ``absolute=True`` switches the distance from the sphere arc length
 arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
+
+``cell_means`` is the one implementation of the mean recursion. It moves
+every (network, class) cell of a fit in the same step, so a fit takes as
+many numpy steps as its largest class has rows; ``incremental_mean`` is its
+one-cell case.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -79,27 +82,49 @@ def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = Fal
     return out
 
 
-def incremental_mean(pts, *, sign_align: bool = False) -> np.ndarray:
-    """Streaming mean recursion m_{k+1} = geodesic(m_k, x_{k+1}, 1/(k+1)).
+def cell_means(features, labels, c: int, *, sign_align: bool = False) -> np.ndarray:
+    """Streaming mean recursion m_{k+1} = geodesic(m_k, x_{k+1}, 1/(k+1)) of
+    every (network, class) cell at once: (m, c, d) means of the equal-width
+    tables ``features`` grouped by ``labels`` in [0, c).
 
-    ``sign_align`` flips each incoming sample to the hemisphere of the
-    running mean (subspace data, where x and -x are the same point).
+    Each class takes its rows in ingestion order. Step k gathers the k-th row
+    of every class that still has one, from every network, and moves those
+    means together; no table is padded, stacked or reordered. A class with no
+    rows gets a NaN mean. ``sign_align`` flips each incoming sample to the
+    hemisphere of the running mean (subspace data, where x and -x are the
+    same point). Antipodal samples make a mean non-finite.
     """
-    pts = _as_matrix(pts)
-    m = pts[0].copy()
-    for k in range(1, pts.shape[0]):
-        x = pts[k]
-        dot = float(m @ x)
-        if sign_align and dot < 0.0:
-            x = -x
-            dot = -dot
-        u = x - dot * m
-        sin_theta = float(np.linalg.norm(u))
-        # the angle from atan2(||u||, dot) stays accurate near coincident points
-        theta = math.atan2(sin_theta, dot)
-        if theta < 1e-14:
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=c)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(labels, kind="stable")
+    means = np.full((len(features), c, features[0].shape[1]), np.nan)
+    for k in range(int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > k)
+        x = np.stack([f[order[starts[live] + k]] for f in features])
+        if k == 0:
+            means[:, live] = x
             continue
+        m = means[:, live]
+        dot = np.einsum("mad,mad->ma", m, x)
+        if sign_align:
+            flip = dot < 0.0
+            x[flip] *= -1.0
+            dot[flip] *= -1.0
+        u = x - dot[..., None] * m
+        sin_theta = np.sqrt(np.einsum("mad,mad->ma", u, u))
+        # the angle from atan2(||u||, dot) stays accurate near coincident points
+        theta = np.arctan2(sin_theta, dot)
         t = theta / (k + 1.0)
-        m = math.cos(t) * m + (math.sin(t) / sin_theta) * u
-        m /= np.linalg.norm(m)
-    return m
+        # an antipodal sample has sin_theta = 0 at theta = pi: its mean turns NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.cos(t)[..., None] * m + (np.sin(t) / sin_theta)[..., None] * u
+            step /= np.sqrt(np.einsum("mad,mad->ma", step, step))[..., None]
+        means[:, live] = np.where((theta < 1e-14)[..., None], m, step)
+    return means
+
+
+def incremental_mean(pts, *, sign_align: bool = False) -> np.ndarray:
+    """The mean recursion over the rows of ``pts``: the one-cell ``cell_means``."""
+    pts = _as_matrix(pts)
+    return cell_means([pts], np.zeros(len(pts), dtype=np.int64), 1, sign_align=sign_align)[0, 0]

@@ -140,15 +140,18 @@ def fit_gaussian(
     *,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     out: np.ndarray | None = None,
+    mu=None,
 ) -> GaussianDensity:
     """Estimate (mu, sigma, C) for one (network, class) cell.
 
     ``all_network_train`` is the embedded output of the same network on the
     whole training set (all classes); it feeds only the normalizer. When
     ``out`` is given, the fitted density at each training row is written
-    into it (see ``_normalized``).
+    into it (see ``_normalized``). ``mu`` is the cell's Fréchet mean when the
+    caller already has it; otherwise it is computed here.
     """
-    mu = incremental_frechet_mean(class_samples)
+    if mu is None:
+        mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
     return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
 
@@ -161,15 +164,17 @@ def fit_kde(
     max_support: int = 0,
     seed: int = 0,
     out: np.ndarray | None = None,
+    mu=None,
 ) -> KernelDensity:
     """Fit the kernel density for one (network, class) cell.
 
     The full class sample set is retained as support by default;
     ``max_support`` > 0 caps it by a seeded subsample (dispersion is still
     estimated on the full set, the bandwidth's |F| is the retained size).
-    ``out`` is filled as in ``fit_gaussian``.
+    ``out`` and ``mu`` are as in ``fit_gaussian``.
     """
-    mu = incremental_frechet_mean(class_samples)
+    if mu is None:
+        mu = incremental_frechet_mean(class_samples)
     sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
     support = class_samples
     if 0 < max_support < len(class_samples):

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from ._points import GRASSMANN, SPHERE, point_vector
 from .density import fit_gaussian, fit_kde
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from .estimators import DEFAULT_SIGMA_FLOOR, SampleSet
+from .estimators import DEFAULT_SIGMA_FLOOR, SampleSet, mean_point
 
 PARAMETRIC = "parametric"
 KDE = "kde"
@@ -500,22 +501,35 @@ def fit_densities(
     p_ij(x_i) on the batch itself, filled cell by cell from the kernel
     evaluation that sets each cell's normalizer; it has the layout of
     ``pdf_grid(densities, batch.features)`` and equals it bit for bit.
+
+    Every cell's Fréchet mean comes from one ``_kernels.cell_means`` call per
+    feature width (Grassmann networks may differ in width), before any cell
+    is fitted.
     """
     if kind not in (PARAMETRIC, KDE):
         raise ValueError(f"unknown model kind {kind!r}")
     if np.any(batch.labels >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
     P_train = _empty_pdf_tensor(batch.n, batch.m, c)
+    means = {}
+    for width in dict.fromkeys(f.shape[1] for f in batch.features):
+        nets = [i for i, f in enumerate(batch.features) if f.shape[1] == width]
+        means.update(zip(nets, _kernels.cell_means(
+            [batch.features[i] for i in nets], batch.labels, c,
+            sign_align=batch.space == GRASSMANN,
+        )))
 
     def fit_cell(i: int, j: int):
         rows = batch.features[i][batch.labels == j]
+        # an empty class fails here by name, before its NaN mean is read
         cell = SampleSet(rows, batch.space, network_id=i, class_id=j)
+        mu = mean_point(means[i][j], batch.space)
         out = P_train[:, i, j]
         if kind == PARAMETRIC:
-            return fit_gaussian(cell, batch.features[i], sigma_floor=sigma_floor, out=out)
+            return fit_gaussian(cell, batch.features[i], sigma_floor=sigma_floor, out=out, mu=mu)
         return fit_kde(
             cell, batch.features[i], sigma_floor=sigma_floor,
-            max_support=kde_max_support, seed=seed + i * c + j, out=out,
+            max_support=kde_max_support, seed=seed + i * c + j, out=out, mu=mu,
         )
 
     cells = [(i, j) for i in range(batch.m) for j in range(c)]

@@ -8,7 +8,14 @@ which approximates argmin_mu (1/n) sum_k d^2(x_k, mu) without running an
 optimization. It is order-dependent; the default order is ingestion order,
 with an optional seeded shuffle for reproducible alternatives. Existence and
 uniqueness of the mean hold for samples inside an open hemisphere, which
-square-root-embedded data (positive quadrant) always satisfies.
+square-root-embedded data (positive quadrant) always satisfies; an antipodal
+sample makes the recursion's mean non-finite, and ``mean_point`` turns that
+into ``AntipodalPoints``.
+
+The recursion has one implementation, `_kernels.cell_means`, which runs it
+for every (network, class) cell of a fit at once (``ensemble.fit_densities``
+calls it once per feature width). ``incremental_frechet_mean`` is its
+one-cell case.
 
 Dispersion is the RMS geodesic distance to the mean, floored to keep the
 downstream 1/sigma^2 finite. The empirical normalizer inverts the kernel mass
@@ -66,6 +73,14 @@ class SampleSet:
         return self.points.shape[1]
 
 
+def mean_point(coords, space: str):
+    """A mean from the recursion as a point of ``space``, or AntipodalPoints
+    when the recursion met antipodal samples and left it non-finite."""
+    if not np.all(np.isfinite(coords)):
+        raise AntipodalPoints("sample set is not contained in an open hemisphere")
+    return make_point(coords, space)
+
+
 def incremental_frechet_mean(samples: SampleSet, order_seed: int | None = None):
     """Run the streaming mean recursion over the sample set.
 
@@ -77,9 +92,7 @@ def incremental_frechet_mean(samples: SampleSet, order_seed: int | None = None):
         order = np.random.default_rng(order_seed).permutation(len(pts))
         pts = pts[order]
     m = _kernels.incremental_mean(pts, sign_align=samples.space == GRASSMANN)
-    if not np.all(np.isfinite(m)):
-        raise AntipodalPoints("sample set is not contained in an open hemisphere")
-    return make_point(m, samples.space)
+    return mean_point(m, samples.space)
 
 
 def sample_sigma(samples: SampleSet, mu, *, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> float:

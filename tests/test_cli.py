@@ -98,6 +98,17 @@ class TestFitCommand:
         ])
         assert result.exit_code == 3
 
+    def test_empty_class_exit_code(self, runner, suite_dir, tmp_path):
+        # the suite has 4 classes; relabel the last one so it has no rows
+        labels = (suite_dir / "train_labels.txt").read_text().replace("3", "0")
+        (tmp_path / "labels.txt").write_text(labels)
+        result = runner.invoke(main, [
+            "fit", *table_args("train", suite_dir, 3, "--train-table"),
+            "--labels", str(tmp_path / "labels.txt"), "--out", str(tmp_path / "m.json"),
+        ])
+        assert result.exit_code == 3
+        assert "EmptySampleSet: no samples for network 0, class 3" in result.output
+
     def test_invalid_eta(self, runner, suite_dir, tmp_path):
         result, _ = run_fit(runner, suite_dir, tmp_path, "--eta", "-1.0")
         assert result.exit_code == 2

@@ -27,10 +27,13 @@ from spheremix.ensemble import (
     riemannian_gradient,
     _loss_from_pdf,
 )
+from spheremix import _kernels, density
 from spheremix.errors import (
+    AntipodalPoints,
     DegenerateScores,
     DimensionMismatch,
     EmptyBatch,
+    EmptySampleSet,
     LabelOutOfRange,
     NonFiniteLoss,
 )
@@ -454,6 +457,67 @@ class TestFusedTrainTensor:
             fit_weights(np.ones((30, 3, 3)), batch)
         with pytest.raises(LabelOutOfRange):
             fit_weights(np.ones((30, 2, 1)), batch)
+
+
+class TestBatchedCellMeans:
+    """fit_densities takes every cell's Fréchet mean from one
+    _kernels.cell_means call per feature width."""
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    def test_one_call_per_width(self, monkeypatch, kind, space):
+        rng = np.random.default_rng(10)
+        if space == "sphere":
+            batch, widths = sphere_batch(rng, 3, 3, 60), [3]
+        else:
+            batch, widths = grassmann_batch(rng, (4, 6, 4, 5), 3, 60), [4, 6, 5]
+        calls = []
+        cell_means = _kernels.cell_means
+
+        def counting(features, *args, **kwargs):
+            calls.append([f.shape[1] for f in features])
+            return cell_means(features, *args, **kwargs)
+
+        def per_cell(*args, **kwargs):
+            raise AssertionError("fit_densities ran the per-cell mean")
+
+        monkeypatch.setattr(_kernels, "cell_means", counting)
+        monkeypatch.setattr(density, "incremental_frechet_mean", per_cell)
+        fit_densities(batch, 3, kind)
+        assert [ws[0] for ws in calls] == widths
+        assert all(len(set(ws)) == 1 for ws in calls)
+        assert sum(len(ws) for ws in calls) == batch.m
+
+    def test_mixed_width_grassmann_means(self):
+        rng = np.random.default_rng(11)
+        batch = grassmann_batch(rng, (4, 6, 4, 5), 3, 90)
+        densities, _ = fit_densities(batch, 3)
+        for i, row in enumerate(densities):
+            for j, dens in enumerate(row):
+                ref = np.asarray(oracles.ref_incremental_mean(
+                    batch.features[i][batch.labels == j], sign_align=True
+                ))
+                # a GrassmannPoint stores one canonical sign of its line
+                got = dens.centres[0]
+                ref *= np.sign(ref @ got)
+                assert np.abs(got - ref).max() <= oracles.CELL_MEAN_TOL
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    @pytest.mark.parametrize("empty", [0, 2, 4])
+    def test_empty_class_names_itself(self, kind, empty):
+        rng = np.random.default_rng(12)
+        batch = sphere_batch(rng, 2, 5, 80)
+        labels = batch.labels.copy()
+        labels[labels == empty] = (empty + 1) % 5
+        batch = LabeledBatch(batch.features, labels)
+        with pytest.raises(EmptySampleSet, match=f"^no samples for network 0, class {empty}$"):
+            fit_densities(batch, 5, kind)
+
+    def test_antipodal_cell_raises(self):
+        feats = [np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.6, 0.8]])]
+        batch = LabeledBatch(feats, np.array([0, 1, 0, 1]))
+        with pytest.raises(AntipodalPoints):
+            fit_densities(batch, 2)
 
 
 def random_pdf_problem(seed, n=80, m=5, c=4):

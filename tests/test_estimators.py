@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import load_fixture
-from spheremix.errors import EmptySampleSet
+from spheremix.errors import AntipodalPoints, EmptySampleSet
 from spheremix.estimators import (
     SampleSet,
     empirical_normalizer,
@@ -103,6 +103,15 @@ class TestIncrementalFrechetMean:
         mean = incremental_frechet_mean(sample_set(rows, "grassmann"))
         assert isinstance(mean, GrassmannPoint)
         assert gr_distance(mean, GrassmannPoint(direction)) <= 1e-12
+
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [-1, 0, 0]],
+        [[1, 0, 0], [1, 0, 0], [-1, 0, 0]],
+    ], ids=["pair", "triple"])
+    def test_antipodal_samples_raise(self, rows):
+        with pytest.raises(AntipodalPoints):
+            incremental_frechet_mean(sample_set(rows))
 
 
 class TestSampleSigma:

@@ -121,6 +121,76 @@ class TestAgainstReference:
         np.testing.assert_array_equal(a, b)
 
 
+def labelled_cells(rng, sizes, m, d, *, sign_flips=False):
+    """m tables of positive-quadrant unit rows, shuffled over classes of the
+    given sizes; ``sign_flips`` negates a random half of the rows."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    feats = []
+    for _ in range(m):
+        f = np.abs(rng.standard_normal((len(labels), d))) + 0.5
+        f /= np.linalg.norm(f, axis=1)[:, None]
+        if sign_flips:
+            f *= rng.choice([-1.0, 1.0], (len(labels), 1))
+        feats.append(f)
+    return feats, labels
+
+
+def assert_cells_match_oracle(means, feats, labels, *, sign_align=False):
+    for i, f in enumerate(feats):
+        for j in range(means.shape[1]):
+            rows = f[labels == j]
+            if len(rows) == 0:
+                assert np.all(np.isnan(means[i, j]))
+                continue
+            ref = oracles.ref_incremental_mean(rows, sign_align=sign_align)
+            assert np.abs(means[i, j] - ref).max() <= oracles.CELL_MEAN_TOL, (i, j)
+
+
+class TestCellMeans:
+    """The batched recursion over every (network, class) cell against the
+    scalar per-cell oracle, within oracles.CELL_MEAN_TOL per coordinate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ragged_classes(self, seed):
+        # classes run out at different steps, the longest after 60
+        rng = np.random.default_rng(seed)
+        feats, labels = labelled_cells(rng, [1, 2, 37, 5, 60], 3, 5)
+        means = _kernels.cell_means(feats, labels, 5)
+        assert means.shape == (3, 5, 5)
+        assert_cells_match_oracle(means, feats, labels)
+
+    def test_coincident_rows(self):
+        # a row equal to the running mean takes the theta < 1e-14 branch
+        rng = np.random.default_rng(3)
+        x, y = random_unit_rows(rng, 2, 4)
+        table = np.array([x, x, x, y, x, y, y, x, x, y, x, x])
+        labels = np.array([0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1])
+        means = _kernels.cell_means([table, np.abs(table)], labels, 2)
+        np.testing.assert_array_equal(means[0, 0], x)
+        np.testing.assert_array_equal(means[1, 0], np.abs(x))
+        assert_cells_match_oracle(means, [table, np.abs(table)], labels)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_grassmann_sign_flips(self, seed):
+        rng = np.random.default_rng(seed)
+        feats, labels = labelled_cells(rng, [9, 30, 17], 4, 6, sign_flips=True)
+        means = _kernels.cell_means(feats, labels, 3, sign_align=True)
+        assert_cells_match_oracle(means, feats, labels, sign_align=True)
+
+    @pytest.mark.parametrize("sizes", [[0, 4, 6], [4, 0, 6], [4, 6, 0], [0, 5, 0]])
+    def test_empty_classes_get_nan(self, sizes):
+        rng = np.random.default_rng(6)
+        feats, labels = labelled_cells(rng, sizes, 2, 3)
+        means = _kernels.cell_means(feats, labels, 3)
+        assert_cells_match_oracle(means, feats, labels)
+
+    def test_antipodal_sample_gives_non_finite_mean(self):
+        table = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.8, 0.6]])
+        means = _kernels.cell_means([table], np.array([0, 1, 0, 1]), 2)
+        assert not np.all(np.isfinite(means[0, 0]))
+        assert np.all(np.isfinite(means[0, 1]))
+
+
 class TestBackendSelection:
     def test_active_backend_reported(self, tmp_path):
         assert _kernels.backend() == "numpy"
