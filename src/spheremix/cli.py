@@ -81,12 +81,7 @@ def _load_batch(tables, labels_path, space: str, c: int | None):
             raise DimensionMismatch(f"--classes {c} but probability tables have {width} columns")
     elif c is None:
         raise InvalidConfig("--classes is required with --space grassmann")
-    labels = load_labels(labels_path, c)
-    if labels.shape[0] != features[0].shape[0]:
-        raise DimensionMismatch(
-            f"{labels.shape[0]} labels for {features[0].shape[0]} samples"
-        )
-    return LabeledBatch(features, labels, space), c
+    return LabeledBatch(features, load_labels(labels_path, c), space), c
 
 
 @click.group()

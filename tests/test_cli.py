@@ -340,6 +340,82 @@ class TestInspectCommand:
         assert f"effective_networks={meta['effective_networks']}" in result.output
 
 
+def replace_first_cell(src, dst, lineno, cell):
+    """Copy the table ``src`` to ``dst`` with the first cell of file line
+    ``lineno`` replaced by ``cell``."""
+    lines = src.read_text().splitlines()
+    lines[lineno - 1] = cell + lines[lineno - 1][lines[lineno - 1].index(","):]
+    dst.write_text("\n".join(lines) + "\n")
+
+
+class TestInputErrors:
+    def test_fit_rejects_non_finite_cell(self, runner, suite_dir, tmp_path):
+        bad = tmp_path / "train_net01.csv"
+        replace_first_cell(suite_dir / "train_net01.csv", bad, 5, "nan")
+        model_path = tmp_path / "m.json"
+        result = runner.invoke(main, [
+            "fit", "--train-table", str(suite_dir / "train_net00.csv"),
+            "--train-table", str(bad), "--train-table", str(suite_dir / "train_net02.csv"),
+            "--labels", str(suite_dir / "train_labels.txt"), "--out", str(model_path),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"ParseError: {bad}: line 5: non-finite value nan" in result.output
+        assert not model_path.exists()
+
+    def test_predict_rejects_non_finite_cell(self, runner, suite_dir, fitted, tmp_path):
+        bad = tmp_path / "test_net02.csv"
+        replace_first_cell(suite_dir / "test_net02.csv", bad, 1, "nan")
+        out = tmp_path / "pred.csv"
+        result = runner.invoke(main, [
+            "predict", "--model-file", str(fitted),
+            *table_args("test", suite_dir, 2, "--table"), "--table", str(bad),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"ParseError: {bad}: line 1: non-finite value nan" in result.output
+        assert not out.exists()
+
+    def test_grassmann_fit_rejects_non_finite_feature(self, runner, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("1.0,2.0\n2.0,nan\n")
+        y = tmp_path / "y.txt"
+        y.write_text("0\n1\n")
+        result = runner.invoke(main, [
+            "fit", "--space", "grassmann", "--classes", "2", "--train-table", str(p),
+            "--labels", str(y), "--out", str(tmp_path / "m.json"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"ParseError: {p}: line 2: non-finite value nan" in result.output
+
+    @pytest.mark.parametrize("damaged", ["table", "labels"])
+    def test_undecodable_file(self, runner, suite_dir, tmp_path, damaged):
+        table = suite_dir / "train_net00.csv"
+        labels = suite_dir / "train_labels.txt"
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"0.5,0.5\n\xe9\n")
+        if damaged == "table":
+            table = bad
+        else:
+            labels = bad
+        result = runner.invoke(main, [
+            "fit", "--train-table", str(table), "--labels", str(labels),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"ParseError: {bad}: 'utf-8' codec can't decode" in result.output
+
+    def test_labels_one_row_short(self, runner, suite_dir, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join((suite_dir / "train_labels.txt").read_text()
+                                  .splitlines(keepends=True)[:-1]))
+        result = runner.invoke(main, [
+            "fit", *table_args("train", suite_dir, 3, "--train-table"),
+            "--labels", str(labels), "--out", str(tmp_path / "m.json"),
+        ])
+        assert result.exit_code == 4, result.output
+        assert "DimensionMismatch: 239 labels for 240 samples" in result.output
+
+
 def write_feature_suite(fx, outdir):
     for split in ("train", "test"):
         for i, table in enumerate(fx[split]):

@@ -27,6 +27,7 @@ from spheremix.io import (
     load_model,
     load_model_file,
     load_output_table,
+    load_split,
     save_model,
     save_model_file,
 )
@@ -70,6 +71,32 @@ class TestOutputTable:
         p.write_text(text)
         with pytest.raises(error, match=r"t\.csv: line 4 "):
             load_output_table(p, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["probability", "feature"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_the_file_line(self, tmp_path, mode, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"\n0.5,0.5\n0.5,{cell}\n")
+        with pytest.raises(ParseError, match=rf"t\.csv: line 3: non-finite value {cell}$"):
+            load_output_table(p, mode=mode)
+
+    def test_cells_use_float_syntax(self, tmp_path):
+        cells = [" 2 ", "+.5", "1_0", "1e-320"]
+        p = tmp_path / "t.csv"
+        p.write_text(",".join(cells) + "\n")
+        table = load_output_table(p, mode="feature")
+        assert table.values.tolist() == [[float(c) for c in cells]]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("0.5,0.5\n0.5,oops\n0.2,0.3,0.5\n", ParseError,
+         "line 2: could not convert string to float: 'oops'"),
+        ("0.5,0.5\n0.2,0.3,0.5\n0.5,oops\n", RaggedTable, "line 2 has 3 columns, expected 2"),
+    ], ids=["parse-error-first", "ragged-first"])
+    def test_first_bad_line_is_named(self, tmp_path, text, error, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(error, match=message):
+            load_output_table(p)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -180,6 +207,24 @@ class TestEmbedding:
         np.testing.assert_allclose(np.linalg.norm(embedded, axis=1), 1.0, atol=1e-15)
         assert embedded[0, 0] > 0
         assert embedded[1, 1] > 0
+
+
+class TestLoadSplit:
+    @pytest.mark.parametrize("space, text, embed", [
+        ("sphere", "0.25,0.75\n\n0.5,0.5\n1.0,0.0\n", embed_probability_rows),
+        ("grassmann", "-2.0,0.0\n0.0,3.0\n\n1.0,-1.0\n", embed_feature_rows),
+    ], ids=["sphere", "grassmann"])
+    def test_features_are_the_table_buffers(self, tmp_path, space, text, embed):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for p in paths:
+            p.write_text(text)
+        features, tables = load_split(paths, space)
+        mode = "probability" if space == "sphere" else "feature"
+        for i, p in enumerate(paths):
+            assert np.shares_memory(features[i], tables[i].values)
+            assert (tables[i].n, tables[i].d) == (3, 2)
+            expected = embed(load_output_table(p, mode).values)
+            assert features[i].tobytes() == expected.tobytes()
 
 
 def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric", space="sphere"):
