@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -104,24 +105,21 @@ def main():
               help="sphere: tables are class probabilities; grassmann: raw features.")
 @click.option("--classes", type=int, default=None,
               help="Class count (required for --space grassmann).")
-@click.option("--eta", type=float, default=0.1, show_default=True, help="Descent step size.")
+@click.option("--eta", type=float, default=0.1, show_default=True,
+              help="Descent step size; a step that would raise the loss is halved.")
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Stop when |dL| <= tol * max(1, L).")
 @click.option("--seed", type=int, default=42, show_default=True,
               help="Seed for every random choice (KDE support subsampling).")
 @click.option("--sigma-floor", type=float, default=1e-3, show_default=True)
-@click.option("--grad-mode", type=click.Choice(["analytic", "finite-difference"]),
-              default="analytic", show_default=True)
 @click.option("--kde-max-support", type=int, default=0, show_default=True,
               help="Cap KDE support per class by seeded subsampling; 0 = unlimited.")
-@click.option("--backtrack", is_flag=True, default=False,
-              help="Halve a step while it would increase the loss.")
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker threads for per-(network, class) density fitting.")
 @_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
-        tol, seed, sigma_floor, grad_mode, kde_max_support, backtrack, threads):
+        tol, seed, sigma_floor, kde_max_support, threads):
     """Fit densities and mixture weights on training tables."""
     _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads)
     batch, c = _load_batch(tables, labels_path, space, classes)
@@ -135,8 +133,7 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
 
     t0 = time.perf_counter()
     weights, meta = fit_weights(
-        P_train, batch, eta=eta, max_iters=max_iters, tol=tol,
-        grad_mode=grad_mode, backtrack=backtrack, seed=seed,
+        P_train, batch, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
     )
     t_weights = time.perf_counter() - t0
 
@@ -296,10 +293,10 @@ def inspect(model_file):
 
 
 def _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads):
-    if (eta <= 0 or tol <= 0 or max_iters < 1 or sigma_floor <= 0 or kde_max_support < 0
-            or threads < 1):
+    if (not all(0 < v < math.inf for v in (eta, tol, sigma_floor)) or max_iters < 1
+            or kde_max_support < 0 or threads < 1):
         raise InvalidConfig(
-            "eta, tol and sigma-floor must be positive; kde-max-support >= 0; "
+            "eta, tol and sigma-floor must be positive and finite; kde-max-support >= 0; "
             "max-iters and threads >= 1"
         )
 

@@ -13,9 +13,10 @@ unchanged.
 Weights are learned on the sphere: alpha is lifted to alpha_tilde = sqrt(alpha)
 on S^{m-1}, the Euclidean gradient of L(alpha_tilde^2) is projected onto the
 tangent space (g - <g, at> at), and each update follows the sphere exponential
-map with step -eta, taking absolute values afterwards to stay in the closed
-positive quadrant (alpha = alpha_tilde^2 is unchanged by sign flips). Density
-parameters are estimated beforehand and held fixed throughout.
+map with step -eta, halved while it would raise the loss, taking absolute
+values afterwards to stay in the closed positive quadrant (alpha =
+alpha_tilde^2 is unchanged by sign flips). Density parameters are estimated
+beforehand and held fixed throughout.
 
 Every (n, m, c) pdf tensor is stored sample x class x network, so its
 (n*c, m) matrix view is free and each weighted sum over the networks (the
@@ -130,9 +131,6 @@ class LabeledBatch:
     @property
     def m(self) -> int:
         return len(self.features)
-
-    def sample(self, k: int) -> list:
-        return [f[k] for f in self.features]
 
 
 @dataclass(frozen=True)
@@ -325,47 +323,40 @@ class _Objective:
         d = np.arccos(u)
         return _Point(at, scores, norms, u, d, float(np.mean(d * d)))
 
-    def gradient(self, point: _Point, grad_mode: str = "analytic") -> np.ndarray:
-        """Tangent-space gradient at ``point``. Analytic: one gradient pass
-        over the pdf matrix, reusing the point's scores. Finite-difference:
-        central differences of the loss, two scores passes per network."""
-        at = point.at
-        if grad_mode == "finite-difference":
-            g = self._fd_gradient(at)
-        else:
-            u, d, norms = point.u, point.d, point.norms
-            # d(d^2)/du = -2 d / sqrt(1 - u^2); the ratio d/sqrt(1-u^2) -> 1 as u -> 1
-            one_minus = 1.0 - u * u
-            w = np.where(one_minus > 1e-24, d / np.sqrt(np.maximum(one_minus, 1e-300)), 1.0)
-            # dL/ds_k = a_k ((u_k / ||s_k||) s_k - e_{y_k}), with a_k = (2/n) w_k / ||s_k||
-            g_scores = (u / norms)[:, None] * point.scores
-            g_scores.flat[self.label_rows] -= 1.0
-            g_scores *= ((2.0 / norms.shape[0]) * w / norms)[:, None]
-            g = 2.0 * at * (g_scores.ravel() @ self.Pm)
+    def gradient(self, point: _Point) -> np.ndarray:
+        """Tangent-space gradient at ``point``: one gradient pass over the pdf
+        matrix, reusing the point's scores."""
+        at, u, d, norms = point.at, point.u, point.d, point.norms
+        # d(d^2)/du = -2 d / sqrt(1 - u^2); the ratio d/sqrt(1-u^2) -> 1 as u -> 1
+        one_minus = 1.0 - u * u
+        w = np.where(one_minus > 1e-24, d / np.sqrt(np.maximum(one_minus, 1e-300)), 1.0)
+        # dL/ds_k = a_k ((u_k / ||s_k||) s_k - e_{y_k}), with a_k = (2/n) w_k / ||s_k||
+        g_scores = (u / norms)[:, None] * point.scores
+        g_scores.flat[self.label_rows] -= 1.0
+        g_scores *= ((2.0 / norms.shape[0]) * w / norms)[:, None]
+        g = 2.0 * at * (g_scores.ravel() @ self.Pm)
         return g - (g @ at) * at
-
-    def _fd_gradient(self, at: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        g = np.empty_like(at)
-        for i in range(at.shape[0]):
-            e = np.zeros_like(at)
-            e[i] = h
-            g[i] = (self.at(at + e).loss - self.at(at - e).loss) / (2.0 * h)
-        return g
 
 
 def _loss_from_pdf(P: np.ndarray, labels: np.ndarray, alpha_tilde: np.ndarray) -> float:
     return _Objective(P, labels).at(np.asarray(alpha_tilde, dtype=np.float64)).loss
 
 
-def riemannian_gradient(P, labels, alpha_tilde, *, grad_mode: str = "analytic") -> np.ndarray:
+def riemannian_gradient(P, labels, alpha_tilde) -> np.ndarray:
     """Tangent-space gradient of the batch loss at alpha_tilde on S^{m-1}."""
     objective = _Objective(P, labels)
     point = objective.at(np.asarray(alpha_tilde, dtype=np.float64))
-    return objective.gradient(point, grad_mode)
+    return objective.gradient(point)
 
 
-def _sphere_step(at: np.ndarray, step: np.ndarray) -> np.ndarray:
-    nv = float(np.linalg.norm(step))
+def _sphere_step(at: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+    """Exponential-map step from ``at`` along -eta * grad, folded back into
+    the positive quadrant. A step whose length overflows is NonFiniteLoss."""
+    with np.errstate(over="ignore"):
+        step = -eta * grad
+        nv = float(np.linalg.norm(step))
+    if not math.isfinite(nv):
+        raise NonFiniteLoss(f"descent step length is {nv}; reduce eta")
     if nv < 1e-300:
         return at
     out = math.cos(nv) * at + math.sin(nv) * (step / nv)
@@ -380,8 +371,6 @@ def fit_weights(
     eta: float = 0.1,
     max_iters: int = 5000,
     tol: float = 1e-8,
-    grad_mode: str = "analytic",
-    backtrack: bool = False,
     seed: int = 0,
 ):
     """Learn the mixture weights by Riemannian gradient descent on S^{m-1}.
@@ -390,11 +379,12 @@ def fit_weights(
     ``fit_densities`` (equal to ``pdf_grid(densities, batch.features)``).
     Starts from the uniform mixture, stops when the relative loss change
     falls below ``tol`` (|dL| <= tol * max(1, L)) or after ``max_iters``
-    steps. ``backtrack`` halves an individual step while it would increase
-    the loss. Returns (MixtureWeights, fit_meta).
+    steps. A step that would raise the loss is halved until the loss no
+    longer rises or the step size reaches 1e-12. Returns (MixtureWeights,
+    fit_meta).
     """
-    if eta <= 0.0 or tol <= 0.0 or max_iters < 1:
-        raise ValueError("eta and tol must be positive, max_iters >= 1")
+    if not (0.0 < eta < math.inf and 0.0 < tol < math.inf) or max_iters < 1:
+        raise ValueError("eta and tol must be positive and finite, max_iters >= 1")
     if P_train.ndim != 3 or P_train.shape[:2] != (batch.n, batch.m):
         raise DimensionMismatch(
             f"pdf tensor of shape {P_train.shape} for {batch.n} samples of {batch.m} networks"
@@ -402,8 +392,7 @@ def fit_weights(
     if np.any(batch.labels >= P_train.shape[2]):
         raise LabelOutOfRange(f"labels must lie in [0, {P_train.shape[2]})")
     return fit_weights_from_pdf(
-        P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol,
-        grad_mode=grad_mode, backtrack=backtrack, seed=seed,
+        P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
     )
 
 
@@ -414,15 +403,15 @@ def fit_weights_from_pdf(
     eta: float = 0.1,
     max_iters: int = 5000,
     tol: float = 1e-8,
-    grad_mode: str = "analytic",
-    backtrack: bool = False,
     seed: int = 0,
 ):
     """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
 
     Each step is one gradient pass at the accepted point, whose scores are
     carried over from when it was a candidate, and one scores pass for the
-    next candidate (more only while ``backtrack`` halves the step).
+    next candidate, plus one more scores pass each time a candidate whose
+    loss is above the current loss halves the step (no step of the desk
+    suites is halved).
     fit_meta records why descent stopped (``stop_reason``: "tol", or
     "max_iters" when the step cap ended it), the Riemannian gradient norm at
     the returned weights, the loss of the uniform start and the effective
@@ -439,13 +428,12 @@ def fit_weights_from_pdf(
     stop_reason = "tol" if m == 1 else "max_iters"
     if m > 1:
         for _ in range(max_iters):
-            grad = objective.gradient(point, grad_mode)
-            candidate = objective.at(_sphere_step(point.at, -eta * grad))
-            if backtrack:
-                step_eta = eta
-                while candidate.loss > point.loss and step_eta > 1e-12:
-                    step_eta *= 0.5
-                    candidate = objective.at(_sphere_step(point.at, -step_eta * grad))
+            grad = objective.gradient(point)
+            step_eta = eta
+            candidate = objective.at(_sphere_step(point.at, grad, step_eta))
+            while candidate.loss > point.loss and step_eta > 1e-12:
+                step_eta *= 0.5
+                candidate = objective.at(_sphere_step(point.at, grad, step_eta))
             if not np.isfinite(candidate.loss):
                 raise NonFiniteLoss("loss became non-finite; reduce eta")
             converged = abs(candidate.loss - point.loss) <= tol * max(1.0, candidate.loss)
@@ -461,7 +449,7 @@ def fit_weights_from_pdf(
         "final_loss": float(point.loss),
         "seed": int(seed),
         "stop_reason": stop_reason,
-        "grad_norm": float(np.linalg.norm(objective.gradient(point, grad_mode))),
+        "grad_norm": float(np.linalg.norm(objective.gradient(point))),
         "uniform_loss": float(uniform_loss),
         "effective_networks": float(1.0 / np.sum(weights.alpha * weights.alpha)),
     }
@@ -549,8 +537,6 @@ def fit_ensemble(
     eta: float = 0.1,
     max_iters: int = 5000,
     tol: float = 1e-8,
-    grad_mode: str = "analytic",
-    backtrack: bool = False,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     kde_max_support: int = 0,
     seed: int = 42,
@@ -562,8 +548,7 @@ def fit_ensemble(
         kde_max_support=kde_max_support, seed=seed, threads=threads,
     )
     weights, meta = fit_weights(
-        P_train, batch, eta=eta, max_iters=max_iters, tol=tol,
-        grad_mode=grad_mode, backtrack=backtrack, seed=seed,
+        P_train, batch, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
     )
     return EnsembleModel(
         kind=kind, space=batch.space, m=batch.m, c=c,

@@ -5,8 +5,7 @@ The location estimate is the incremental Fréchet mean recursion
     m_1 = x_1,    m_{k+1} = geodesic(m_k, x_{k+1}, 1/(k+1)),
 
 which approximates argmin_mu (1/n) sum_k d^2(x_k, mu) without running an
-optimization. It is order-dependent; the default order is ingestion order,
-with an optional seeded shuffle for reproducible alternatives. Existence and
+optimization. It is order-dependent and runs in ingestion order. Existence and
 uniqueness of the mean hold for samples inside an open hemisphere, which
 square-root-embedded data (positive quadrant) always satisfies; an antipodal
 sample makes the recursion's mean non-finite, and ``mean_point`` turns that
@@ -81,17 +80,13 @@ def mean_point(coords, space: str):
     return make_point(coords, space)
 
 
-def incremental_frechet_mean(samples: SampleSet, order_seed: int | None = None):
+def incremental_frechet_mean(samples: SampleSet):
     """Run the streaming mean recursion over the sample set.
 
     Grassmann sample sets are handled by flipping each incoming representative
     into the hemisphere of the running mean before the geodesic step.
     """
-    pts = samples.points
-    if order_seed is not None:
-        order = np.random.default_rng(order_seed).permutation(len(pts))
-        pts = pts[order]
-    m = _kernels.incremental_mean(pts, sign_align=samples.space == GRASSMANN)
+    m = _kernels.incremental_mean(samples.points, sign_align=samples.space == GRASSMANN)
     return mean_point(m, samples.space)
 
 

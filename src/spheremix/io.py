@@ -159,15 +159,11 @@ def load_labels(path, c: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def check_alignment(tables, labels=None):
+def check_alignment(tables):
     """All per-network tables of one split must agree on the sample count."""
     counts = {t.n for t in tables}
     if len(counts) != 1:
         raise RaggedEnsemble(f"tables disagree on sample count: {sorted(counts)}")
-    if labels is not None and labels.shape[0] != tables[0].n:
-        raise RaggedEnsemble(
-            f"{labels.shape[0]} labels for {tables[0].n} samples"
-        )
 
 
 def embed_probability_rows(values: np.ndarray, out=None) -> np.ndarray:

@@ -12,6 +12,7 @@ comes from the single seed; equal configs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,20 +30,23 @@ def parse_taus(text: str, m: int) -> np.ndarray:
     """Per-network noise levels from 'x', 'lo:hi' (linear spread), or a
     comma-separated list of exactly m values."""
     text = text.strip()
+    spread = ":" in text
     try:
-        if ":" in text:
-            lo, hi = (float(s) for s in text.split(":"))
-            taus = np.linspace(lo, hi, m)
-        elif "," in text:
-            taus = np.asarray([float(s) for s in text.split(",")], dtype=np.float64)
-        else:
-            taus = np.full(m, float(text))
+        values = [float(s) for s in text.split(":" if spread else ",")]
+        if spread:
+            lo, hi = values
     except ValueError:
         raise InvalidConfig(f"cannot parse tau setting {text!r}") from None
+    if not all(0.0 < v < math.inf for v in values):
+        raise InvalidConfig("tau values must be positive and finite")
+    if spread:
+        taus = np.linspace(lo, hi, m)
+    elif len(values) == 1:
+        taus = np.full(m, values[0])
+    else:
+        taus = np.asarray(values, dtype=np.float64)
     if taus.shape[0] != m:
         raise InvalidConfig(f"{taus.shape[0]} tau values for m={m} networks")
-    if np.any(taus <= 0.0):
-        raise InvalidConfig("tau values must be positive")
     return taus
 
 

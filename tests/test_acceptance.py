@@ -106,7 +106,7 @@ def test_gradient_correctness():
         labels = rng.integers(0, c, n)
         at = np.abs(rng.standard_normal(m)) + 0.05
         at /= np.linalg.norm(at)
-        analytic = riemannian_gradient(P, labels, at, grad_mode="analytic")
+        analytic = riemannian_gradient(P, labels, at)
         fd = oracles.oracle_fd_gradient(lambda a: _loss_from_pdf(P, labels, a), at)
         rel = float(np.linalg.norm(analytic - fd)) / max(float(np.linalg.norm(analytic)), 1e-12)
         assert rel <= 1e-5

@@ -1,5 +1,8 @@
 import json
+import re
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -67,6 +70,13 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", "--outdir", str(tmp_path), "--tau", "nope"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau(self, runner, tmp_path, tau):
+        result = runner.invoke(main, ["synth", "--outdir", str(tmp_path / "s"), "--tau", tau])
+        assert result.exit_code == 2
+        assert "InvalidConfig: tau values must be positive and finite" in result.output
+        assert not (tmp_path / "s").exists()
+
 
 class TestFitCommand:
     def test_fit_writes_model_and_reports(self, runner, suite_dir, tmp_path):
@@ -81,14 +91,12 @@ class TestFitCommand:
         assert metrics["wall_time_weight_learning_s"] > 0.0
         assert "learned weights" in result.output
 
-    def test_fd_mode_matches_analytic(self, runner, suite_dir, tmp_path):
-        r1, m1 = run_fit(runner, suite_dir, tmp_path / "a")
-        r2, m2 = run_fit(runner, suite_dir, tmp_path / "b",
-                         "--grad-mode", "finite-difference")
-        assert r1.exit_code == 0 and r2.exit_code == 0
-        a1 = np.asarray(json.loads(m1.read_text())["alpha"])
-        a2 = np.asarray(json.loads(m2.read_text())["alpha"])
-        np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-4)
+    @pytest.mark.parametrize("flag", [["--backtrack"], ["--grad-mode", "analytic"]],
+                             ids=["backtrack", "grad-mode"])
+    def test_removed_descent_options(self, runner, suite_dir, tmp_path, flag):
+        result, model_path = run_fit(runner, suite_dir, tmp_path, *flag)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and not model_path.exists()
 
     def test_missing_labels_file(self, runner, suite_dir, tmp_path):
         result = runner.invoke(main, [
@@ -112,6 +120,22 @@ class TestFitCommand:
     def test_invalid_eta(self, runner, suite_dir, tmp_path):
         result, _ = run_fit(runner, suite_dir, tmp_path, "--eta", "-1.0")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--eta", "nan"), ("--eta", "inf"), ("--tol", "inf"),
+        ("--sigma-floor", "inf"), ("--sigma-floor", "nan"),
+    ])
+    def test_non_finite_option(self, runner, suite_dir, tmp_path, option, value):
+        result, model_path = run_fit(runner, suite_dir, tmp_path, option, value)
+        assert result.exit_code == 2
+        assert "InvalidConfig" in result.output and "positive and finite" in result.output
+        assert not model_path.exists()
+
+    def test_overflowing_step(self, runner, suite_dir, tmp_path):
+        result, model_path = run_fit(runner, suite_dir, tmp_path, "--eta", "1e200")
+        assert result.exit_code == 5
+        assert "NonFiniteLoss: descent step length is inf; reduce eta" in result.output
+        assert "Traceback" not in result.output and not model_path.exists()
 
     def test_negative_kde_max_support(self, runner, suite_dir, tmp_path):
         result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde",
@@ -501,3 +525,16 @@ class TestGrassmannCli:
             "--labels", str(y), "--out", str(tmp_path / "m.json"),
         ])
         assert result.exit_code == 2
+
+
+class TestReadmeOptions:
+    def test_every_readme_option_exists(self):
+        """Every --option named in README.md is an option of some spheremix
+        command; git's --exit-code is the one exemption."""
+        known = {"--exit-code"}
+        for command in [main, *main.commands.values()]:
+            for param in command.get_params(click.Context(command)):
+                known.update(param.opts + param.secondary_opts)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+        assert named and not named - known, sorted(named - known)

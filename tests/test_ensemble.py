@@ -255,7 +255,7 @@ class TestGradient:
             labels = rng.integers(0, c, n)
             at = np.abs(rng.standard_normal(m)) + 0.05
             at /= np.linalg.norm(at)
-            analytic = riemannian_gradient(P, labels, at, grad_mode="analytic")
+            analytic = riemannian_gradient(P, labels, at)
             fd = oracles.oracle_fd_gradient(lambda a: _loss_from_pdf(P, labels, a), at)
             denom = max(float(np.linalg.norm(analytic)), 1e-12)
             assert float(np.linalg.norm(analytic - fd)) / denom <= 1e-5
@@ -321,11 +321,26 @@ class TestFitWeights:
         with pytest.raises(NonFiniteLoss):
             fit_weights_from_pdf(P, np.zeros(5, dtype=np.int64))
 
+    def test_overflowing_step_names_eta(self):
+        # eta * ||grad|| is finite entry by entry, but the step's norm overflows
+        P, labels = random_pdf_problem(10)
+        with pytest.raises(NonFiniteLoss, match="reduce eta$"):
+            fit_weights_from_pdf(P, labels, eta=1e200)
+
+    @pytest.mark.parametrize("option", [
+        {"eta": math.nan}, {"eta": math.inf}, {"tol": math.nan}, {"tol": math.inf},
+    ], ids=["eta-nan", "eta-inf", "tol-nan", "tol-inf"])
+    def test_non_finite_options_rejected(self, option):
+        batch = sphere_batch(np.random.default_rng(17), 2, 3, 30)
+        _, P_train = fit_densities(batch, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_weights(P_train, batch, **option)
+
     def test_backtracking_never_increases(self):
         rng = np.random.default_rng(3)
         P = rng.uniform(0.01, 1.5, (25, 3, 4))
         labels = rng.integers(0, 4, 25)
-        w, meta = fit_weights_from_pdf(P, labels, eta=2.0, backtrack=True, max_iters=200)
+        w, meta = fit_weights_from_pdf(P, labels, eta=2.0, max_iters=200)
         initial = _loss_from_pdf(P, labels, np.full(3, 1 / math.sqrt(3)))
         assert meta["final_loss"] <= initial + 1e-12
 
@@ -529,19 +544,37 @@ class TestDescentMatchesReference:
     """The descent on the (n*c, m) layout, with one scores pass and one
     gradient pass per step, follows the iterates of the formula-by-formula
     reference loop in oracles.py (tensordot scores, einsum gradient, two
-    loss evaluations per step)."""
+    loss evaluations per step). Where no step would raise the loss, the
+    reference runs without halving, which pins that the halving rule changes
+    nothing until it fires."""
 
-    @pytest.mark.parametrize("options", [
-        {},
-        {"max_iters": 300, "tol": 1e-300},
-        {"eta": 2.0, "backtrack": True},
-        {"eta": 0.5, "grad_mode": "finite-difference", "max_iters": 200},
-    ], ids=["tol-stop", "fixed-steps", "backtrack", "finite-difference"])
+    @pytest.mark.parametrize("options, halves", [
+        ({}, False),
+        ({"max_iters": 300, "tol": 1e-300}, False),
+        ({"eta": 2.0}, True),
+        ({"eta": 0.5, "max_iters": 200}, False),
+    ], ids=["tol-stop", "fixed-steps", "backtrack", "eta-0.5"])
     @pytest.mark.parametrize("seed", [10, 11, 12])
-    def test_same_iterates(self, options, seed):
+    def test_same_iterates(self, options, halves, seed):
         P, labels = random_pdf_problem(seed)
         w, meta = fit_weights_from_pdf(P, labels, **options)
-        ref_at, ref_iterations, ref_loss = oracles.ref_fit_weights(P, labels, **options)
+        ref_at, ref_iterations, ref_loss = oracles.ref_fit_weights(
+            P, labels, **options, backtrack=halves)
+        assert meta["iterations_run"] == ref_iterations
+        np.testing.assert_allclose(w.alpha_tilde, ref_at, rtol=0, atol=1e-13)
+        assert meta["final_loss"] == pytest.approx(ref_loss, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_halved_steps(self, seed):
+        # at eta = 10 plain steps overshoot: the reference without halving
+        # ends elsewhere, and the descent follows the one that halves
+        P, labels = random_pdf_problem(seed)
+        options = {"eta": 10.0, "max_iters": 200}
+        w, meta = fit_weights_from_pdf(P, labels, **options)
+        ref_at, ref_iterations, ref_loss = oracles.ref_fit_weights(
+            P, labels, **options, backtrack=True)
+        plain_loss = oracles.ref_fit_weights(P, labels, **options)[2]
+        assert ref_loss < plain_loss
         assert meta["iterations_run"] == ref_iterations
         np.testing.assert_allclose(w.alpha_tilde, ref_at, rtol=0, atol=1e-13)
         assert meta["final_loss"] == pytest.approx(ref_loss, rel=1e-13)
@@ -552,10 +585,9 @@ class TestDescentMatchesReference:
         at /= np.linalg.norm(at)
         assert _loss_from_pdf(P, labels, at) == pytest.approx(
             oracles.ref_descent_loss(P, labels, at), rel=1e-14)
-        for mode in ("analytic", "finite-difference"):
-            np.testing.assert_allclose(
-                riemannian_gradient(P, labels, at, grad_mode=mode),
-                oracles.ref_descent_gradient(P, labels, at, mode), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            riemannian_gradient(P, labels, at),
+            oracles.ref_descent_gradient(P, labels, at), rtol=0, atol=1e-14)
 
 
 class TestPdfLayout:
@@ -577,7 +609,7 @@ class TestPdfLayout:
         _, P_train = fit_densities(batch, 3)
         plain = np.ascontiguousarray(P_train)
         assert plain.flags.c_contiguous and not P_train.flags.c_contiguous
-        for options in ({}, {"backtrack": True, "eta": 2.0}):
+        for options in ({}, {"eta": 2.0}):
             w_view, meta_view = fit_weights(P_train, batch, **options)
             w_plain, meta_plain = fit_weights(plain, batch, **options)
             np.testing.assert_array_equal(w_view.alpha_tilde, w_plain.alpha_tilde)

@@ -20,6 +20,10 @@ def sample_set(rows, space="sphere"):
     return SampleSet(np.asarray(rows, dtype=np.float64), space)
 
 
+def shuffled(rows, seed):
+    return rows[np.random.default_rng(seed).permutation(len(rows))]
+
+
 class TestSampleSet:
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleSet):
@@ -58,11 +62,11 @@ class TestIncrementalFrechetMean:
 
     def test_order_seed_is_deterministic(self):
         rng = np.random.default_rng(2)
-        pts = sample_set(oracles.sphere_cloud(rng, [1, 1, 1, 1], 0.2, 40))
-        a = incremental_frechet_mean(pts, order_seed=7)
-        b = incremental_frechet_mean(pts, order_seed=7)
+        cloud = oracles.sphere_cloud(rng, [1, 1, 1, 1], 0.2, 40)
+        a = incremental_frechet_mean(sample_set(shuffled(cloud, 7)))
+        b = incremental_frechet_mean(sample_set(shuffled(cloud, 7)))
         np.testing.assert_array_equal(a.coords, b.coords)
-        c = incremental_frechet_mean(pts)
+        c = incremental_frechet_mean(sample_set(cloud))
         assert arc_distance(a, c) < 0.05
 
     def test_permutation_sensitivity_bound(self):
@@ -70,9 +74,8 @@ class TestIncrementalFrechetMean:
         cloud = oracles.sphere_cloud(rng, [1.0, 1.0, 1.0], 0.1, 200)
         dots = np.clip(cloud @ cloud.T, -1, 1)
         assert np.arccos(dots).max() <= 0.3
-        pts = sample_set(cloud)
-        a = incremental_frechet_mean(pts, order_seed=1)
-        b = incremental_frechet_mean(pts, order_seed=2)
+        a = incremental_frechet_mean(sample_set(shuffled(cloud, 1)))
+        b = incremental_frechet_mean(sample_set(shuffled(cloud, 2)))
         assert arc_distance(a, b) <= 5e-2
 
     def test_consistency_under_symmetric_sampling(self):

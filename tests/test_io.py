@@ -9,6 +9,7 @@ from spheremix.density import GaussianDensity
 from spheremix.ensemble import EnsembleModel, LabeledBatch, MixtureWeights, fit_ensemble, predict_batch
 from spheremix.errors import (
     CorruptModel,
+    DimensionMismatch,
     EmptyBatch,
     LabelOutOfRange,
     NegativeProbability,
@@ -190,9 +191,9 @@ class TestAlignment:
     def test_label_count_mismatch(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("0.5,0.5\n0.5,0.5\n")
-        ta = load_output_table(a)
-        with pytest.raises(RaggedEnsemble):
-            check_alignment([ta], np.asarray([0]))
+        features, _ = load_split([a])
+        with pytest.raises(DimensionMismatch, match="^1 labels for 2 samples$"):
+            LabeledBatch(features, np.asarray([0]))
 
 
 class TestEmbedding:

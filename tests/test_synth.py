@@ -27,6 +27,11 @@ class TestParseTaus:
         with pytest.raises(InvalidConfig):
             parse_taus("0.0", 2)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "0.5:inf", "0.5,nan"])
+    def test_non_finite(self, text):
+        with pytest.raises(InvalidConfig, match="positive and finite"):
+            parse_taus(text, 2)
+
 
 class TestMakeSuite:
     def test_shapes_and_validity(self):
