@@ -106,7 +106,8 @@ def main():
 @click.option("--classes", type=int, default=None,
               help="Class count (required for --space grassmann).")
 @click.option("--eta", type=float, default=0.1, show_default=True,
-              help="Descent step size; a step that would raise the loss is halved.")
+              help="First step size; later steps are Barzilai-Borwein lengths, "
+                   "halved while they would raise the loss.")
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Stop when |dL| <= tol * max(1, L).")
@@ -149,7 +150,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         f"fitted {kind} ensemble: m={batch.m} networks, c={c} classes, space={space}",
         f"model file: {out_path}",
         f"density fit: {t_densities:.2f} s   weight learning: {t_weights:.2f} s "
-        f"({meta['iterations_run']} iterations, kernel backend: {_kernels.backend()})",
+        f"({meta['iterations_run']} iterations, {meta['loss_evaluations']} loss evaluations, "
+        f"kernel backend: {_kernels.backend()})",
         f"final loss: {meta['final_loss']:.6f}   uniform-weight loss: {meta['uniform_loss']:.6f}",
         f"descent stopped by {meta['stop_reason']}   gradient norm: {meta['grad_norm']:.3e}   "
         f"effective networks: {meta['effective_networks']:.3f}",
@@ -280,6 +282,7 @@ def inspect(model_file):
     meta = model.fit_meta
     click.echo(
         f"fit:   eta={meta.get('eta')}  iterations={meta.get('iterations_run')}  "
+        f"loss_evaluations={meta.get('loss_evaluations')}  "
         f"final_loss={meta.get('final_loss')}  seed={meta.get('seed')}"
     )
     click.echo(

@@ -13,10 +13,14 @@ unchanged.
 Weights are learned on the sphere: alpha is lifted to alpha_tilde = sqrt(alpha)
 on S^{m-1}, the Euclidean gradient of L(alpha_tilde^2) is projected onto the
 tangent space (g - <g, at> at), and each update follows the sphere exponential
-map with step -eta, halved while it would raise the loss, taking absolute
-values afterwards to stay in the closed positive quadrant (alpha =
-alpha_tilde^2 is unchanged by sign flips). Density parameters are estimated
-beforehand and held fixed throughout.
+map along -t g, taking absolute values afterwards to stay in the closed
+positive quadrant (alpha = alpha_tilde^2 is unchanged by sign flips). The
+first trial length t is eta; each later one is the Barzilai-Borwein length
+<s, s> / <s, y> of the last accepted step, with s and y the plain ambient
+changes in alpha_tilde and in the gradient (Barzilai & Borwein 1988; Iannazzo
+& Porcelli 2018), clamped to [1e-6, 1e3], or eta again when <s, y> <= 0. A
+trial length is halved while it would raise the loss. Density parameters are
+estimated beforehand and held fixed throughout.
 
 Every (n, m, c) pdf tensor is stored sample x class x network, so its
 (n*c, m) matrix view is free and each weighted sum over the networks (the
@@ -49,6 +53,10 @@ PARAMETRIC = "parametric"
 KDE = "kde"
 
 _SCORE_EPS = 1e-300
+
+# clamp of the Barzilai-Borwein trial step length
+_BB_MIN = 1e-6
+_BB_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -379,9 +387,10 @@ def fit_weights(
     ``fit_densities`` (equal to ``pdf_grid(densities, batch.features)``).
     Starts from the uniform mixture, stops when the relative loss change
     falls below ``tol`` (|dL| <= tol * max(1, L)) or after ``max_iters``
-    steps. A step that would raise the loss is halved until the loss no
-    longer rises or the step size reaches 1e-12. Returns (MixtureWeights,
-    fit_meta).
+    steps. ``eta`` is the length of the first trial step; later trial
+    lengths are Barzilai-Borwein lengths (see the module docstring). A trial
+    step that would raise the loss is halved until the loss no longer rises
+    or the step size reaches 1e-12. Returns (MixtureWeights, fit_meta).
     """
     if not (0.0 < eta < math.inf and 0.0 < tol < math.inf) or max_iters < 1:
         raise ValueError("eta and tol must be positive and finite, max_iters >= 1")
@@ -407,15 +416,18 @@ def fit_weights_from_pdf(
 ):
     """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
 
-    Each step is one gradient pass at the accepted point, whose scores are
-    carried over from when it was a candidate, and one scores pass for the
-    next candidate, plus one more scores pass each time a candidate whose
-    loss is above the current loss halves the step (no step of the desk
-    suites is halved).
+    The trial length of the first step is ``eta``, each later one the
+    Barzilai-Borwein length of the last accepted step (module docstring).
+    Each step is one scores pass per trial and one gradient pass at the
+    accepted point, whose scores are carried over from when it was a
+    candidate. That gradient is both the next direction and the new end of
+    y. A trial whose loss is above the current loss halves the length and
+    costs one more scores pass.
     fit_meta records why descent stopped (``stop_reason``: "tol", or
     "max_iters" when the step cap ended it), the Riemannian gradient norm at
-    the returned weights, the loss of the uniform start and the effective
-    number of networks 1 / sum(alpha^2).
+    the returned weights, the loss of the uniform start, the effective
+    number of networks 1 / sum(alpha^2) and ``loss_evaluations``, the number
+    of scores passes (the uniform start and every trial, halvings included).
     """
     objective = _Objective(P, labels)
     m = P.shape[1]
@@ -423,21 +435,31 @@ def fit_weights_from_pdf(
     uniform_loss = point.loss
     if not np.isfinite(uniform_loss):
         raise NonFiniteLoss(f"initial loss is {uniform_loss}")
+    loss_evaluations = 1
+    grad = objective.gradient(point)
     iterations = 0
     # a single network has nothing to learn: its gradient is zero
     stop_reason = "tol" if m == 1 else "max_iters"
     if m > 1:
+        step_eta = eta
         for _ in range(max_iters):
-            grad = objective.gradient(point)
-            step_eta = eta
             candidate = objective.at(_sphere_step(point.at, grad, step_eta))
+            loss_evaluations += 1
             while candidate.loss > point.loss and step_eta > 1e-12:
                 step_eta *= 0.5
+                del candidate  # keep at most one trial's scores alive (peak RSS)
                 candidate = objective.at(_sphere_step(point.at, grad, step_eta))
+                loss_evaluations += 1
             if not np.isfinite(candidate.loss):
                 raise NonFiniteLoss("loss became non-finite; reduce eta")
             converged = abs(candidate.loss - point.loss) <= tol * max(1.0, candidate.loss)
+            s = candidate.at - point.at
             point = candidate
+            new_grad = objective.gradient(point)
+            # BB1 length <s, s> / <s, y>, with plain ambient differences
+            sy = float(s @ (new_grad - grad))
+            step_eta = min(max(float(s @ s) / sy, _BB_MIN), _BB_MAX) if sy > 0.0 else eta
+            grad = new_grad
             iterations += 1
             if converged:
                 stop_reason = "tol"
@@ -449,9 +471,10 @@ def fit_weights_from_pdf(
         "final_loss": float(point.loss),
         "seed": int(seed),
         "stop_reason": stop_reason,
-        "grad_norm": float(np.linalg.norm(objective.gradient(point))),
+        "grad_norm": float(np.linalg.norm(grad)),
         "uniform_loss": float(uniform_loss),
         "effective_networks": float(1.0 / np.sum(weights.alpha * weights.alpha)),
+        "loss_evaluations": loss_evaluations,
     }
     return weights, meta
 

@@ -50,7 +50,8 @@ def desk_suite():
 
 @pytest.fixture(scope="session")
 def fitted_models(desk_suite):
-    """Both model kinds fitted on the desk suite, with per-phase wall times."""
+    """Both model kinds fitted on the desk suite, with their train pdf tensors
+    and per-phase wall times."""
     out = {}
     for kind in (PARAMETRIC, KDE):
         t0 = time.perf_counter()
@@ -65,6 +66,7 @@ def fitted_models(desk_suite):
         )
         out[kind] = {
             "model": model,
+            "P_train": P_train,
             "density_time_s": t_densities,
             "weight_time_s": t_weights,
         }

@@ -156,18 +156,9 @@ def ref_descent_loss(P, labels, alpha_tilde) -> float:
     return float(np.mean(d * d))
 
 
-def ref_descent_gradient(P, labels, alpha_tilde, grad_mode: str = "analytic"):
+def ref_descent_gradient(P, labels, alpha_tilde):
     """Riemannian gradient of ref_descent_loss at alpha_tilde."""
     at = np.asarray(alpha_tilde, dtype=np.float64)
-    if grad_mode == "finite-difference":
-        h = 1e-6
-        g = np.empty_like(at)
-        for i in range(at.shape[0]):
-            e = np.zeros_like(at)
-            e[i] = h
-            g[i] = (ref_descent_loss(P, labels, at + e)
-                    - ref_descent_loss(P, labels, at - e)) / (2.0 * h)
-        return g - (g @ at) * at
     n, _, c = P.shape
     scores = _ref_scores(P, at)
     u, norms = _ref_cosines(scores, labels)
@@ -190,24 +181,33 @@ def _ref_sphere_step(at, step):
 
 
 def ref_fit_weights(P, labels, eta: float = 0.1, max_iters: int = 5000, tol: float = 1e-8,
-                    grad_mode: str = "analytic", backtrack: bool = False):
-    """Returns (alpha_tilde, iterations_run, final_loss)."""
+                    halve: bool = True):
+    """Barzilai-Borwein descent: the first trial step is eta, each later one
+    the BB1 length <s, s> / <s, y> of the last accepted step (s and y the
+    changes in alpha_tilde and in the gradient), clamped to [1e-6, 1e3], or
+    eta when <s, y> <= 0. With ``halve`` a trial step is halved while its
+    loss is above the current loss (floor 1e-12).
+    Returns (alpha_tilde, iterations_run, final_loss)."""
     m = P.shape[1]
     at = np.full(m, 1.0 / math.sqrt(m))
     loss_prev = ref_descent_loss(P, labels, at)
+    grad = ref_descent_gradient(P, labels, at)
+    step = eta
     iterations = 0
     if m > 1:
         for _ in range(max_iters):
-            grad = ref_descent_gradient(P, labels, at, grad_mode)
-            candidate = _ref_sphere_step(at, -eta * grad)
+            candidate = _ref_sphere_step(at, -step * grad)
             loss_new = ref_descent_loss(P, labels, candidate)
-            if backtrack:
-                step_eta = eta
-                while loss_new > loss_prev and step_eta > 1e-12:
-                    step_eta *= 0.5
-                    candidate = _ref_sphere_step(at, -step_eta * grad)
-                    loss_new = ref_descent_loss(P, labels, candidate)
-            at = candidate
+            while halve and loss_new > loss_prev and step > 1e-12:
+                step *= 0.5
+                candidate = _ref_sphere_step(at, -step * grad)
+                loss_new = ref_descent_loss(P, labels, candidate)
+            grad_new = ref_descent_gradient(P, labels, candidate)
+            s = candidate - at
+            y = grad_new - grad
+            sy = float(np.dot(s, y))
+            step = min(max(float(np.dot(s, s)) / sy, 1e-6), 1e3) if sy > 0.0 else eta
+            at, grad = candidate, grad_new
             iterations += 1
             converged = abs(loss_new - loss_prev) <= tol * max(1.0, loss_new)
             loss_prev = loss_new

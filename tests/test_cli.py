@@ -356,12 +356,14 @@ class TestInspectCommand:
         assert "uniform-weight loss" in fit_result.output
         assert "effective networks" in fit_result.output
         meta = json.loads(model_path.read_text())["fit_meta"]
+        assert f"{meta['loss_evaluations']} loss evaluations" in fit_result.output
         result = runner.invoke(main, ["inspect", "--model-file", str(model_path)])
         assert result.exit_code == 0
         assert "stop_reason=max_iters" in result.output
         assert f"grad_norm={meta['grad_norm']}" in result.output
         assert f"uniform_loss={meta['uniform_loss']}" in result.output
         assert f"effective_networks={meta['effective_networks']}" in result.output
+        assert f"loss_evaluations={meta['loss_evaluations']}" in result.output
 
 
 def replace_first_cell(src, dst, lineno, cell):
