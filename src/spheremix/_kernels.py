@@ -1,15 +1,18 @@
 """Hot numeric kernels: batched arc distances, Gaussian kernel sums, and the
 incremental mean recursion, in numpy.
 
-``kernel_sums`` is the one routine that computes kernel terms; the
-one-centre ``kernel_values`` and ``kernel_total`` are adapters over it. It
-turns a block of dot products into terms
+``kernel_sums`` is the one routine that computes kernel terms and returns the
+log of each row's sum; the one-centre ``kernel_values`` and ``kernel_total``
+are linear adapters over it. It turns a block of dot products into terms
 exp(-arccos(<x,y>)^2 * inv_two_sigma_sq) in place and reduces them with
 numpy's pairwise summation. Support sets can reach 1e4-1e5 terms of wildly
 varying magnitude; all terms are positive, so there is no cancellation, and
 the relative error of the pairwise sum is O(log2(n) * eps) (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., ch. 4): about 1.6e-15 at 1e4
-terms. ``kernel_sums`` splits its evaluation rows into blocks of at most
+terms. Only a row so small that underflowed terms could move its sum by an
+ulp is recomputed as top + log(sum(exp(a - top))), its largest log term
+factored out (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
+``kernel_sums`` splits its evaluation rows into blocks of at most
 ``_BLOCK_BYTES``. The split changes no row's summation order, but BLAS may
 round a dot product differently in the last bit for another block shape.
 ``absolute=True`` switches the distance from the sphere arc length
@@ -29,6 +32,9 @@ import numpy as np
 # 8 MiB holds a 2000-row evaluation against 500 support points in one block.
 _BLOCK_BYTES = 8 << 20
 
+# a row sum below |support| * 2^-1022 / eps may have lost an ulp to underflow
+_LOW_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
 
 def backend() -> str:
     """Name of the kernel implementation; numpy is the only one."""
@@ -39,16 +45,16 @@ def _as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _kernel_terms(dots, inv_two_sigma_sq, absolute):
-    """Turn dot products into exp(-arccos(dots)^2 * inv_two_sigma_sq), in place."""
+def _log_terms(dots, inv_two_sigma_sq, absolute):
+    """Turn dot products into log kernel terms -arccos(dots)^2 * inv_two_sigma_sq,
+    in place."""
     if absolute:
         np.abs(dots, out=dots)
     np.clip(dots, -1.0, 1.0, out=dots)
     np.arccos(dots, out=dots)
     np.square(dots, out=dots)
     # multiplying by the negated factor equals negating the product exactly
-    np.multiply(dots, -float(inv_two_sigma_sq), out=dots)
-    return np.exp(dots, out=dots)
+    return np.multiply(dots, -float(inv_two_sigma_sq), out=dots)
 
 
 def arc_distances(pts, center, *, absolute: bool = False) -> np.ndarray:
@@ -60,8 +66,9 @@ def arc_distances(pts, center, *, absolute: bool = False) -> np.ndarray:
 
 
 def kernel_values(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> np.ndarray:
-    """exp(-d(x, center)^2 * inv_two_sigma_sq) per row x: the one-centre kernel_sums."""
-    return kernel_sums(pts, _as_matrix(center)[None, :], inv_two_sigma_sq, absolute=absolute)
+    """exp(-d(x, center)^2 * inv_two_sigma_sq) per row x: the one-centre kernel_sums, exp'd."""
+    center = _as_matrix(center)[None, :]
+    return np.exp(kernel_sums(pts, center, inv_two_sigma_sq, absolute=absolute))
 
 
 def kernel_total(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> float:
@@ -70,15 +77,23 @@ def kernel_total(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False
 
 
 def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = False) -> np.ndarray:
-    """Per-row kernel sums of ``eval_pts`` against ``support``."""
+    """Log of the per-row kernel sums of ``eval_pts`` against ``support``."""
     eval_pts = _as_matrix(eval_pts)
     support = _as_matrix(support)
     n = eval_pts.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * max(1, support.shape[0])))
     out = np.empty(n)
     for start in range(0, n, rows):
-        block = eval_pts[start:start + rows] @ support.T
-        out[start:start + rows] = _kernel_terms(block, inv_two_bw_sq, absolute).sum(axis=1)
+        pts = eval_pts[start:start + rows]
+        block = _log_terms(pts @ support.T, inv_two_bw_sq, absolute)
+        sums = np.exp(block, out=block).sum(axis=1)
+        low = sums < support.shape[0] * _LOW_SUM
+        np.log(sums, out=out[start:start + rows], where=~low)
+        if low.any():
+            terms = _log_terms(pts[low] @ support.T, inv_two_bw_sq, absolute)
+            top = terms.max(axis=1)
+            terms -= top[:, None]
+            out[start:start + rows][low] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
     return out
 
 

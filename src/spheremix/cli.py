@@ -31,6 +31,8 @@ from .ensemble import (
     fit_densities,
     fit_weights,
     predict_batch,  # not called here; pipebench/tracing.py patches this name
+    score_report,
+    shift_to_pdf,
 )
 from .errors import DimensionMismatch, InvalidConfig, SpheremixError
 from .io import load_labels, load_model_file, load_split, save_model_file
@@ -57,19 +59,6 @@ def _write_report(report_path, text: str, metrics: dict):
     if json_path == path:
         json_path = path.with_suffix(".metrics.json")
     json_path.write_text(json.dumps(metrics, indent=1) + "\n", encoding="utf-8")
-
-
-def _standalone_accuracies(model: EnsembleModel, batch: LabeledBatch,
-                           density_accuracies: list | None) -> list:
-    """Per-network standalone accuracy: argmax of the network's own
-    probabilities on the sphere (the square-root embedding is monotone),
-    its density classifier on the Grassmannian (no probabilities exist),
-    as already read from the batch's pdf tensor into ``density_accuracies``."""
-    if model.space == SPHERE:
-        return [
-            float(np.mean(np.argmax(f, axis=1) == batch.labels)) for f in batch.features
-        ]
-    return density_accuracies
 
 
 def _load_batch(tables, labels_path, space: str, c: int | None):
@@ -122,7 +111,7 @@ def main():
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, seed, sigma_floor, kde_max_support, threads):
     """Fit densities and mixture weights on training tables."""
-    _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads)
+    _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads, classes)
     batch, c = _load_batch(tables, labels_path, space, classes)
 
     t0 = time.perf_counter()
@@ -130,6 +119,10 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         batch, c, kind, sigma_floor=sigma_floor,
         kde_max_support=kde_max_support, seed=seed, threads=threads,
     )
+    # only the Grassmannian's standalone accuracies read the density classifier
+    density_accuracies = (
+        density_argmax_accuracies(P_train, batch.labels) if space == GRASSMANN else None)
+    shift_to_pdf(P_train)
     t_densities = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -142,9 +135,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
                           densities=densities, weights=weights, fit_meta=meta)
     save_model_file(model, out_path)
 
-    standalone = _standalone_accuracies(
-        model, batch,
-        density_argmax_accuracies(P_train, batch.labels) if space == GRASSMANN else None)
+    train = score_report(P_train, batch, weights, density_accuracies)
+    standalone = train["standalone_accuracy"]
     order = np.argsort(weights.alpha)[::-1]
     lines = [
         f"fitted {kind} ensemble: m={batch.m} networks, c={c} classes, space={space}",
@@ -153,6 +145,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         f"({meta['iterations_run']} iterations, {meta['loss_evaluations']} loss evaluations, "
         f"kernel backend: {_kernels.backend()})",
         f"final loss: {meta['final_loss']:.6f}   uniform-weight loss: {meta['uniform_loss']:.6f}",
+        f"train accuracy: {train['accuracy']:.4f}   "
+        f"uniform-weight train accuracy: {train['uniform_accuracy']:.4f}",
         f"descent stopped by {meta['stop_reason']}   gradient norm: {meta['grad_norm']:.3e}   "
         f"effective networks: {meta['effective_networks']:.3f}",
         "learned weights (sorted):",
@@ -170,6 +164,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         _write_report(report_path, text, {
             "command": "fit", "kind": kind, "space": space, "m": batch.m, "c": c,
             "alpha": weights.alpha.tolist(), "fit_meta": meta,
+            "train_accuracy": train["accuracy"],
+            "uniform_train_accuracy": train["uniform_accuracy"],
             "standalone_train_accuracy": standalone,
             "wall_time_density_fit_s": t_densities,
             "wall_time_weight_learning_s": t_weights,
@@ -217,11 +213,12 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
     labels = load_labels(labels_path, model.c)
     batch = LabeledBatch(features, labels, model.space)
     result = evaluate(model, batch)
-    standalone = _standalone_accuracies(model, batch, result["density_argmax_accuracy"])
+    standalone = result["standalone_accuracy"]
     average = float(np.mean(standalone))
     delta = result["accuracy"] - average
     lines = [
         f"ensemble accuracy:       {result['accuracy']:.4f}",
+        f"uniform-weight accuracy: {result['uniform_accuracy']:.4f}",
         f"mean loss:               {result['mean_loss']:.6f}",
         "constituent accuracies:",
     ]
@@ -236,6 +233,7 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
         _write_report(report_path, text, {
             "command": "evaluate",
             "accuracy": result["accuracy"],
+            "uniform_accuracy": result["uniform_accuracy"],
             "mean_loss": result["mean_loss"],
             "per_class_accuracy": [None if np.isnan(v) else float(v)
                                    for v in result["per_class_accuracy"]],
@@ -295,12 +293,12 @@ def inspect(model_file):
         click.echo(f"  net {i:02d}  alpha = {model.weights.alpha[i]:.6f}")
 
 
-def _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads):
+def _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads, classes):
     if (not all(0 < v < math.inf for v in (eta, tol, sigma_floor)) or max_iters < 1
-            or kde_max_support < 0 or threads < 1):
+            or kde_max_support < 0 or threads < 1 or (classes is not None and classes < 1)):
         raise InvalidConfig(
             "eta, tol and sigma-floor must be positive and finite; kde-max-support >= 0; "
-            "max-iters and threads >= 1"
+            "max-iters, threads and classes >= 1"
         )
 
 

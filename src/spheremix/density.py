@@ -1,9 +1,9 @@
 """Per-network, per-class densities on the sphere or Grassmannian.
 
 Both families are one object, a normalized Gaussian kernel sum over a matrix
-of centres, evaluated by `_kernels.kernel_sums` alone:
+of centres, evaluated as a log density by `_kernels.kernel_sums` alone:
 
-    p(x) = C / |centres| * sum_{y in centres} exp(-d^2(x, y) / (2 w^2)).
+    log p(x) = log(C / |centres|) + log sum_{y in centres} exp(-d^2(x, y) / (2 w^2)).
 
 Parametric model: a Gaussian in the geodesic distance, the one-centre case
 (centre mu = the incremental Fréchet mean, width sigma = RMS distance to it).
@@ -15,12 +15,13 @@ centres give the network's whole training set (all classes). For the
 Gaussian that is `estimators.empirical_normalizer`; the analytic sphere
 constant is intractable and never needed. A KDE support point evaluates its
 own kernel term (self-inclusion, no leave-one-out), exactly as the
-normalizer's double sum is written. Densities are read through `pdf` and
-`pdf_batch`; there are no separate `gaussian_pdf`/`kde_pdf` functions.
+normalizer's double sum is written. `pdf`/`pdf_batch` are the exp of
+`log_pdf_batch`, which stays finite where a density underflows to 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,13 +58,16 @@ class _KernelSum:
         return float(self.pdf_batch(point_vector(x)[None, :])[0])
 
     def pdf_batch(self, pts: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_pdf_batch(pts))
+
+    def log_pdf_batch(self, pts: np.ndarray) -> np.ndarray:
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"point of dimension {pts.shape[1]} against density of dimension {self.dim}"
             )
-        return (self.normalizer / len(self.centres)) * self._sums(pts)
+        return math.log(self.normalizer / len(self.centres)) + self._log_sums(pts)
 
-    def _sums(self, pts) -> np.ndarray:
+    def _log_sums(self, pts) -> np.ndarray:
         return _kernels.kernel_sums(
             pts, self.centres, 1.0 / (2.0 * self.width**2), absolute=self.space == GRASSMANN
         )
@@ -122,15 +126,15 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
 def _normalized(density, all_network_train, out: np.ndarray | None):
     """``density`` with its empirical normalizer: |centres| over the kernel
     mass the centres give every training row of the network. When ``out`` is
-    given, the fitted density at each of those rows is written into it from
-    the same sums, bit-equal to ``pdf_batch(all_network_train)``."""
+    given, the fitted log density at each of those rows is written into it
+    from the same sums, bit-equal to ``log_pdf_batch(all_network_train)``."""
     train = stack_points(all_network_train)
     if train.size == 0:
         raise EmptySampleSet("the normalizer needs a non-empty training set")
-    sums = density._sums(train)
-    normalizer = len(density.centres) / float(sums.sum())
+    log_sums = density._log_sums(train)
+    normalizer = len(density.centres) / float(np.exp(log_sums).sum())
     if out is not None:
-        np.multiply(normalizer / len(density.centres), sums, out=out)
+        np.add(math.log(normalizer / len(density.centres)), log_sums, out=out)
     return replace(density, normalizer=normalizer)
 
 
@@ -146,7 +150,7 @@ def fit_gaussian(
 
     ``all_network_train`` is the embedded output of the same network on the
     whole training set (all classes); it feeds only the normalizer. When
-    ``out`` is given, the fitted density at each training row is written
+    ``out`` is given, the fitted log density at each training row is written
     into it (see ``_normalized``). ``mu`` is the cell's Fréchet mean when the
     caller already has it; otherwise it is computed here.
     """

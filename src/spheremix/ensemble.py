@@ -22,10 +22,14 @@ changes in alpha_tilde and in the gradient (Barzilai & Borwein 1988; Iannazzo
 trial length is halved while it would raise the loss. Density parameters are
 estimated beforehand and held fixed throughout.
 
-Every (n, m, c) pdf tensor is stored sample x class x network, so its
-(n*c, m) matrix view is free and each weighted sum over the networks (the
-scores, and the gradient's sum over samples and classes) is one
-matrix-vector product. A descent step costs one pass of each kind.
+Scoring is in log space: ``shift_to_pdf`` turns the (n, m, c) log densities
+of ``pdf_grid``/``fit_densities`` into exp(log p - max_k) in place, max_k
+being sample k's largest. Scores, probabilities, argmax and the loss ignore
+that alpha-free factor per sample, and no row underflows. ``_scores`` is the
+one scoring routine and raises DegenerateScores for a non-finite or all-zero
+row. The tensor is stored sample x class x network, so its (n*c, m) matrix
+view is free and each weighted sum over the networks (the scores, and the
+gradient's sum over samples and classes) is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class MixtureWeights:
             raise ValueError("alpha_tilde must be a non-empty vector")
         if np.any(at < 0.0):
             raise ValueError("alpha_tilde must be non-negative")
-        if abs(np.linalg.norm(at) - 1.0) > 1e-12:
-            raise ValueError("alpha_tilde must be a unit vector")
+        if not abs(np.linalg.norm(at) - 1.0) <= 1e-12:
+            raise ValueError("alpha_tilde must be a finite unit vector")
         at = at.copy()
         at.setflags(write=False)
         alpha = at * at
@@ -179,11 +183,8 @@ class EnsembleModel:
 
 
 def _empty_pdf_tensor(n: int, m: int, c: int) -> np.ndarray:
-    """Uninitialized (n, m, c) pdf tensor, stored sample x class x network.
-
-    Its (n*c, m) matrix view ``_pdf_matrix`` is then free, so every weighted
-    sum over the networks is one matrix-vector product on that view.
-    """
+    """Uninitialized (n, m, c) pdf tensor, stored sample x class x network,
+    so that its (n*c, m) matrix ``_pdf_matrix`` is a view."""
     return np.empty((n, c, m)).transpose(0, 2, 1)
 
 
@@ -195,9 +196,25 @@ def _pdf_matrix(P: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(P.transpose(0, 2, 1)).reshape(n * c, m)
 
 
+def shift_to_pdf(L: np.ndarray) -> np.ndarray:
+    """Turn an (n, m, c) log-density tensor into its pdf tensor divided per
+    sample by the sample's largest density, in place: L[k] becomes
+    exp(L[k] - max L[k]). Returns the shifts max L[k]."""
+    shift = L.max(axis=(1, 2))
+    L -= shift[:, None, None]
+    np.exp(L, out=L)
+    return shift
+
+
 def _scores(Pm: np.ndarray, alpha: np.ndarray, c: int) -> np.ndarray:
-    """(n, c) ensemble scores sum_i alpha_i p_ij(x_k): one pass over ``Pm``."""
-    return (Pm @ alpha).reshape(-1, c)
+    """(n, c) ensemble scores sum_i alpha_i p_ij(x_k): one pass over ``Pm``.
+    DegenerateScores names the first non-finite or all-zero row."""
+    scores = (Pm @ alpha).reshape(-1, c)
+    totals = scores @ np.ones(c)  # a BLAS pass: a row sum over c costs 5x as much
+    bad = ~((totals > 0.0) & (totals < math.inf))
+    if bad.any():
+        raise DegenerateScores(f"all-zero or non-finite class scores for sample {bad.argmax()}")
+    return scores
 
 
 def _row_norms(scores: np.ndarray) -> np.ndarray:
@@ -215,22 +232,12 @@ def _row_norms(scores: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _check_scores(sizes: np.ndarray):
-    """Raise DegenerateScores, naming the first sample, if any per-sample
-    score total or norm in ``sizes`` is below _SCORE_EPS."""
-    low = sizes < _SCORE_EPS
-    if low.any():
-        raise DegenerateScores(
-            f"all class scores underflowed for sample {int(low.argmax())}"
-        )
-
-
 # -- scoring and prediction ----------------------------------------------------
 
 
 def pdf_grid(densities, features) -> np.ndarray:
-    """(n, m, c) tensor of p_ij(x_i) values for a batch of features, stored
-    sample x class x network (see ``_empty_pdf_tensor``)."""
+    """(n, m, c) tensor of log p_ij(x_i) values for a batch of features,
+    stored sample x class x network (see ``_empty_pdf_tensor``)."""
     m = len(densities)
     c = len(densities[0])
     n = features[0].shape[0]
@@ -243,7 +250,7 @@ def pdf_grid(densities, features) -> np.ndarray:
                 f"model expects {densities[i][0].dim}"
             )
         for j in range(c):
-            out[:, i, j] = densities[i][j].pdf_batch(fi)
+            out[:, i, j] = densities[i][j].log_pdf_batch(fi)
     return out
 
 
@@ -253,21 +260,24 @@ def _batch_features(model: EnsembleModel, sample) -> list:
     return [point_vector(p)[None, :] for p in sample]
 
 
-def class_scores_batch(model: EnsembleModel, features) -> np.ndarray:
+def _shifted_scores(model: EnsembleModel, features):
+    """(n, c) scores of a batch, each sample divided by its largest density,
+    and the log of that density."""
     P = pdf_grid(model.densities, features)
-    return _scores(_pdf_matrix(P), model.weights.alpha, model.c)
+    shift = shift_to_pdf(P)
+    return _scores(_pdf_matrix(P), model.weights.alpha, model.c), shift
 
 
 def class_scores(model: EnsembleModel, sample) -> np.ndarray:
-    """Unnormalized per-class scores sum_i alpha_i p_ij(x_i) for one sample."""
-    return class_scores_batch(model, _batch_features(model, sample))[0]
+    """Unnormalized per-class scores sum_i alpha_i p_ij(x_i) for one sample;
+    they underflow to 0 where the densities do."""
+    scores, shift = _shifted_scores(model, _batch_features(model, sample))
+    return scores[0] * np.exp(shift[0])
 
 
 def ensemble_probability_batch(model: EnsembleModel, features) -> np.ndarray:
-    scores = class_scores_batch(model, features)
-    totals = scores.sum(axis=1)
-    _check_scores(totals)
-    return scores / totals[:, None]
+    scores, _ = _shifted_scores(model, features)
+    return scores / scores.sum(axis=1)[:, None]
 
 
 def ensemble_probability(model: EnsembleModel, sample) -> np.ndarray:
@@ -276,9 +286,7 @@ def ensemble_probability(model: EnsembleModel, sample) -> np.ndarray:
 
 
 def predict_batch(model: EnsembleModel, features) -> np.ndarray:
-    scores = class_scores_batch(model, features)
-    _check_scores(scores.sum(axis=1))
-    return np.argmax(scores, axis=1)
+    return np.argmax(_shifted_scores(model, features)[0], axis=1)
 
 
 def predict(model: EnsembleModel, sample) -> int:
@@ -293,8 +301,8 @@ def label_distance(y: int, p) -> float:
     if y < 0 or y >= p.shape[0]:
         raise LabelOutOfRange(f"label {y} outside [0, {p.shape[0]})")
     norm = float(_row_norms(p[None, :])[0])
-    if norm < _SCORE_EPS:
-        raise DegenerateScores("cannot measure a direction of the zero vector")
+    if not 0.0 < norm < math.inf:
+        raise DegenerateScores("cannot measure a direction of a zero or non-finite vector")
     return math.acos(min(1.0, max(0.0, float(p[y]) / norm)))
 
 
@@ -326,7 +334,6 @@ class _Objective:
         """Scores, norms, cosines and loss at ``at``: one scores pass."""
         scores = _scores(self.Pm, at * at, self.c)
         norms = _row_norms(scores)
-        _check_scores(norms)
         u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
         d = np.arccos(u)
         return _Point(at, scores, norms, u, d, float(np.mean(d * d)))
@@ -383,14 +390,12 @@ def fit_weights(
 ):
     """Learn the mixture weights by Riemannian gradient descent on S^{m-1}.
 
-    ``P_train`` is the batch's (n, m, c) pdf tensor, as returned by
-    ``fit_densities`` (equal to ``pdf_grid(densities, batch.features)``).
-    Starts from the uniform mixture, stops when the relative loss change
-    falls below ``tol`` (|dL| <= tol * max(1, L)) or after ``max_iters``
-    steps. ``eta`` is the length of the first trial step; later trial
-    lengths are Barzilai-Borwein lengths (see the module docstring). A trial
-    step that would raise the loss is halved until the loss no longer rises
-    or the step size reaches 1e-12. Returns (MixtureWeights, fit_meta).
+    ``P_train`` is the batch's (n, m, c) pdf tensor up to a positive factor
+    per sample, such as ``fit_densities``' log tensor after ``shift_to_pdf``.
+    Starts from the uniform mixture and stops when |dL| <= tol * max(1, L)
+    or after ``max_iters`` steps. ``eta`` is the first trial length (module
+    docstring); a trial that would raise the loss is halved until it no
+    longer does or its length reaches 1e-12. Returns (MixtureWeights, fit_meta).
     """
     if not (0.0 < eta < math.inf and 0.0 < tol < math.inf) or max_iters < 1:
         raise ValueError("eta and tol must be positive and finite, max_iters >= 1")
@@ -416,14 +421,10 @@ def fit_weights_from_pdf(
 ):
     """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
 
-    The trial length of the first step is ``eta``, each later one the
-    Barzilai-Borwein length of the last accepted step (module docstring).
     Each step is one scores pass per trial and one gradient pass at the
     accepted point, whose scores are carried over from when it was a
-    candidate. That gradient is both the next direction and the new end of
-    y. A trial whose loss is above the current loss halves the length and
-    costs one more scores pass.
-    fit_meta records why descent stopped (``stop_reason``: "tol", or
+    candidate; that gradient is both the next direction and the new end of
+    y. fit_meta records why descent stopped (``stop_reason``: "tol", or
     "max_iters" when the step cap ended it), the Riemannian gradient norm at
     the returned weights, the loss of the uniform start, the effective
     number of networks 1 / sum(alpha^2) and ``loss_evaluations``, the number
@@ -433,8 +434,6 @@ def fit_weights_from_pdf(
     m = P.shape[1]
     point = objective.at(np.full(m, 1.0 / math.sqrt(m)))
     uniform_loss = point.loss
-    if not np.isfinite(uniform_loss):
-        raise NonFiniteLoss(f"initial loss is {uniform_loss}")
     loss_evaluations = 1
     grad = objective.gradient(point)
     iterations = 0
@@ -450,8 +449,6 @@ def fit_weights_from_pdf(
                 del candidate  # keep at most one trial's scores alive (peak RSS)
                 candidate = objective.at(_sphere_step(point.at, grad, step_eta))
                 loss_evaluations += 1
-            if not np.isfinite(candidate.loss):
-                raise NonFiniteLoss("loss became non-finite; reduce eta")
             converged = abs(candidate.loss - point.loss) <= tol * max(1.0, candidate.loss)
             s = candidate.at - point.at
             point = candidate
@@ -481,9 +478,7 @@ def fit_weights_from_pdf(
 
 def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
     """Mean squared label distance of the ensemble over the batch."""
-    _check_batch(model, batch)
-    P = pdf_grid(model.densities, batch.features)
-    return _loss_from_pdf(P, batch.labels, model.weights.alpha_tilde)
+    return evaluate(model, batch)["mean_loss"]
 
 
 # -- fitting and evaluation ------------------------------------------------------
@@ -508,10 +503,11 @@ def fit_densities(
 ):
     """Fit the m x c grid of class densities on a labeled batch.
 
-    Returns (densities, P_train). P_train is the (n, m, c) tensor of
-    p_ij(x_i) on the batch itself, filled cell by cell from the kernel
+    Returns (densities, L_train). L_train is the (n, m, c) tensor of
+    log p_ij(x_i) on the batch itself, filled cell by cell from the kernel
     evaluation that sets each cell's normalizer; it has the layout of
     ``pdf_grid(densities, batch.features)`` and equals it bit for bit.
+    ``shift_to_pdf`` turns it into the tensor ``fit_weights`` reads.
 
     Every cell's Fréchet mean comes from one ``_kernels.cell_means`` call per
     feature width (Grassmann networks may differ in width), before any cell
@@ -570,6 +566,7 @@ def fit_ensemble(
         batch, c, kind, sigma_floor=sigma_floor,
         kde_max_support=kde_max_support, seed=seed, threads=threads,
     )
+    shift_to_pdf(P_train)
     weights, meta = fit_weights(
         P_train, batch, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
     )
@@ -580,34 +577,45 @@ def fit_ensemble(
 
 
 def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
-    """Accuracy, per-class accuracy, and mean loss of the model on a batch,
-    plus each network's density-classifier accuracy, all from one pdf tensor."""
+    """``score_report`` of the model on a batch, from one pdf tensor."""
     _check_batch(model, batch)
-    P = pdf_grid(model.densities, batch.features)
-    point = _Objective(P, batch.labels).at(model.weights.alpha_tilde)
+    L = pdf_grid(model.densities, batch.features)
+    density_accuracies = density_argmax_accuracies(L, batch.labels)
+    shift_to_pdf(L)
+    return score_report(L, batch, model.weights, density_accuracies)
+
+
+def score_report(P: np.ndarray, batch: LabeledBatch, weights: MixtureWeights,
+                 density_accuracies: list) -> dict:
+    """Accuracy, per-class accuracy and mean loss of ``weights`` on a batch,
+    the uniform mixture's accuracy, and each network's density-classifier and
+    standalone accuracy: all read from the batch's shifted pdf tensor ``P``,
+    but ``density_accuracies``, which are read before the shift."""
+    objective = _Objective(P, batch.labels)
+    point = objective.at(weights.alpha_tilde)
+    uniform = objective.at(MixtureWeights.uniform(batch.m).alpha_tilde)
     hits = np.argmax(point.scores, axis=1) == batch.labels
-    per_class = np.full(model.c, np.nan)
-    for j in range(model.c):
-        mask = batch.labels == j
-        if np.any(mask):
-            per_class[j] = float(np.mean(hits[mask]))
+    counts = np.bincount(batch.labels, minlength=P.shape[2])
+    per_class = np.divide(np.bincount(batch.labels, hits, P.shape[2]), counts,
+                          out=np.full(P.shape[2], np.nan), where=counts > 0)
+    # standalone: each network's own argmax on the sphere (sqrt is monotone),
+    # its density classifier on the Grassmannian (no probabilities exist)
+    standalone = density_accuracies
+    if batch.space == SPHERE:
+        standalone = [float(np.mean(np.argmax(f, axis=1) == batch.labels)) for f in batch.features]
     return {
         "accuracy": float(np.mean(hits)),
         "per_class_accuracy": per_class,
         "mean_loss": point.loss,
-        "density_argmax_accuracy": density_argmax_accuracies(P, batch.labels),
+        "uniform_accuracy": float(np.mean(np.argmax(uniform.scores, axis=1) == batch.labels)),
+        "density_argmax_accuracy": density_accuracies,
+        "standalone_accuracy": standalone,
     }
 
 
-def density_argmax_accuracies(P: np.ndarray, labels: np.ndarray) -> list:
+def density_argmax_accuracies(L: np.ndarray, labels: np.ndarray) -> list:
     """Accuracy of each network's density classifier argmax_j p_ij(x_i),
-    read from the batch's (n, m, c) pdf tensor one network at a time (an
-    argmax over the strided class axis copies what it reduces)."""
-    return [float(np.mean(np.argmax(P[:, i, :], axis=1) == labels)) for i in range(P.shape[1])]
-
-
-def density_argmax_accuracy(model: EnsembleModel, batch: LabeledBatch, network: int) -> float:
-    """Accuracy of one network's own density classifier argmax_j p_ij(x_i)."""
-    _check_batch(model, batch)
-    P = pdf_grid([model.densities[network]], [batch.features[network]])
-    return density_argmax_accuracies(P, batch.labels)[0]
+    read from the batch's (n, m, c) log-density tensor one network at a time
+    (an argmax over the strided class axis copies what it reduces). After
+    ``shift_to_pdf`` a network far below the sample's maximum would tie at 0."""
+    return [float(np.mean(np.argmax(L[:, i, :], axis=1) == labels)) for i in range(L.shape[1])]

@@ -54,6 +54,8 @@ class SampleSet:
             raise EmptySampleSet(
                 f"no samples for network {self.network_id}, class {self.class_id}"
             )
+        if not np.isfinite(pts).all():
+            raise ValueError(f"non-finite sample: network {self.network_id}, class {self.class_id}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -105,8 +107,8 @@ def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
     pts = stack_points(all_train_points)
     if pts.size == 0:
         raise EmptySampleSet("empirical normalizer needs a non-empty training set")
-    sums = _kernels.kernel_sums(
+    log_sums = _kernels.kernel_sums(
         pts, point_vector(mu)[None, :], 1.0 / (2.0 * sigma * sigma),
         absolute=infer_space(mu) == GRASSMANN,
     )
-    return 1.0 / float(sums.sum())
+    return 1.0 / float(np.exp(log_sums).sum())

@@ -34,7 +34,9 @@ class GrassmannPoint:
     def __post_init__(self):
         r = np.asarray(self.rep, dtype=np.float64)
         nrm = np.linalg.norm(r)
-        if not np.isfinite(nrm) or nrm <= _ZERO_TOL:
+        if not np.isfinite(nrm):
+            raise ValueError("a line needs a finite vector")
+        if nrm <= _ZERO_TOL:
             raise ZeroFeature("cannot span a line with a (near-)zero vector")
         if abs(nrm - 1.0) > 1e-14:
             # normalize only when actually off: stored representatives round-trip bit-exactly

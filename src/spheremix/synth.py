@@ -29,6 +29,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def parse_taus(text: str, m: int) -> np.ndarray:
     """Per-network noise levels from 'x', 'lo:hi' (linear spread), or a
     comma-separated list of exactly m values."""
+    if m < 1:
+        raise InvalidConfig(f"need m >= 1 networks, got {m}")
     text = text.strip()
     spread = ":" in text
     try:

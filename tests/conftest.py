@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spheremix.ensemble import KDE, PARAMETRIC, EnsembleModel, LabeledBatch, fit_densities, fit_weights
+from spheremix.ensemble import (
+    KDE, PARAMETRIC, EnsembleModel, LabeledBatch, fit_densities, fit_weights, shift_to_pdf,
+)
 from spheremix.io import embed_probability_rows
 from spheremix.synth import make_suite, parse_taus
 
@@ -50,12 +52,13 @@ def desk_suite():
 
 @pytest.fixture(scope="session")
 def fitted_models(desk_suite):
-    """Both model kinds fitted on the desk suite, with their train pdf tensors
-    and per-phase wall times."""
+    """Both model kinds fitted on the desk suite, with their shifted train pdf
+    tensors and per-phase wall times."""
     out = {}
     for kind in (PARAMETRIC, KDE):
         t0 = time.perf_counter()
         densities, P_train = fit_densities(desk_suite["train"], SUITE_C, kind, seed=SUITE_SEED)
+        shift_to_pdf(P_train)
         t_densities = time.perf_counter() - t0
         t0 = time.perf_counter()
         weights, meta = fit_weights(P_train, desk_suite["train"])

@@ -210,7 +210,7 @@ def test_grassmann_path():
         assert abs(gr_distance(x, y) - oracle) <= 1e-12
 
     # three feature sets of differing dimension, end to end
-    from spheremix.ensemble import density_argmax_accuracy, fit_ensemble
+    from spheremix.ensemble import fit_ensemble
 
     fx = oracles.grassmann_feature_suite(34, dims=(6, 9, 12), c=3,
                                          n_train=240, n_test=180,
@@ -224,8 +224,9 @@ def test_grassmann_path():
     model = fit_ensemble(train, 3)
     assert model.space == "grassmann"
     assert model.network_dims() == [6, 9, 12]
-    ensemble_acc = evaluate(model, test)["accuracy"]
-    constituent = [density_argmax_accuracy(model, test, i) for i in range(3)]
+    result = evaluate(model, test)
+    ensemble_acc = result["accuracy"]
+    constituent = result["density_argmax_accuracy"]
     print(
         f"\n  grassmann ensemble {ensemble_acc:.4f} vs constituents "
         f"{[f'{a:.4f}' for a in constituent]}"

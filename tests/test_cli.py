@@ -11,7 +11,7 @@ from spheremix import ensemble
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
-from test_io import BLOB_DAMAGE, corrupt_blob
+from test_io import BLOB_DAMAGE, corrupt_blob, poison_blob
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,14 @@ class TestSynthCommand:
         assert "InvalidConfig: tau values must be positive and finite" in result.output
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_network_count_below_one(self, runner, tmp_path, m):
+        # --m -1 used to reach np.linspace and exit 1 with a ValueError
+        result = runner.invoke(main, ["synth", "--outdir", str(tmp_path / "s"), "--m", m])
+        assert result.exit_code == 2
+        assert f"InvalidConfig: need m >= 1 networks, got {m}" in result.output
+        assert not (tmp_path / "s").exists()
+
 
 class TestFitCommand:
     def test_fit_writes_model_and_reports(self, runner, suite_dir, tmp_path):
@@ -136,6 +144,28 @@ class TestFitCommand:
         assert result.exit_code == 5
         assert "NonFiniteLoss: descent step length is inf; reduce eta" in result.output
         assert "Traceback" not in result.output and not model_path.exists()
+
+    @pytest.mark.parametrize("space, classes", [
+        ("sphere", "0"), ("sphere", "-1"), ("grassmann", "0"), ("grassmann", "-2"),
+    ])
+    def test_classes_below_one(self, runner, suite_dir, tmp_path, space, classes):
+        # grassmann --classes -2 exited 3 on the labels, sphere --classes 0
+        # exited 4 on the table width
+        result, _ = run_fit(runner, suite_dir, tmp_path, "--space", space, "--classes", classes)
+        assert result.exit_code == 2
+        assert "InvalidConfig" in result.output
+
+    def test_reports_uniform_weight_accuracy(self, runner, suite_dir, tmp_path):
+        report = tmp_path / "fit.txt"
+        result, _ = run_fit(runner, suite_dir, tmp_path, "--report", str(report))
+        assert result.exit_code == 0, result.output
+        metrics = json.loads((tmp_path / "fit.json").read_text())
+        line = (f"train accuracy: {metrics['train_accuracy']:.4f}   "
+                f"uniform-weight train accuracy: {metrics['uniform_train_accuracy']:.4f}")
+        assert line in result.output
+        assert 0.0 < metrics["uniform_train_accuracy"] <= 1.0
+        assert not {"train_accuracy", "uniform_accuracy",
+                    "uniform_train_accuracy"} & set(metrics["fit_meta"])
 
     def test_negative_kde_max_support(self, runner, suite_dir, tmp_path):
         result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde",
@@ -241,6 +271,24 @@ class TestPredictCommand:
             result = runner.invoke(main, command)
             assert result.exit_code == 4 and "CorruptModel" in result.output
 
+    @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
+    def test_non_finite_model_array(self, runner, suite_dir, tmp_path, field):
+        # a NaN alpha_tilde used to load and predict exited 0 with nan probabilities
+        kind = "kde" if field == "support" else "parametric"
+        _, model_path = run_fit(runner, suite_dir, tmp_path, "--model", kind)
+        doc = json.loads(model_path.read_text())
+        poison_blob(doc[field] if field == "alpha_tilde" else doc["densities"][1][2][field])
+        model_path.write_text(json.dumps(doc))
+        tables = table_args("test", suite_dir, 3, "--table")
+        for command in (
+            ["predict", "--model-file", str(model_path), *tables, "--out", str(tmp_path / "p.csv")],
+            ["evaluate", "--model-file", str(model_path), *tables,
+             "--labels", str(suite_dir / "test_labels.txt")],
+        ):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 4 and "CorruptModel" in result.output
+        assert not (tmp_path / "p.csv").exists()
+
     def test_separable_fixture_all_correct(self, runner, tmp_path):
         # near-noiseless networks: the class means are the test points
         outdir = tmp_path / "sep"
@@ -277,6 +325,7 @@ class TestEvaluateCommand:
         assert metrics["delta"] == pytest.approx(
             metrics["accuracy"] - metrics["average_constituent_accuracy"], abs=1e-12
         )
+        assert f"uniform-weight accuracy: {metrics['uniform_accuracy']:.4f}" in result.output
         assert metrics["average_constituent_accuracy"] == pytest.approx(
             float(np.mean(metrics["standalone_accuracy"])), abs=1e-12
         )
@@ -339,6 +388,40 @@ class TestEvaluateCommand:
         ])
         metrics2 = json.loads((tmp_path / "eval2.json").read_text())
         assert metrics["accuracy"] == metrics2["accuracy"]
+
+
+class TestAmbiguousRows:
+    """Three sharp networks (tau = 0.1): at a uniform or a 50/50 row every
+    density lies below 1e-300. Both rows made predict and evaluate exit 5
+    with DegenerateScores before scores were shifted in log space."""
+
+    @pytest.fixture(scope="class")
+    def sharp_suite(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sharp")
+        write_suite(make_suite(18, 3, 10, 600, 10, [0.1] * 3), out)
+        return out
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    @pytest.mark.parametrize("row", ["0.1," * 9 + "0.1", "0.5,0.5" + ",0" * 8],
+                             ids=["uniform", "fifty-fifty"])
+    def test_predict_and_evaluate(self, runner, sharp_suite, tmp_path, kind, row):
+        _, model_path = run_fit(runner, sharp_suite, tmp_path, "--model", kind)
+        for i in range(3):
+            (tmp_path / f"row_net{i:02d}.csv").write_text(row + "\n")
+        (tmp_path / "row_labels.txt").write_text("0\n")
+        tables = table_args("row", tmp_path, 3, "--table")
+        out = tmp_path / "pred.csv"
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path), *tables,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        cells = out.read_text().strip().split(",")
+        probs = np.array([float(v) for v in cells[1:]])
+        assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
+        assert int(cells[0]) == int(np.argmax(probs))
+        result = runner.invoke(main, ["evaluate", "--model-file", str(model_path), *tables,
+                                      "--labels", str(tmp_path / "row_labels.txt")])
+        assert result.exit_code == 0, result.output
+        assert f"ensemble accuracy:       {float(cells[0] == '0'):.4f}" in result.output
 
 
 class TestInspectCommand:

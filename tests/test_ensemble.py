@@ -11,7 +11,6 @@ from spheremix.ensemble import (
     LabeledBatch,
     MixtureWeights,
     class_scores,
-    density_argmax_accuracy,
     ensemble_probability,
     ensemble_probability_batch,
     evaluate,
@@ -25,6 +24,7 @@ from spheremix.ensemble import (
     predict,
     predict_batch,
     riemannian_gradient,
+    shift_to_pdf,
     _loss_from_pdf,
 )
 from spheremix import _kernels, density
@@ -37,7 +37,8 @@ from spheremix.errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from spheremix.io import embed_feature_rows
+from spheremix.io import embed_feature_rows, embed_probability_rows
+from spheremix.synth import make_suite
 from spheremix.sphere import SpherePoint
 
 
@@ -151,17 +152,57 @@ class TestScoring:
         assert int(np.argmax(s)) == int(np.argmax(1234.5 * s))
 
     def test_degenerate_scores(self):
+        # at [0, 1] both densities are exp(-(pi/2)^2 / 2e-6), far below 1e-300,
+        # yet the scores are shifted by their largest log density and do not
+        # underflow: the row keeps its tie and a finite probability vector
         grid = [[GaussianDensity(mu=SpherePoint([1.0, 0.0]), sigma=1e-3, normalizer=1.0),
                  GaussianDensity(mu=SpherePoint([1.0, 0.0]), sigma=1e-3, normalizer=1.0)]]
         model = EnsembleModel(kind="parametric", space="sphere", m=1, c=2,
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
-        with pytest.raises(DegenerateScores, match="for sample 0$"):
-            ensemble_probability(model, [SpherePoint([0.0, 1.0])])
-        # a batch names its first underflowing sample
+        assert grid[0][0].pdf([0.0, 1.0]) == 0.0
+        np.testing.assert_array_equal(ensemble_probability(model, [SpherePoint([0.0, 1.0])]),
+                                      [0.5, 0.5])
         features = [np.asarray([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])]
+        probs = ensemble_probability_batch(model, features)
+        np.testing.assert_array_equal(probs, np.full((4, 2), 0.5))
+        np.testing.assert_array_equal(predict_batch(model, features), [0, 0, 0, 0])
+
+    def test_all_zero_row_is_degenerate(self):
+        # sample 1 lies at network 1's mean and nowhere near network 0's, so
+        # after the shift only network 1 carries it, and alpha_1 = 0 exactly
+        grid = [[GaussianDensity(mu=SpherePoint([1.0, 0.0]), sigma=1e-3, normalizer=1.0)] * 2,
+                [GaussianDensity(mu=SpherePoint([0.0, 1.0]), sigma=1e-3, normalizer=1.0)] * 2]
+        model = EnsembleModel(kind="parametric", space="sphere", m=2, c=2, densities=grid,
+                              weights=MixtureWeights.from_alpha([1.0, 0.0]), fit_meta={})
+        features = [np.asarray([[1.0, 0.0], [0.0, 1.0]])] * 2
+        for score in (ensemble_probability_batch, predict_batch):
+            with pytest.raises(DegenerateScores, match="for sample 1$"):
+                score(model, features)
+
+    def test_non_finite_row_is_degenerate(self):
+        fx = load_fixture("ensemble_eval")
+        model = model_from_fixture(fx)
+        features = [np.asarray([s[i] for s in fx["inputs"]["samples"]]) for i in range(model.m)]
+        features[1][2] = np.nan
         for score in (ensemble_probability_batch, predict_batch):
             with pytest.raises(DegenerateScores, match="for sample 2$"):
                 score(model, features)
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    @pytest.mark.parametrize("row", [[0.1] * 10, [0.5, 0.5] + [0.0] * 8],
+                             ids=["uniform", "fifty-fifty"])
+    def test_ambiguous_rows_score(self, kind, row):
+        # three sharp networks (tau = 0.1): every density of both rows lies
+        # below 1e-300, which aborted the whole batch before scoring in log space
+        suite = make_suite(18, 3, 10, 600, 1, [0.1] * 3)
+        batch = LabeledBatch([embed_probability_rows(t) for t in suite["train"]],
+                             suite["train_labels"])
+        model = fit_ensemble(batch, 10, kind)
+        features = [embed_probability_rows(np.asarray([row]))] * 3
+        assert np.all(pdf_grid(model.densities, features) < math.log(1e-300))
+        probs = ensemble_probability_batch(model, features)
+        assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
+        assert predict_batch(model, features)[0] == int(np.argmax(probs))
 
 
 class TestLabelDistance:
@@ -188,6 +229,13 @@ class TestLabelDistance:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             label_distance(3, [0.5, 0.5])
+
+    def test_subnormal_scores_keep_their_direction(self):
+        # a norm below 1e-300 was taken for the zero vector; the subnormal
+        # grid leaves about 13 significant digits at 1e-310
+        assert label_distance(0, [1e-310, 1e-310]) == pytest.approx(math.pi / 4, abs=1e-12)
+        with pytest.raises(DegenerateScores):
+            label_distance(0, [math.nan, 1.0])
 
 
 class TestLoss:
@@ -298,7 +346,9 @@ class TestFitWeights:
         feats = [np.asarray(f) for f in fx["inputs"]["features"]]
         labels = np.asarray(fx["inputs"]["labels"])
         batch = LabeledBatch(feats, labels)
-        w, meta = fit_weights(pdf_grid(grid, batch.features), batch)
+        P = pdf_grid(grid, batch.features)
+        shift_to_pdf(P)
+        w, meta = fit_weights(P, batch)
         assert w.alpha[0] > w.alpha[1]
         assert w.alpha[0] == pytest.approx(fx["expected"]["alpha_accurate"], abs=fx["tolerance"])
         assert meta["final_loss"] <= fx["expected"]["uniform_loss"] + 1e-12
@@ -317,8 +367,9 @@ class TestFitWeights:
             assert meta["final_loss"] <= initial + 1e-12
 
     def test_non_finite_loss_raises(self):
+        # a non-finite pdf tensor fails at its first scores pass
         P = np.full((5, 2, 3), np.nan)
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(DegenerateScores, match="non-finite class scores for sample 0$"):
             fit_weights_from_pdf(P, np.zeros(5, dtype=np.int64))
 
     def test_overflowing_step_names_eta(self):
@@ -396,7 +447,7 @@ class TestEvaluate:
         )
         np.testing.assert_array_equal(predicted, np.argmax(values, axis=1))
         agree = float(np.mean(predicted == batch.labels))
-        assert density_argmax_accuracy(model, batch, 0) == agree
+        assert evaluate(model, batch)["density_argmax_accuracy"] == [agree]
 
 
 class TestBatchValidation:
@@ -638,6 +689,7 @@ class TestPdfLayout:
     def test_plain_array_gives_bit_equal_weights(self):
         batch = sphere_batch(np.random.default_rng(16), 4, 3, 60)
         _, P_train = fit_densities(batch, 3)
+        shift_to_pdf(P_train)
         plain = np.ascontiguousarray(P_train)
         assert plain.flags.c_contiguous and not P_train.flags.c_contiguous
         for options in ({}, {"eta": 2.0}):
@@ -646,22 +698,25 @@ class TestPdfLayout:
             np.testing.assert_array_equal(w_view.alpha_tilde, w_plain.alpha_tilde)
             assert meta_view == meta_plain
 
-    def test_degenerate_scores_raised_during_descent(self):
+    def test_shifted_sample_survives_descent(self):
         n, c = 12, 3
         labels = np.arange(n) % c
-        P = np.empty((n, 2, c))
-        P[:, 0, :] = 0.05
-        P[np.arange(n), 0, labels] = 1.0  # network 0 is sharp and right
-        P[:, 1, :] = 1.0  # network 1 is flat
-        P[7, 0, :] = 0.0  # only network 1 sees sample 7, at 1e-290
-        P[7, 1, :] = 1e-290
+        L = np.empty((n, 2, c))
+        L[:, 0, :] = math.log(0.05)
+        L[np.arange(n), 0, labels] = 0.0  # network 0 is sharp and right
+        L[:, 1, :] = 0.0  # network 1 is flat
+        L[7, 0, :] = -1500.0  # only network 1 sees sample 7, at e^-668 ~ 1e-290
+        L[7, 1, :] = -668.0
+        shift = shift_to_pdf(L)
+        assert shift[7] == -668.0 and np.all(L[7, 1] == 1.0) and np.all(L[7, 0] == 0.0)
         uniform = np.full(2, math.sqrt(0.5))
-        assert np.isfinite(_loss_from_pdf(P, labels, uniform))
         # a first step of arc length pi/4 lands next to the vertex of network 0
-        # (alpha_1 ~ 5e-32), where sample 7's scores fall to ~5e-322 < _SCORE_EPS
-        eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(P, labels, uniform))
-        with pytest.raises(DegenerateScores, match="for sample 7$"):
-            fit_weights_from_pdf(P, labels, eta=eta, max_iters=1)
+        # (alpha_1 ~ 5e-32): sample 7's scores are ~5e-32, where unshifted
+        # they were ~5e-322 and aborted the descent as underflowed
+        eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(L, labels, uniform))
+        w, meta = fit_weights_from_pdf(L, labels, eta=eta, max_iters=1)
+        assert 0.0 < w.alpha[1] < 1e-30
+        assert np.isfinite(meta["final_loss"]) and meta["final_loss"] < meta["uniform_loss"]
 
 
 class TestDescentDiagnostics:
@@ -721,9 +776,12 @@ class TestEvaluateDensityAccuracies:
         batch = grassmann_batch(rng, (4, 6), 3, 60)
         model = fit_ensemble(batch, 3, "kde")
         result = evaluate(model, batch)
-        assert result["density_argmax_accuracy"] == [
-            density_argmax_accuracy(model, batch, i) for i in range(model.m)
-        ]
+        expected = []
+        for i, row in enumerate(model.densities):
+            log_p = np.column_stack([d.log_pdf_batch(batch.features[i]) for d in row])
+            expected.append(float(np.mean(np.argmax(log_p, axis=1) == batch.labels)))
+        assert result["density_argmax_accuracy"] == expected
+        assert result["standalone_accuracy"] == expected
 
 
 class TestDeskWeightsPinned:
@@ -745,6 +803,11 @@ class TestDeskWeightsPinned:
             densities=model.densities, weights=MixtureWeights.uniform(model.m), fit_meta={},
         )
         assert evaluate(uniform, desk_suite["test"])["accuracy"] == 1.0
+
+    def test_evaluate_reports_uniform_accuracy(self, desk_suite, fitted_models):
+        # the collapse is visible in one evaluate: learned 0.695, uniform 1.000
+        result = evaluate(fitted_models["parametric"]["model"], desk_suite["test"])
+        assert (result["accuracy"], result["uniform_accuracy"]) == (0.695, 1.0)
 
     def test_kde_keeps_many_networks(self, fitted_models):
         meta = fitted_models["kde"]["model"].fit_meta

@@ -295,6 +295,13 @@ def corrupt_blob(blob: dict, how: str):
 BLOB_DAMAGE = ["invalid base64", "truncated", "wrong shape"]
 
 
+def poison_blob(blob: dict):
+    """Set the first value of a blob's array (of a KDE support, its first row) to NaN."""
+    values = np.frombuffer(base64.b64decode(blob["f8"]), dtype="<f8").copy()
+    values[0] = np.nan
+    blob["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 class TestModelRoundTrip:
     def test_descent_diagnostics_survive(self):
         model, _ = small_fitted_model(np.random.default_rng(2), m=3)
@@ -423,6 +430,17 @@ class TestSchema2:
         model, _ = small_fitted_model(np.random.default_rng(8))
         doc = json.loads(save_model(model))
         corrupt_blob(doc["alpha_tilde"] if field == "alpha_tilde" else doc["densities"][0][0]["mu"], how)
+        with pytest.raises(CorruptModel):
+            load_model(json.dumps(doc).encode("utf-8"))
+
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
+    def test_non_finite_array_is_corrupt(self, field, space):
+        # a NaN norm passed the unit-vector check, and a NaN support row loaded
+        kind = "kde" if field == "support" else "parametric"
+        model, _ = small_fitted_model(np.random.default_rng(9), kind=kind, space=space)
+        doc = json.loads(save_model(model))
+        poison_blob(doc[field] if field == "alpha_tilde" else doc["densities"][1][0][field])
         with pytest.raises(CorruptModel):
             load_model(json.dumps(doc).encode("utf-8"))
 

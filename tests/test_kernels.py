@@ -1,5 +1,7 @@
 """The numpy kernels against independent fsum references, the row-block
-split, and the backend name the package reports."""
+split, the log sums of rows whose every term underflows, and the backend
+name the package reports. ``kernel_sums`` returns logs, which are compared
+with the log of the fsum reference at the same relative tolerance."""
 
 import json
 import math
@@ -63,7 +65,7 @@ class TestAgainstReference:
             )
             for row in data["eval"]
         ]
-        np.testing.assert_allclose(got, expected, rtol=1e-13)
+        np.testing.assert_allclose(got, np.log(expected), rtol=1e-13)
 
     def test_sums_match_fsum_over_many_magnitudes(self):
         # 2e4 support terms from about 1 down to about 1e-214.
@@ -78,7 +80,7 @@ class TestAgainstReference:
             for k in range(3)
         ]
         np.testing.assert_allclose(
-            _kernels.kernel_sums(eval_pts, support, inv), expected, rtol=1e-13
+            _kernels.kernel_sums(eval_pts, support, inv), np.log(expected), rtol=1e-13
         )
         assert _kernels.kernel_total(support, eval_pts[0], inv) == pytest.approx(
             expected[0], rel=1e-13
@@ -101,17 +103,47 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("absolute", [False, True])
     def test_one_centre_adapters(self, data, absolute):
-        # kernel_values and kernel_total are the one-centre kernel_sums, bit for bit
+        # kernel_values and kernel_total are the exp of the one-centre
+        # kernel_sums, bit for bit
         inv = 1.0 / (2 * 0.35**2)
-        sums = _kernels.kernel_sums(
+        sums = np.exp(_kernels.kernel_sums(
             data["eval"], data["center"][None, :], inv, absolute=absolute
-        )
+        ))
         np.testing.assert_array_equal(
             _kernels.kernel_values(data["eval"], data["center"], inv, absolute=absolute), sums
         )
         assert _kernels.kernel_total(
             data["eval"], data["center"], inv, absolute=absolute
         ) == float(sums.sum())
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_underflowing_rows(self, data, absolute):
+        # at this width every term of every row is below 1e-300: the linear
+        # sums are 0 or subnormal, the log sums are those of the fsum of the
+        # terms with each row's largest term factored out
+        inv = 1.0 / (2 * 0.005**2)
+        got = _kernels.kernel_sums(data["eval"], data["support"], inv, absolute=absolute)
+        for row, value in zip(data["eval"], got):
+            logs = [-oracles.ref_arc(row, s if not absolute or row @ s >= 0 else -s) ** 2 * inv
+                    for s in data["support"]]
+            top = max(logs)
+            assert top < math.log(1e-300)
+            assert value == pytest.approx(
+                top + math.log(math.fsum(math.exp(a - top) for a in logs)), rel=1e-13)
+
+    def test_only_low_rows_are_recomputed(self):
+        # row 0 sums to about 1e-261 and keeps its linear sum, in which the
+        # terms that underflowed are lost below an ulp; row 1's largest term
+        # is about 1e-304, under |support| * 2^-1022 / eps, and is factored out
+        support = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        angle = math.sqrt(600.0 / 500.0), math.sqrt(700.0 / 500.0)
+        eval_pts = np.array([[math.cos(a), 0.0, math.sin(a)] for a in angle])
+        got = _kernels.kernel_sums(eval_pts, support, 500.0)
+        terms = -(np.arccos(np.clip(eval_pts @ support.T, -1.0, 1.0)) ** 2) * 500.0
+        assert got[0] == math.log(float(np.exp(terms[0]).sum()))
+        assert np.exp(terms[1]).sum() < 2 * _kernels._LOW_SUM
+        assert got[1] == pytest.approx(
+            terms[1].max() + math.log(math.fsum(np.exp(terms[1] - terms[1].max()))), rel=1e-15)
 
     def test_absolute_flag(self, data):
         flipped = data["eval"].copy()
