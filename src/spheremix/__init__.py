@@ -13,6 +13,7 @@ from ._kernels import backend as kernel_backend
 from .density import (
     GaussianDensity,
     KernelDensity,
+    empirical_normalizer,
     fit_gaussian,
     fit_kde,
     silverman_bandwidth,
@@ -23,19 +24,17 @@ from .ensemble import (
     EnsembleModel,
     LabeledBatch,
     MixtureWeights,
-    class_scores,
-    ensemble_probability,
+    ensemble_probability_batch,
     evaluate,
     fit_densities,
     fit_ensemble,
     fit_weights,
     label_distance,
     loss,
-    predict,
+    predict_batch,
 )
 from .estimators import (
     SampleSet,
-    empirical_normalizer,
     incremental_frechet_mean,
     sample_sigma,
 )
@@ -46,8 +45,8 @@ __all__ = [
     "kernel_backend",
     "GaussianDensity", "KernelDensity", "fit_gaussian", "fit_kde", "silverman_bandwidth",
     "KDE", "PARAMETRIC", "EnsembleModel", "LabeledBatch", "MixtureWeights",
-    "class_scores", "ensemble_probability", "evaluate", "fit_densities",
-    "fit_ensemble", "fit_weights", "label_distance", "loss", "predict",
+    "ensemble_probability_batch", "evaluate", "fit_densities",
+    "fit_ensemble", "fit_weights", "label_distance", "loss", "predict_batch",
     "SampleSet", "empirical_normalizer", "incremental_frechet_mean", "sample_sigma",
     "GrassmannPoint", "gr_distance", "gr_embed",
     "SpherePoint", "TangentVector", "arc_distance", "exp_map", "geodesic",

@@ -183,8 +183,6 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
 def predict(model_file, tables, out_path):
     """Predict classes for new samples under a fitted model."""
     model = load_model_file(model_file)
-    if len(tables) != model.m:
-        raise DimensionMismatch(f"{len(tables)} tables for a model with m={model.m}")
     features, _ = load_split(tables, model.space)
     # one scoring pass; each written class is the argmax of its written row
     probs = ensemble_probability_batch(model, features)
@@ -207,8 +205,6 @@ def predict(model_file, tables, out_path):
 def evaluate_cmd(model_file, tables, labels_path, report_path):
     """Compare ensemble accuracy against the constituent networks."""
     model = load_model_file(model_file)
-    if len(tables) != model.m:
-        raise DimensionMismatch(f"{len(tables)} tables for a model with m={model.m}")
     features, _ = load_split(tables, model.space)
     labels = load_labels(labels_path, model.c)
     batch = LabeledBatch(features, labels, model.space)

@@ -11,11 +11,11 @@ Non-parametric model: a kernel density estimate whose centres are the
 retained class features F, width b = (4 sigma^5 / (3 |F|))^(1/5) (Silverman).
 
 C is the *empirical* normalizer: C / |centres| inverts the kernel mass the
-centres give the network's whole training set (all classes). For the
-Gaussian that is `estimators.empirical_normalizer`; the analytic sphere
-constant is intractable and never needed. A KDE support point evaluates its
-own kernel term (self-inclusion, no leave-one-out), exactly as the
-normalizer's double sum is written. `pdf`/`pdf_batch` are the exp of
+centres give the network's whole training set (all classes). `_normalized`
+alone computes it, and `empirical_normalizer` is its one-centre case; the
+analytic sphere constant is intractable and never needed. A KDE support
+point evaluates its own kernel term (self-inclusion, no leave-one-out),
+exactly as the normalizer's double sum is written. `pdf`/`pdf_batch` are the exp of
 `log_pdf_batch`, which stays finite where a density underflows to 0.
 """
 
@@ -28,14 +28,8 @@ import numpy as np
 
 from . import _kernels
 from ._points import GRASSMANN, infer_space, point_vector, stack_points
-from .errors import DimensionMismatch, EmptySampleSet
-from .estimators import (
-    DEFAULT_SIGMA_FLOOR,
-    SampleSet,
-    empirical_normalizer,  # not called here; pipebench/tracing.py patches this name
-    incremental_frechet_mean,
-    sample_sigma,
-)
+from .errors import DimensionMismatch, EmptySampleSet, NumericError
+from .estimators import DEFAULT_SIGMA_FLOOR, SampleSet, incremental_frechet_mean, sample_sigma
 
 
 class _KernelSum:
@@ -127,15 +121,26 @@ def _normalized(density, all_network_train, out: np.ndarray | None):
     """``density`` with its empirical normalizer: |centres| over the kernel
     mass the centres give every training row of the network. When ``out`` is
     given, the fitted log density at each of those rows is written into it
-    from the same sums, bit-equal to ``log_pdf_batch(all_network_train)``."""
+    from the same sums, bit-equal to ``log_pdf_batch(all_network_train)``.
+    A mass with no finite inverse (one that underflowed to 0) is NumericError."""
     train = stack_points(all_network_train)
     if train.size == 0:
         raise EmptySampleSet("the normalizer needs a non-empty training set")
     log_sums = density._log_sums(train)
-    normalizer = len(density.centres) / float(np.exp(log_sums).sum())
+    mass = float(np.exp(log_sums).sum())
+    normalizer = len(density.centres) / mass if mass > 0.0 else math.inf
+    if not math.isfinite(normalizer):
+        raise NumericError(
+            f"no finite normalizer: {density._width_name} {density.width!r}, kernel mass {mass!r}")
     if out is not None:
         np.add(math.log(normalizer / len(density.centres)), log_sums, out=out)
     return replace(density, normalizer=normalizer)
+
+
+def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
+    """Inverse kernel mass of the unnormalized Gaussian at mu over the whole
+    training set of a network: [sum_I exp(-d^2(x_I, mu)/2 sigma^2)]^-1."""
+    return _normalized(GaussianDensity(mu, sigma, 1.0), all_train_points, None).normalizer
 
 
 def fit_gaussian(

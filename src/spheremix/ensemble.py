@@ -27,8 +27,10 @@ of ``pdf_grid``/``fit_densities`` into exp(log p - max_k) in place, max_k
 being sample k's largest. Scores, probabilities, argmax and the loss ignore
 that alpha-free factor per sample, and no row underflows. ``_scores`` is the
 one scoring routine and raises DegenerateScores for a non-finite or all-zero
-row. The tensor is stored sample x class x network, so its (n*c, m) matrix
-view is free and each weighted sum over the networks (the scores, and the
+row. ``predict_batch`` and ``ensemble_probability_batch``, the scoring API,
+take one (n, d_i) table per network; ``pdf_grid`` checks their count and rows.
+The tensor is stored sample x class x network, so its (n*c, m) matrix view
+is free and each weighted sum over the networks (the scores, and the
 gradient's sum over samples and classes) is one matrix-vector product.
 """
 
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._points import GRASSMANN, SPHERE, point_vector
+from ._points import GRASSMANN, SPHERE
 from .density import fit_gaussian, fit_kde
 from .errors import (
     DegenerateScores,
@@ -237,13 +239,19 @@ def _row_norms(scores: np.ndarray) -> np.ndarray:
 
 def pdf_grid(densities, features) -> np.ndarray:
     """(n, m, c) tensor of log p_ij(x_i) values for a batch of features,
-    stored sample x class x network (see ``_empty_pdf_tensor``)."""
+    stored sample x class x network (see ``_empty_pdf_tensor``).
+    ``features`` holds one (n, d_i) table per network; DimensionMismatch
+    names a missing or extra table and one whose rows or width disagree."""
     m = len(densities)
     c = len(densities[0])
+    if len(features) != m:
+        raise DimensionMismatch(f"{len(features)} tables for a model with m={m}")
     n = features[0].shape[0]
     out = _empty_pdf_tensor(n, m, c)
     for i in range(m):
         fi = features[i]
+        if fi.shape[0] != n:
+            raise DimensionMismatch(f"network {i} table has {fi.shape[0]} rows, expected {n}")
         if fi.shape[1] != densities[i][0].dim:
             raise DimensionMismatch(
                 f"network {i} features have dimension {fi.shape[1]}, "
@@ -254,12 +262,6 @@ def pdf_grid(densities, features) -> np.ndarray:
     return out
 
 
-def _batch_features(model: EnsembleModel, sample) -> list:
-    if len(sample) != model.m:
-        raise DimensionMismatch(f"{len(sample)} per-network points for m={model.m}")
-    return [point_vector(p)[None, :] for p in sample]
-
-
 def _shifted_scores(model: EnsembleModel, features):
     """(n, c) scores of a batch, each sample divided by its largest density,
     and the log of that density."""
@@ -268,30 +270,15 @@ def _shifted_scores(model: EnsembleModel, features):
     return _scores(_pdf_matrix(P), model.weights.alpha, model.c), shift
 
 
-def class_scores(model: EnsembleModel, sample) -> np.ndarray:
-    """Unnormalized per-class scores sum_i alpha_i p_ij(x_i) for one sample;
-    they underflow to 0 where the densities do."""
-    scores, shift = _shifted_scores(model, _batch_features(model, sample))
-    return scores[0] * np.exp(shift[0])
-
-
 def ensemble_probability_batch(model: EnsembleModel, features) -> np.ndarray:
+    """Each sample's class scores normalized to a probability vector."""
     scores, _ = _shifted_scores(model, features)
     return scores / scores.sum(axis=1)[:, None]
 
 
-def ensemble_probability(model: EnsembleModel, sample) -> np.ndarray:
-    """Scores normalized to a probability vector over the c classes."""
-    return ensemble_probability_batch(model, _batch_features(model, sample))[0]
-
-
 def predict_batch(model: EnsembleModel, features) -> np.ndarray:
+    """argmax_j of each sample's class scores; ties go to the smallest j."""
     return np.argmax(_shifted_scores(model, features)[0], axis=1)
-
-
-def predict(model: EnsembleModel, sample) -> int:
-    """argmax_j of the class scores; ties go to the smallest class index."""
-    return int(predict_batch(model, _batch_features(model, sample))[0])
 
 
 def label_distance(y: int, p) -> float:
@@ -484,13 +471,6 @@ def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
 # -- fitting and evaluation ------------------------------------------------------
 
 
-def _check_batch(model: EnsembleModel, batch: LabeledBatch):
-    if batch.m != model.m:
-        raise DimensionMismatch(f"batch has {batch.m} networks, model has {model.m}")
-    if np.any(batch.labels >= model.c):
-        raise LabelOutOfRange(f"labels must lie in [0, {model.c})")
-
-
 def fit_densities(
     batch: LabeledBatch,
     c: int,
@@ -578,7 +558,8 @@ def fit_ensemble(
 
 def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
     """``score_report`` of the model on a batch, from one pdf tensor."""
-    _check_batch(model, batch)
+    if np.any(batch.labels >= model.c):
+        raise LabelOutOfRange(f"labels must lie in [0, {model.c})")
     L = pdf_grid(model.densities, batch.features)
     density_accuracies = density_argmax_accuracies(L, batch.labels)
     shift_to_pdf(L)

@@ -17,10 +17,9 @@ calls it once per feature width). ``incremental_frechet_mean`` is its
 one-cell case.
 
 Dispersion is the RMS geodesic distance to the mean, floored to keep the
-downstream 1/sigma^2 finite. The empirical normalizer inverts the kernel mass
-that the unnormalized Gaussian accumulates over the *entire* training set of
-a network (all classes), which is what makes unequal class dispersions
-comparable.
+downstream 1/sigma^2 finite. The empirical normalizer, which makes unequal
+class dispersions comparable, is fitted with each density
+(``density._normalized``).
 """
 
 from __future__ import annotations
@@ -99,16 +98,3 @@ def sample_sigma(samples: SampleSet, mu, *, sigma_floor: float = DEFAULT_SIGMA_F
     )
     sigma = math.sqrt(math.fsum(d * d) / len(d))
     return max(sigma, sigma_floor)
-
-
-def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
-    """Inverse kernel mass of the unnormalized Gaussian at mu over the whole
-    training set of a network: [sum_I exp(-d^2(x_I, mu)/2 sigma^2)]^-1."""
-    pts = stack_points(all_train_points)
-    if pts.size == 0:
-        raise EmptySampleSet("empirical normalizer needs a non-empty training set")
-    log_sums = _kernels.kernel_sums(
-        pts, point_vector(mu)[None, :], 1.0 / (2.0 * sigma * sigma),
-        absolute=infer_space(mu) == GRASSMANN,
-    )
-    return 1.0 / float(np.exp(log_sums).sum())

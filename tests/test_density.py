@@ -8,11 +8,12 @@ from conftest import load_fixture
 from spheremix.density import (
     GaussianDensity,
     KernelDensity,
+    empirical_normalizer,
     fit_gaussian,
     fit_kde,
     silverman_bandwidth,
 )
-from spheremix.errors import DimensionMismatch
+from spheremix.errors import DimensionMismatch, NumericError
 from spheremix.estimators import SampleSet
 from spheremix.grassmann import GrassmannPoint
 from spheremix.sphere import SpherePoint
@@ -206,3 +207,33 @@ class TestFitKde:
         d = fit_kde(sample_set(rows), rows)
         for _ in range(20):
             assert d.pdf(oracles.positive_quadrant_point(rng, 3)) > 0.0
+
+
+class TestNormalizerUnderflow:
+    """A cell near [1, 0] against training rows near [0, 1]: at a narrow
+    width every kernel term underflows, the mass is 0 and has no inverse.
+    ``fit`` never meets this, because a cell's own rows are in its training
+    set, but each public fitting function can."""
+
+    ANGLES = (0.01, 0.02, 0.03)
+    CELL = [[math.cos(a), math.sin(a)] for a in ANGLES]
+    FAR = np.asarray([[math.sin(a), math.cos(a)] for a in ANGLES])
+
+    @pytest.mark.parametrize("fit, width", [(fit_gaussian, "sigma"), (fit_kde, "bandwidth")])
+    def test_fit_names_the_width(self, fit, width):
+        message = f"^no finite normalizer: {width} .*, kernel mass 0.0$"
+        with pytest.raises(NumericError, match=message):
+            fit(sample_set(self.CELL), self.FAR)
+
+    def test_empirical_normalizer(self):
+        message = "^no finite normalizer: sigma 0.01, kernel mass 0.0$"
+        with pytest.raises(NumericError, match=message):
+            empirical_normalizer(self.FAR, SpherePoint([1.0, 0.0]), 0.01)
+
+    def test_subnormal_mass(self):
+        # one row whose kernel term is about e^-713: a mass above 0 whose
+        # inverse overflows
+        a = math.sqrt(713.0 * 2.0 * 0.05**2)
+        message = r"^no finite normalizer: sigma 0\.05, kernel mass \S+e-3\d\d$"
+        with pytest.raises(NumericError, match=message):
+            empirical_normalizer([[math.cos(a), math.sin(a)]], SpherePoint([1.0, 0.0]), 0.05)

@@ -10,8 +10,6 @@ from spheremix.ensemble import (
     EnsembleModel,
     LabeledBatch,
     MixtureWeights,
-    class_scores,
-    ensemble_probability,
     ensemble_probability_batch,
     evaluate,
     fit_densities,
@@ -21,11 +19,12 @@ from spheremix.ensemble import (
     label_distance,
     loss,
     pdf_grid,
-    predict,
     predict_batch,
     riemannian_gradient,
     shift_to_pdf,
     _loss_from_pdf,
+    _Objective,
+    _shifted_scores,
 )
 from spheremix import _kernels, density
 from spheremix.errors import (
@@ -47,6 +46,11 @@ def gaussian_grid(params):
         [GaussianDensity(mu=SpherePoint(mu), sigma=s, normalizer=n) for mu, s, n in row]
         for row in params
     ]
+
+
+def one_row(sample):
+    """A one-sample batch: the (1, d) table of each network's point."""
+    return [SpherePoint(v).coords[None, :] for v in sample]
 
 
 def model_from_fixture(fx, alpha=None):
@@ -83,24 +87,26 @@ class TestScoring:
             kind="parametric", space="sphere", m=1, c=2,
             densities=grid, weights=MixtureWeights.uniform(1), fit_meta={},
         )
-        sample = [SpherePoint(fx["inputs"]["sample"][0])]
-        scores = class_scores(model, sample)
-        expected = [grid[0][j].pdf(sample[0]) for j in range(2)]
-        np.testing.assert_allclose(scores, expected, rtol=1e-15)
+        features = one_row(fx["inputs"]["sample"][:1])
+        s, h = _shifted_scores(model, features)
+        expected = [grid[0][j].pdf(features[0][0]) for j in range(2)]
+        np.testing.assert_allclose(s[0] * np.exp(h[0]), expected, rtol=1e-15)
 
     def test_zero_weight_annihilates(self):
         fx = load_fixture("class_scores")
         model = model_from_fixture(fx, alpha=[1.0, 0.0])
-        sample = [SpherePoint(p) for p in fx["inputs"]["sample"]]
-        scores = model.densities[0][0].pdf(sample[0]), model.densities[0][1].pdf(sample[0])
-        np.testing.assert_allclose(class_scores(model, sample), scores, rtol=1e-15)
+        features = one_row(fx["inputs"]["sample"])
+        x = features[0][0]
+        scores = model.densities[0][0].pdf(x), model.densities[0][1].pdf(x)
+        s, h = _shifted_scores(model, features)
+        np.testing.assert_allclose(s[0] * np.exp(h[0]), scores, rtol=1e-15)
 
     def test_manual_weighted_sum_fixture(self):
         fx = load_fixture("class_scores")
         model = model_from_fixture(fx)
-        sample = [SpherePoint(p) for p in fx["inputs"]["sample"]]
+        s, h = _shifted_scores(model, one_row(fx["inputs"]["sample"]))
         np.testing.assert_allclose(
-            class_scores(model, sample), fx["expected"]["scores"],
+            s[0] * np.exp(h[0]), fx["expected"]["scores"],
             rtol=0, atol=fx["tolerance"],
         )
 
@@ -108,16 +114,17 @@ class TestScoring:
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
         for sample in fx["inputs"]["samples"]:
-            p = ensemble_probability(model, [SpherePoint(v) for v in sample])
+            p = ensemble_probability_batch(model, one_row(sample))[0]
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p >= 0.0)
 
     def test_probability_proportional_to_scores(self):
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
-        sample = [SpherePoint(v) for v in fx["inputs"]["samples"][0]]
-        s = class_scores(model, sample)
-        p = ensemble_probability(model, sample)
+        features = one_row(fx["inputs"]["samples"][0])
+        s, h = _shifted_scores(model, features)
+        s = s[0] * np.exp(h[0])
+        p = ensemble_probability_batch(model, features)[0]
         np.testing.assert_allclose(p, s / s.sum(), rtol=0, atol=1e-15)
 
     def test_predict_tie_breaks_to_smallest(self):
@@ -127,10 +134,10 @@ class TestScoring:
         model = EnsembleModel(kind="parametric", space="sphere", m=1, c=2,
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
         s = 1.0 / math.sqrt(2.0)
-        diagonal = [SpherePoint([s, s])]
-        scores = class_scores(model, diagonal)
-        assert scores[0] == scores[1]
-        assert predict(model, diagonal) == 0
+        diagonal = one_row([[s, s]])
+        scores, _ = _shifted_scores(model, diagonal)
+        assert scores[0, 0] == scores[0, 1]
+        assert predict_batch(model, diagonal)[0] == 0
 
     def test_predict_separable_means(self):
         # densities whose means are the test points classify them perfectly
@@ -142,13 +149,13 @@ class TestScoring:
         model = EnsembleModel(kind="parametric", space="sphere", m=1, c=c,
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
         for j in range(c):
-            assert predict(model, [SpherePoint(mus[j])]) == j
+            assert predict_batch(model, one_row([mus[j]]))[0] == j
 
     def test_scaling_argmax_invariance(self):
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
-        sample = [SpherePoint(v) for v in fx["inputs"]["samples"][1]]
-        s = class_scores(model, sample)
+        s, h = _shifted_scores(model, one_row(fx["inputs"]["samples"][1]))
+        s = s[0] * np.exp(h[0])
         assert int(np.argmax(s)) == int(np.argmax(1234.5 * s))
 
     def test_degenerate_scores(self):
@@ -160,8 +167,8 @@ class TestScoring:
         model = EnsembleModel(kind="parametric", space="sphere", m=1, c=2,
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
         assert grid[0][0].pdf([0.0, 1.0]) == 0.0
-        np.testing.assert_array_equal(ensemble_probability(model, [SpherePoint([0.0, 1.0])]),
-                                      [0.5, 0.5])
+        np.testing.assert_array_equal(ensemble_probability_batch(model, one_row([[0.0, 1.0]])),
+                                      [[0.5, 0.5]])
         features = [np.asarray([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])]
         probs = ensemble_probability_batch(model, features)
         np.testing.assert_array_equal(probs, np.full((4, 2), 0.5))
@@ -203,6 +210,43 @@ class TestScoring:
         probs = ensemble_probability_batch(model, features)
         assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
         assert predict_batch(model, features)[0] == int(np.argmax(probs))
+
+
+class TestBatchShape:
+    """Every scoring path reaches ``pdf_grid``, which checks that a batch has
+    one table per network and that the tables agree on their rows: an extra
+    table is not dropped, a missing or short one fails by name."""
+
+    @staticmethod
+    def tables(desk_suite, case):
+        features = list(desk_suite["test"].features)
+        if case == "extra":
+            features.append(features[0])
+        elif case == "missing":
+            features.pop()
+        else:
+            features[5] = features[5][:500]
+        return features
+
+    MESSAGES = {
+        "extra": "^21 tables for a model with m=20$",
+        "missing": "^19 tables for a model with m=20$",
+        "short": "^network 5 table has 500 rows, expected 1000$",
+    }
+
+    @pytest.mark.parametrize("case", ["extra", "missing", "short"])
+    @pytest.mark.parametrize("score", [predict_batch, ensemble_probability_batch])
+    def test_mismatched_tables(self, desk_suite, fitted_models, score, case):
+        model = fitted_models["parametric"]["model"]
+        with pytest.raises(DimensionMismatch, match=self.MESSAGES[case]):
+            score(model, self.tables(desk_suite, case))
+
+    @pytest.mark.parametrize("case", ["extra", "missing"])
+    def test_evaluate_network_count(self, desk_suite, fitted_models, case):
+        model = fitted_models["parametric"]["model"]
+        batch = LabeledBatch(self.tables(desk_suite, case), desk_suite["test"].labels)
+        with pytest.raises(DimensionMismatch, match=self.MESSAGES[case]):
+            evaluate(model, batch)
 
 
 class TestLabelDistance:
@@ -831,3 +875,15 @@ class TestDeskDescentStops:
         assert meta["iterations_run"] < 1000
         assert meta["grad_norm"] < 1e-6
         assert meta["final_loss"] <= self.FIXED_ETA_LOSS[kind]
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_no_worse_than_uniform_or_any_vertex(self, desk_suite, fitted_models, kind):
+        # the parametric optimum is the vertex of net 02 (0.9608514120), the
+        # KDE one lies inside the simplex (0.1968 against uniform 0.2192 and
+        # best vertex 0.4099); at the default stop the parametric loss is
+        # still 8e-8 above its vertex, so only the benchmark stop is checked
+        P, labels = fitted_models[kind]["P_train"], desk_suite["train"].labels
+        _, meta = fit_weights(P, desk_suite["train"], max_iters=1000, tol=1e-300)
+        objective = _Objective(P, labels)
+        vertices = [objective.at(e).loss for e in np.eye(P.shape[1])]
+        assert meta["final_loss"] <= min(meta["uniform_loss"], *vertices) * (1 + 1e-12)

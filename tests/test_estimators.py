@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from conftest import load_fixture
+from spheremix.density import empirical_normalizer
 from spheremix.errors import AntipodalPoints, EmptySampleSet
 from spheremix.estimators import (
     SampleSet,
-    empirical_normalizer,
     incremental_frechet_mean,
     sample_sigma,
 )
@@ -170,3 +170,9 @@ class TestEmpiricalNormalizer:
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleSet):
             empirical_normalizer(np.empty((0, 3)), SpherePoint([1, 0, 0]), 0.5)
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.5])
+    def test_non_positive_sigma_rejected(self, sigma):
+        mu = SpherePoint([1, 0, 0])
+        with pytest.raises(ValueError, match="^sigma must be positive$"):
+            empirical_normalizer([mu.coords], mu, sigma)
