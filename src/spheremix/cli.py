@@ -35,7 +35,7 @@ from .ensemble import (
     shift_to_pdf,
 )
 from .errors import DimensionMismatch, InvalidConfig, SpheremixError
-from .io import load_labels, load_model_file, load_split, save_model_file
+from .io import load_labels, load_model_file, load_split, output_file, save_model_file
 from .synth import make_suite, parse_taus, write_suite
 
 
@@ -53,12 +53,13 @@ def _exit_on_error(fn):
 
 def _write_report(report_path, text: str, metrics: dict):
     path = Path(report_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with output_file(path) as fh:
+        fh.write(text)
     json_path = path.with_suffix(".json")
     if json_path == path:
         json_path = path.with_suffix(".metrics.json")
-    json_path.write_text(json.dumps(metrics, indent=1) + "\n", encoding="utf-8")
+    with output_file(json_path) as fh:
+        fh.write(json.dumps(metrics, indent=1) + "\n")
 
 
 def _load_batch(tables, labels_path, space: str, c: int | None):
@@ -187,9 +188,7 @@ def predict(model_file, tables, out_path):
     # one scoring pass; each written class is the argmax of its written row
     probs = ensemble_probability_batch(model, features)
     classes = np.argmax(probs, axis=1)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with output_file(out_path) as fh:
         for k, row in zip(classes, probs):
             fh.write(",".join([str(int(k))] + [repr(float(v)) for v in row]))
             fh.write("\n")

@@ -8,12 +8,18 @@ document with an explicit schema_version (2; version 1 is still read). Every
 float array is a blob {"shape": [...], "f8": base64 of its little-endian
 float64 bytes}, so deserialize(serialize(M)) reproduces every array bit for
 bit by construction; scalars are plain JSON numbers, which round-trip too.
+Model files are streamed: each array becomes a blob when the encoder reaches
+it and an array again when the parser closes it, so neither side holds more
+than one base64 string. Every output file is written through
+``output_file``, which replaces its target atomically.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +31,7 @@ from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights
 from .errors import (
     CorruptModel,
     EmptyBatch,
+    InvalidConfig,
     LabelOutOfRange,
     NegativeProbability,
     NotNormalized,
@@ -196,42 +203,86 @@ def load_split(table_paths, space: str = SPHERE):
     return [embed(t.values, out=t.values) for t in tables], tables
 
 
+# -- output files ----------------------------------------------------------------
+
+
+@contextmanager
+def output_file(path):
+    """A UTF-8 text file to write ``path`` through, creating its parent
+    directories. The text goes to a sibling temporary file that replaces
+    ``path`` only when the block exits cleanly, so a failed write leaves any
+    earlier file at ``path`` as it was and no temporary file behind. An
+    OSError (an output path that is a directory, a parent that is a file, no
+    permission, a full disk) raises InvalidConfig naming ``path``."""
+    path = Path(path)
+    tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
+    try:
+        with suppress(FileExistsError):  # a parent that is a file: open says so
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: cannot write: {exc.strerror or exc}") from None
+    finally:
+        with suppress(OSError):  # gone already after the replace
+            tmp.unlink()
+
+
 # -- model files -----------------------------------------------------------------
 
 
-def _blob(a: np.ndarray) -> dict:
-    """A float array as its shape and the base64 of its little-endian float64 bytes."""
+def _blob(a) -> dict:
+    """The JSON encoder's ``default`` hook: a float array as its shape and the
+    base64 of its little-endian float64 bytes. Anything else that JSON cannot
+    encode (a numpy integer in fit_meta, say) is a TypeError, not a blob."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"shape": list(a.shape), "f8": base64.b64encode(a).decode("ascii")}
 
 
-def _array(obj) -> np.ndarray:
-    """The float64 array of a blob (schema 2) or of a nested list (schema 1).
-    Bad base64, a byte count that is not a multiple of 8 and a shape that
-    does not hold the bytes raise ValueError."""
-    if isinstance(obj, dict):
-        raw = base64.b64decode(obj["f8"], validate=True)
-        return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
-    return np.asarray(obj, dtype=np.float64)
+def _unblob(obj: dict):
+    """The JSON parser's ``object_hook``: a blob becomes its float64 array as
+    soon as the parser closes it, so only one base64 string is held at a time.
+    Bad base64, a byte count that is not a multiple of 8 and a shape that does
+    not hold the bytes raise ValueError."""
+    if "f8" not in obj and "shape" not in obj:
+        return obj
+    raw = base64.b64decode(obj["f8"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
 
 
-def _density_to_dict(d) -> dict:
-    if isinstance(d, GaussianDensity):
-        vec = d.mu.rep if d.space == GRASSMANN else d.mu.coords
-        return {"mu": _blob(vec), "sigma": d.sigma, "normalizer": d.normalizer}
+def _document(model: EnsembleModel) -> dict:
+    """The model's JSON document with every float array still an ndarray;
+    ``_blob`` encodes each one when the encoder reaches it."""
+    def cell(d) -> dict:
+        if isinstance(d, GaussianDensity):
+            vec = d.mu.rep if d.space == GRASSMANN else d.mu.coords
+            return {"mu": vec, "sigma": d.sigma, "normalizer": d.normalizer}
+        return {"support": d.support.points, "bandwidth": d.bandwidth,
+                "normalizer": d.normalizer}
+
     return {
-        "support": _blob(d.support.points),
-        "bandwidth": d.bandwidth,
-        "normalizer": d.normalizer,
+        "schema_version": SCHEMA_VERSION,
+        "kind": model.kind,
+        "space": model.space,
+        "m": model.m,
+        "c": model.c,
+        "alpha": model.weights.alpha.tolist(),  # readable only; alpha_tilde is read back
+        "alpha_tilde": model.weights.alpha_tilde,
+        "fit_meta": model.fit_meta,
+        "densities": [[cell(d) for d in row] for row in model.densities],
     }
 
 
 def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
+    # a schema-2 array is already an ndarray; a schema-1 array is a nested list
     if kind == PARAMETRIC:
-        vec = _array(obj["mu"])
+        vec = np.asarray(obj["mu"], dtype=np.float64)
         mu = GrassmannPoint(vec) if space == GRASSMANN else SpherePoint(vec)
         return GaussianDensity(mu=mu, sigma=float(obj["sigma"]), normalizer=float(obj["normalizer"]))
-    support = SampleSet(_array(obj["support"]), space, network_id, class_id)
+    support = SampleSet(np.asarray(obj["support"], dtype=np.float64), space, network_id, class_id)
     return KernelDensity(
         support=support, bandwidth=float(obj["bandwidth"]), normalizer=float(obj["normalizer"])
     )
@@ -240,38 +291,27 @@ def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_
 def save_model(model: EnsembleModel) -> bytes:
     """Serialize a fitted model to its JSON document (UTF-8 bytes), on one
     line: without ``indent`` CPython runs its C encoder."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": model.kind,
-        "space": model.space,
-        "m": model.m,
-        "c": model.c,
-        "alpha": model.weights.alpha.tolist(),  # readable only; alpha_tilde is read back
-        "alpha_tilde": _blob(model.weights.alpha_tilde),
-        "fit_meta": model.fit_meta,
-        "densities": [[_density_to_dict(d) for d in row] for row in model.densities],
-    }
-    return (json.dumps(doc) + "\n").encode("utf-8")
+    return (json.dumps(_document(model), default=_blob) + "\n").encode("utf-8")
 
 
-def load_model(data: bytes) -> EnsembleModel:
-    """Rebuild an EnsembleModel from its JSON document (schema 1 or 2)."""
+def load_model(data) -> EnsembleModel:
+    """Rebuild an EnsembleModel from its JSON document (schema 1 or 2), given
+    as bytes or str."""
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModel(f"unreadable model file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CorruptModel("model file is not a JSON object")
-    if doc.get("schema_version") not in _READABLE_SCHEMAS:
-        raise SchemaMismatch(
-            f"model schema_version {doc.get('schema_version')!r}, supported: {_READABLE_SCHEMAS}"
-        )
-    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                         object_hook=_unblob)
+        if not isinstance(doc, dict):
+            raise CorruptModel("model file is not a JSON object")
+        if doc.get("schema_version") not in _READABLE_SCHEMAS:
+            raise SchemaMismatch(
+                f"model schema_version {doc.get('schema_version')!r}, "
+                f"supported: {_READABLE_SCHEMAS}"
+            )
         kind = doc["kind"]
         space = doc["space"]
         if kind not in (PARAMETRIC, KDE) or space not in (SPHERE, GRASSMANN):
             raise CorruptModel(f"unknown kind/space: {kind!r}/{space!r}")
-        weights = MixtureWeights(_array(doc["alpha_tilde"]))
+        weights = MixtureWeights(np.asarray(doc["alpha_tilde"], dtype=np.float64))
         densities = [
             [_density_from_dict(cell, kind, space, i, j) for j, cell in enumerate(row)]
             for i, row in enumerate(doc["densities"])
@@ -280,20 +320,31 @@ def load_model(data: bytes) -> EnsembleModel:
             kind=kind, space=space, m=int(doc["m"]), c=int(doc["c"]),
             densities=densities, weights=weights, fit_meta=dict(doc["fit_meta"]),
         )
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptModel(f"unreadable model file: {exc}") from None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
+        # a blob the parser could not decode lands here too
         raise CorruptModel(f"model file is missing or corrupts required fields: {exc}") from None
 
 
 def save_model_file(model: EnsembleModel, path):
-    """Write the bytes of ``save_model(model)`` to ``path``, creating its
-    parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(save_model(model))
+    """Write the bytes of ``save_model(model)`` to ``path`` through
+    ``output_file``: the encoder streams the document into the temporary file,
+    one blob at a time, and the file replaces ``path`` before this returns."""
+    with output_file(path) as fh:
+        json.dump(_document(model), fh, default=_blob)
+        fh.write("\n")
 
 
 def load_model_file(path) -> EnsembleModel:
-    p = Path(path)
-    if not p.exists():
-        raise CorruptModel(f"{path}: no such file")
-    return load_model(p.read_bytes())
+    """The model in the file at ``path``, whose text is read once. A path that
+    cannot be read (missing, a directory, no permission) is a CorruptModel
+    naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CorruptModel(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"unreadable model file: {exc}") from None
+    return load_model(text)

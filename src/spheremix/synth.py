@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
+from .io import output_file
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -84,14 +85,14 @@ def make_suite(seed: int, m: int, c: int, n_train: int, n_test: int, taus) -> di
 
 
 def _write_table(path: Path, rows: np.ndarray):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with output_file(path) as fh:
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
 
 
 def _write_labels(path: Path, labels: np.ndarray):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with output_file(path) as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")
 
@@ -103,7 +104,6 @@ def write_suite(suite: dict, outdir) -> dict:
     two label files.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     m = len(suite["train"])
     paths = {"train": [], "test": []}
     for i in range(m):

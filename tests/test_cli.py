@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spheremix import ensemble
+from spheremix import ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
@@ -447,6 +447,71 @@ class TestInspectCommand:
         assert f"uniform_loss={meta['uniform_loss']}" in result.output
         assert f"effective_networks={meta['effective_networks']}" in result.output
         assert f"loss_evaluations={meta['loss_evaluations']}" in result.output
+
+
+class TestPathErrors:
+    """An output path that cannot be written is a configuration error (2), a
+    model path that cannot be read a model error (4); both name the path."""
+
+    @pytest.fixture
+    def dir_and_file(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        return tmp_path / "dir", tmp_path / "file"
+
+    @pytest.mark.parametrize("out", ["dir", "file/m.json"])
+    def test_fit_out(self, runner, suite_dir, tmp_path, dir_and_file, out):
+        result = runner.invoke(main, [
+            "fit", *table_args("train", suite_dir, 3, "--train-table"),
+            "--labels", str(suite_dir / "train_labels.txt"), "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, result.output
+        assert f"InvalidConfig: {tmp_path / out}: cannot write" in result.output
+
+    def test_predict_out(self, runner, suite_dir, fitted, dir_and_file):
+        result = runner.invoke(main, [
+            "predict", "--model-file", str(fitted), *table_args("test", suite_dir, 3, "--table"),
+            "--out", str(dir_and_file[0])])
+        assert result.exit_code == 2 and "InvalidConfig" in result.output
+
+    def test_evaluate_report(self, runner, suite_dir, fitted, dir_and_file):
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(fitted), *table_args("test", suite_dir, 3, "--table"),
+            "--labels", str(suite_dir / "test_labels.txt"), "--report", str(dir_and_file[0])])
+        assert result.exit_code == 2 and "InvalidConfig" in result.output
+
+    def test_synth_outdir(self, runner, dir_and_file):
+        result = runner.invoke(main, [
+            "synth", "--outdir", str(dir_and_file[1]), "--m", "2", "--c", "3",
+            "--n-train", "30", "--n-test", "10"])
+        assert result.exit_code == 2 and "InvalidConfig" in result.output
+
+    @pytest.mark.parametrize("command", ["inspect", "predict"])
+    def test_model_file_is_a_directory(self, runner, suite_dir, dir_and_file, command):
+        args = [command, "--model-file", str(dir_and_file[0])]
+        if command == "predict":
+            args += [*table_args("test", suite_dir, 3, "--table"),
+                     "--out", str(dir_and_file[1].parent / "p.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert f"CorruptModel: {dir_and_file[0]}: cannot read" in result.output
+
+    def test_failed_fit_keeps_the_old_model(self, runner, suite_dir, tmp_path, monkeypatch):
+        result, model_path = run_fit(runner, suite_dir, tmp_path)
+        assert result.exit_code == 0
+        before = model_path.read_bytes()
+        blob, calls = io._blob, []
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == 4:
+                raise RuntimeError("encoder failed")
+            return blob(a)
+
+        monkeypatch.setattr(io, "_blob", failing)
+        result, _ = run_fit(runner, suite_dir, tmp_path, "--model", "kde")
+        assert isinstance(result.exception, RuntimeError) and len(calls) == 4
+        assert model_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def replace_first_cell(src, dst, lineno, cell):

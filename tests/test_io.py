@@ -1,16 +1,20 @@
 import base64
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from spheremix import io
 from spheremix.density import GaussianDensity
 from spheremix.ensemble import EnsembleModel, LabeledBatch, MixtureWeights, fit_ensemble, predict_batch
 from spheremix.errors import (
     CorruptModel,
     DimensionMismatch,
     EmptyBatch,
+    InvalidConfig,
     LabelOutOfRange,
     NegativeProbability,
     NotNormalized,
@@ -29,6 +33,7 @@ from spheremix.io import (
     load_model_file,
     load_output_table,
     load_split,
+    output_file,
     save_model,
     save_model_file,
 )
@@ -332,10 +337,14 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_file_bytes_equal_save_model(self, kind, tmp_path):
-        model, _ = small_fitted_model(np.random.default_rng(5), kind=kind)
+        # the file is streamed through json.dump; save_model runs the C encoder
         path = tmp_path / "model.json"
-        save_model_file(model, path)
-        assert path.read_bytes() == save_model(model)
+        path.write_text("an older model")
+        for space in ("sphere", "grassmann"):
+            model, _ = small_fitted_model(np.random.default_rng(5), kind=kind, space=space)
+            save_model_file(model, path)
+            assert path.read_bytes() == save_model(model)
+            assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_identical_predictions_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -383,9 +392,12 @@ class TestModelRoundTrip:
         with pytest.raises(SchemaMismatch):
             load_model(b'{"kind": "parametric"}')
 
-    def test_not_json(self):
+    def test_not_json(self, tmp_path):
         with pytest.raises(CorruptModel):
             load_model(b"\x00\xff garbage")
+        (tmp_path / "m.json").write_bytes(b"\x00\xff garbage")
+        with pytest.raises(CorruptModel, match="unreadable model file"):
+            load_model_file(tmp_path / "m.json")
 
     def test_missing_fields(self):
         for version in (1, 2):
@@ -395,6 +407,95 @@ class TestModelRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptModel):
             load_model_file(tmp_path / "absent.json")
+
+    def test_unreadable_path_names_it(self, tmp_path):
+        with pytest.raises(CorruptModel, match=re.escape(f"{tmp_path}: cannot read: ")):
+            load_model_file(tmp_path)
+
+    def test_text_document_loads(self):
+        model, _ = small_fitted_model(np.random.default_rng(4), kind="kde")
+        assert_same_model(load_model(save_model(model).decode("utf-8")), model)
+
+
+class TestModelFileWrite:
+    def test_default_hook_rejects_non_array(self, tmp_path):
+        # a numpy integer in fit_meta is an error, not a blob
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            io._blob(np.int64(3))
+        model, _ = small_fitted_model(np.random.default_rng(5))
+        model.fit_meta["iterations_run"] = np.int64(model.fit_meta["iterations_run"])
+        with pytest.raises(TypeError):
+            save_model(model)
+        with pytest.raises(TypeError):
+            save_model_file(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 5])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, fail_at):
+        model, _ = small_fitted_model(np.random.default_rng(5), m=3, kind="kde")
+        path = tmp_path / "model.json"
+        save_model_file(model, path)
+        before = path.read_bytes()
+        calls = []
+        blob = io._blob
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == fail_at:
+                raise RuntimeError("encoder failed")
+            return blob(a)
+
+        monkeypatch.setattr(io, "_blob", failing)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            save_model_file(model, path)
+        assert len(calls) == fail_at
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("target", ["a directory", "under a file"])
+    def test_unwritable_path_is_invalid_config(self, tmp_path, target):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("")
+        path = tmp_path / "d" if target == "a directory" else tmp_path / "f" / "m.json"
+        with pytest.raises(InvalidConfig, match=re.escape(f"{path}: cannot write: ")):
+            with output_file(path) as fh:
+                fh.write("x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated through Python and numpy while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestModelFileMemory:
+    """A save holds one blob at a time, and a load holds the text, the arrays
+    and one blob: about 3x the file size each before either streamed."""
+
+    @pytest.fixture(scope="class")
+    def kde_file(self, tmp_path_factory):
+        model, _ = small_fitted_model(np.random.default_rng(10), m=10, c=10, n=1000, kind="kde")
+        path = tmp_path_factory.mktemp("model") / "kde.json"
+        save_model_file(model, path)
+        assert path.stat().st_size >= 200_000
+        return model, path
+
+    def test_save_peak(self, kde_file):
+        model, path = kde_file
+        peak = traced_peak(lambda: save_model_file(model, path))
+        assert peak <= 0.1 * path.stat().st_size
+
+    def test_load_peak(self, kde_file):
+        model, path = kde_file
+        peak = traced_peak(lambda: load_model_file(path))
+        assert peak <= 2.2 * path.stat().st_size
+        assert_same_model(load_model_file(path), model)
 
 
 class TestSchema2:
