@@ -20,8 +20,7 @@ arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
 
 ``cell_means`` is the one implementation of the mean recursion. It moves
 every (network, class) cell of a fit in the same step, so a fit takes as
-many numpy steps as its largest class has rows; ``incremental_mean`` is its
-one-cell case.
+many numpy steps as its largest class has rows.
 """
 
 from __future__ import annotations
@@ -138,8 +137,3 @@ def cell_means(features, labels, c: int, *, sign_align: bool = False) -> np.ndar
         means[:, live] = np.where((theta < 1e-14)[..., None], m, step)
     return means
 
-
-def incremental_mean(pts, *, sign_align: bool = False) -> np.ndarray:
-    """The mean recursion over the rows of ``pts``: the one-cell ``cell_means``."""
-    pts = _as_matrix(pts)
-    return cell_means([pts], np.zeros(len(pts), dtype=np.int64), 1, sign_align=sign_align)[0, 0]

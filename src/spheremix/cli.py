@@ -35,7 +35,9 @@ from .ensemble import (
     shift_to_pdf,
 )
 from .errors import DimensionMismatch, InvalidConfig, SpheremixError
-from .io import load_labels, load_model_file, load_split, output_file, save_model_file
+from .io import (
+    check_writable, load_labels, load_model_file, load_split, output_file, save_model_file,
+)
 from .synth import make_suite, parse_taus, write_suite
 
 
@@ -51,13 +53,17 @@ def _exit_on_error(fn):
     return wrapper
 
 
-def _write_report(report_path, text: str, metrics: dict):
+def _report_paths(report_path) -> tuple:
+    """The text report's path and its JSON sibling's."""
     path = Path(report_path)
+    json_path = path.with_suffix(".json")
+    return path, json_path if json_path != path else path.with_suffix(".metrics.json")
+
+
+def _write_report(report_path, text: str, metrics: dict):
+    path, json_path = _report_paths(report_path)
     with output_file(path) as fh:
         fh.write(text)
-    json_path = path.with_suffix(".json")
-    if json_path == path:
-        json_path = path.with_suffix(".metrics.json")
     with output_file(json_path) as fh:
         fh.write(json.dumps(metrics, indent=1) + "\n")
 
@@ -101,25 +107,22 @@ def main():
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Stop when |dL| <= tol * max(1, L).")
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Seed for every random choice (KDE support subsampling).")
-@click.option("--sigma-floor", type=float, default=1e-3, show_default=True)
-@click.option("--kde-max-support", type=int, default=0, show_default=True,
-              help="Cap KDE support per class by seeded subsampling; 0 = unlimited.")
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker threads for per-(network, class) density fitting.")
 @_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
-        tol, seed, sigma_floor, kde_max_support, threads):
+        tol, threads):
     """Fit densities and mixture weights on training tables."""
-    _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads, classes)
+    if (not (0 < eta < math.inf and 0 < tol < math.inf) or max_iters < 1 or threads < 1
+            or (classes is not None and classes < 1)):
+        raise InvalidConfig(
+            "eta and tol must be positive and finite; max-iters, threads and classes >= 1")
+    for path in (out_path, *(_report_paths(report_path) if report_path else ())):
+        check_writable(path)
     batch, c = _load_batch(tables, labels_path, space, classes)
 
     t0 = time.perf_counter()
-    densities, P_train = fit_densities(
-        batch, c, kind, sigma_floor=sigma_floor,
-        kde_max_support=kde_max_support, seed=seed, threads=threads,
-    )
+    densities, P_train = fit_densities(batch, c, kind, threads=threads)
     # only the Grassmannian's standalone accuracies read the density classifier
     density_accuracies = (
         density_argmax_accuracies(P_train, batch.labels) if space == GRASSMANN else None)
@@ -127,9 +130,7 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
     t_densities = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    weights, meta = fit_weights(
-        P_train, batch, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
-    )
+    weights, meta = fit_weights(P_train, batch, eta=eta, max_iters=max_iters, tol=tol)
     t_weights = time.perf_counter() - t0
 
     model = EnsembleModel(kind=kind, space=space, m=batch.m, c=c,
@@ -276,7 +277,7 @@ def inspect(model_file):
     click.echo(
         f"fit:   eta={meta.get('eta')}  iterations={meta.get('iterations_run')}  "
         f"loss_evaluations={meta.get('loss_evaluations')}  "
-        f"final_loss={meta.get('final_loss')}  seed={meta.get('seed')}"
+        f"final_loss={meta.get('final_loss')}"
     )
     click.echo(
         f"       stop_reason={meta.get('stop_reason')}  grad_norm={meta.get('grad_norm')}  "
@@ -286,15 +287,6 @@ def inspect(model_file):
     click.echo("alpha (sorted):")
     for i in np.argsort(model.weights.alpha)[::-1]:
         click.echo(f"  net {i:02d}  alpha = {model.weights.alpha[i]:.6f}")
-
-
-def _validate_common(eta, max_iters, tol, sigma_floor, kde_max_support, threads, classes):
-    if (not all(0 < v < math.inf for v in (eta, tol, sigma_floor)) or max_iters < 1
-            or kde_max_support < 0 or threads < 1 or (classes is not None and classes < 1)):
-        raise InvalidConfig(
-            "eta, tol and sigma-floor must be positive and finite; kde-max-support >= 0; "
-            "max-iters, threads and classes >= 1"
-        )
 
 
 if __name__ == "__main__":

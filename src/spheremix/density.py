@@ -7,8 +7,8 @@ of centres, evaluated as a log density by `_kernels.kernel_sums` alone:
 
 Parametric model: a Gaussian in the geodesic distance, the one-centre case
 (centre mu = the incremental Fréchet mean, width sigma = RMS distance to it).
-Non-parametric model: a kernel density estimate whose centres are the
-retained class features F, width b = (4 sigma^5 / (3 |F|))^(1/5) (Silverman).
+Non-parametric model: a kernel density estimate whose centres are all the
+class features F, width b = (4 sigma^5 / (3 |F|))^(1/5) (Silverman).
 
 C is the *empirical* normalizer: C / |centres| inverts the kernel mass the
 centres give the network's whole training set (all classes). `_normalized`
@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from ._points import GRASSMANN, infer_space, point_vector, stack_points
 from .errors import DimensionMismatch, EmptySampleSet, NumericError
-from .estimators import DEFAULT_SIGMA_FLOOR, SampleSet, incremental_frechet_mean, sample_sigma
+from .estimators import SampleSet, incremental_frechet_mean, sample_sigma
 
 
 class _KernelSum:
@@ -147,7 +147,6 @@ def fit_gaussian(
     class_samples: SampleSet,
     all_network_train,
     *,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     out: np.ndarray | None = None,
     mu=None,
 ) -> GaussianDensity:
@@ -161,7 +160,7 @@ def fit_gaussian(
     """
     if mu is None:
         mu = incremental_frechet_mean(class_samples)
-    sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
+    sigma = sample_sigma(class_samples, mu)
     return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
 
 
@@ -169,29 +168,13 @@ def fit_kde(
     class_samples: SampleSet,
     all_network_train,
     *,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-    max_support: int = 0,
-    seed: int = 0,
     out: np.ndarray | None = None,
     mu=None,
 ) -> KernelDensity:
-    """Fit the kernel density for one (network, class) cell.
-
-    The full class sample set is retained as support by default;
-    ``max_support`` > 0 caps it by a seeded subsample (dispersion is still
-    estimated on the full set, the bandwidth's |F| is the retained size).
-    ``out`` and ``mu`` are as in ``fit_gaussian``.
+    """Fit the kernel density for one (network, class) cell. Every class
+    sample is a support point; ``out`` and ``mu`` are as in ``fit_gaussian``.
     """
     if mu is None:
         mu = incremental_frechet_mean(class_samples)
-    sigma = sample_sigma(class_samples, mu, sigma_floor=sigma_floor)
-    support = class_samples
-    if 0 < max_support < len(class_samples):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(class_samples), size=max_support, replace=False))
-        support = SampleSet(
-            class_samples.points[keep], class_samples.space,
-            class_samples.network_id, class_samples.class_id,
-        )
-    bandwidth = silverman_bandwidth(sigma, len(support))
-    return _normalized(KernelDensity(support, bandwidth, 1.0), all_network_train, out)
+    bandwidth = silverman_bandwidth(sample_sigma(class_samples, mu), len(class_samples))
+    return _normalized(KernelDensity(class_samples, bandwidth, 1.0), all_network_train, out)

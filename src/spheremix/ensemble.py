@@ -53,7 +53,7 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from .estimators import DEFAULT_SIGMA_FLOOR, SampleSet, mean_point
+from .estimators import SampleSet, mean_point
 
 PARAMETRIC = "parametric"
 KDE = "kde"
@@ -373,7 +373,6 @@ def fit_weights(
     eta: float = 0.1,
     max_iters: int = 5000,
     tol: float = 1e-8,
-    seed: int = 0,
 ):
     """Learn the mixture weights by Riemannian gradient descent on S^{m-1}.
 
@@ -384,17 +383,13 @@ def fit_weights(
     docstring); a trial that would raise the loss is halved until it no
     longer does or its length reaches 1e-12. Returns (MixtureWeights, fit_meta).
     """
-    if not (0.0 < eta < math.inf and 0.0 < tol < math.inf) or max_iters < 1:
-        raise ValueError("eta and tol must be positive and finite, max_iters >= 1")
     if P_train.ndim != 3 or P_train.shape[:2] != (batch.n, batch.m):
         raise DimensionMismatch(
             f"pdf tensor of shape {P_train.shape} for {batch.n} samples of {batch.m} networks"
         )
     if np.any(batch.labels >= P_train.shape[2]):
         raise LabelOutOfRange(f"labels must lie in [0, {P_train.shape[2]})")
-    return fit_weights_from_pdf(
-        P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
-    )
+    return fit_weights_from_pdf(P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol)
 
 
 def fit_weights_from_pdf(
@@ -404,7 +399,6 @@ def fit_weights_from_pdf(
     eta: float = 0.1,
     max_iters: int = 5000,
     tol: float = 1e-8,
-    seed: int = 0,
 ):
     """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
 
@@ -417,6 +411,8 @@ def fit_weights_from_pdf(
     number of networks 1 / sum(alpha^2) and ``loss_evaluations``, the number
     of scores passes (the uniform start and every trial, halvings included).
     """
+    if not (0.0 < eta < math.inf and 0.0 < tol < math.inf) or max_iters < 1:
+        raise ValueError("eta and tol must be positive and finite, max_iters >= 1")
     objective = _Objective(P, labels)
     m = P.shape[1]
     point = objective.at(np.full(m, 1.0 / math.sqrt(m)))
@@ -453,7 +449,6 @@ def fit_weights_from_pdf(
         "eta": float(eta),
         "iterations_run": iterations,
         "final_loss": float(point.loss),
-        "seed": int(seed),
         "stop_reason": stop_reason,
         "grad_norm": float(np.linalg.norm(grad)),
         "uniform_loss": float(uniform_loss),
@@ -471,16 +466,7 @@ def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
 # -- fitting and evaluation ------------------------------------------------------
 
 
-def fit_densities(
-    batch: LabeledBatch,
-    c: int,
-    kind: str = PARAMETRIC,
-    *,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-    kde_max_support: int = 0,
-    seed: int = 0,
-    threads: int = 1,
-):
+def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, threads: int = 1):
     """Fit the m x c grid of class densities on a labeled batch.
 
     Returns (densities, L_train). L_train is the (n, m, c) tensor of
@@ -511,13 +497,8 @@ def fit_densities(
         # an empty class fails here by name, before its NaN mean is read
         cell = SampleSet(rows, batch.space, network_id=i, class_id=j)
         mu = mean_point(means[i][j], batch.space)
-        out = P_train[:, i, j]
-        if kind == PARAMETRIC:
-            return fit_gaussian(cell, batch.features[i], sigma_floor=sigma_floor, out=out, mu=mu)
-        return fit_kde(
-            cell, batch.features[i], sigma_floor=sigma_floor,
-            max_support=kde_max_support, seed=seed + i * c + j, out=out, mu=mu,
-        )
+        fit = fit_gaussian if kind == PARAMETRIC else fit_kde
+        return fit(cell, batch.features[i], out=P_train[:, i, j], mu=mu)
 
     cells = [(i, j) for i in range(batch.m) for j in range(c)]
     if threads > 1:
@@ -528,28 +509,12 @@ def fit_densities(
     return [flat[i * c:(i + 1) * c] for i in range(batch.m)], P_train
 
 
-def fit_ensemble(
-    batch: LabeledBatch,
-    c: int,
-    kind: str = PARAMETRIC,
-    *,
-    eta: float = 0.1,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-    kde_max_support: int = 0,
-    seed: int = 42,
-    threads: int = 1,
-) -> EnsembleModel:
+def fit_ensemble(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, eta: float = 0.1,
+                 max_iters: int = 5000, tol: float = 1e-8, threads: int = 1) -> EnsembleModel:
     """Estimate all densities, then learn the mixture weights."""
-    densities, P_train = fit_densities(
-        batch, c, kind, sigma_floor=sigma_floor,
-        kde_max_support=kde_max_support, seed=seed, threads=threads,
-    )
+    densities, P_train = fit_densities(batch, c, kind, threads=threads)
     shift_to_pdf(P_train)
-    weights, meta = fit_weights(
-        P_train, batch, eta=eta, max_iters=max_iters, tol=tol, seed=seed,
-    )
+    weights, meta = fit_weights(P_train, batch, eta=eta, max_iters=max_iters, tol=tol)
     return EnsembleModel(
         kind=kind, space=batch.space, m=batch.m, c=c,
         densities=densities, weights=weights, fit_meta=meta,

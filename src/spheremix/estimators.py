@@ -16,9 +16,9 @@ for every (network, class) cell of a fit at once (``ensemble.fit_densities``
 calls it once per feature width). ``incremental_frechet_mean`` is its
 one-cell case.
 
-Dispersion is the RMS geodesic distance to the mean, floored to keep the
-downstream 1/sigma^2 finite. The empirical normalizer, which makes unequal
-class dispersions comparable, is fitted with each density
+Dispersion is the RMS geodesic distance to the mean, floored at SIGMA_FLOOR
+to keep the downstream 1/sigma^2 finite. The empirical normalizer, which
+makes unequal class dispersions comparable, is fitted with each density
 (``density._normalized``).
 """
 
@@ -33,7 +33,7 @@ from . import _kernels
 from ._points import GRASSMANN, SPHERE, infer_space, make_point, point_vector, stack_points
 from .errors import AntipodalPoints, EmptySampleSet
 
-DEFAULT_SIGMA_FLOOR = 1e-3
+SIGMA_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,15 @@ def incremental_frechet_mean(samples: SampleSet):
     Grassmann sample sets are handled by flipping each incoming representative
     into the hemisphere of the running mean before the geodesic step.
     """
-    m = _kernels.incremental_mean(samples.points, sign_align=samples.space == GRASSMANN)
-    return mean_point(m, samples.space)
+    labels = np.zeros(len(samples), dtype=np.int64)
+    m = _kernels.cell_means([samples.points], labels, 1, sign_align=samples.space == GRASSMANN)
+    return mean_point(m[0, 0], samples.space)
 
 
-def sample_sigma(samples: SampleSet, mu, *, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> float:
-    """RMS geodesic distance of the samples to mu, floored at sigma_floor."""
+def sample_sigma(samples: SampleSet, mu) -> float:
+    """RMS geodesic distance of the samples to mu, floored at SIGMA_FLOOR."""
     d = _kernels.arc_distances(
         samples.points, point_vector(mu), absolute=samples.space == GRASSMANN
     )
     sigma = math.sqrt(math.fsum(d * d) / len(d))
-    return max(sigma, sigma_floor)
+    return max(sigma, SIGMA_FLOOR)

@@ -17,6 +17,7 @@ than one base64 string. Every output file is written through
 from __future__ import annotations
 
 import base64
+import errno
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._points import GRASSMANN, SPHERE
+from ._points import GRASSMANN, SPHERE, point_vector
 from .density import GaussianDensity, KernelDensity
 from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights
 from .errors import (
@@ -60,8 +61,6 @@ class OutputTable:
     """One network's outputs on one split: n samples by d columns."""
 
     values: np.ndarray
-    mode: str
-    network_id: int = 0
 
     @property
     def n(self) -> int:
@@ -120,7 +119,7 @@ def _parse_rows(path):
     return values, where
 
 
-def load_output_table(path, mode: str = PROBABILITY, network_id: int = 0) -> OutputTable:
+def load_output_table(path, mode: str = PROBABILITY) -> OutputTable:
     """Parse and validate one network's CSV table.
 
     Probability mode rejects entries below -1e-9 and rows whose mass is off
@@ -146,7 +145,7 @@ def load_output_table(path, mode: str = PROBABILITY, network_id: int = 0) -> Out
         norms = np.linalg.norm(values, axis=1)
         if np.any(norms <= 1e-12):
             raise ZeroFeature(f"{where(np.argmin(norms))} is a zero feature vector")
-    return OutputTable(values=values, mode=mode, network_id=network_id)
+    return OutputTable(values)
 
 
 def load_labels(path, c: int) -> np.ndarray:
@@ -194,10 +193,10 @@ def load_split(table_paths, space: str = SPHERE):
     Returns (features, tables), with the cross-network alignment checked.
     Each table is embedded in its own buffer: ``features[i]`` is
     ``tables[i].values``, which the embedding has overwritten, so only the
-    tables' ``n``, ``d``, ``mode`` and ``network_id`` still describe the file.
+    tables' ``n`` and ``d`` still describe the file.
     """
     mode = PROBABILITY if space == SPHERE else FEATURE
-    tables = [load_output_table(p, mode, network_id=i) for i, p in enumerate(table_paths)]
+    tables = [load_output_table(p, mode) for p in table_paths]
     check_alignment(tables)
     embed = embed_probability_rows if space == SPHERE else embed_feature_rows
     return [embed(t.values, out=t.values) for t in tables], tables
@@ -207,26 +206,42 @@ def load_split(table_paths, space: str = SPHERE):
 
 
 @contextmanager
-def output_file(path):
-    """A UTF-8 text file to write ``path`` through, creating its parent
-    directories. The text goes to a sibling temporary file that replaces
-    ``path`` only when the block exits cleanly, so a failed write leaves any
-    earlier file at ``path`` as it was and no temporary file behind. An
-    OSError (an output path that is a directory, a parent that is a file, no
-    permission, a full disk) raises InvalidConfig naming ``path``."""
-    path = Path(path)
+def _writing(path: Path):
+    """The sibling temporary file to write ``path`` through, after making its
+    parent directories; it is gone when the block exits. An OSError (an
+    output path that is a directory, a parent that is a file, no permission,
+    a full disk) raises InvalidConfig naming ``path``."""
     tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
     try:
         with suppress(FileExistsError):  # a parent that is a file: open says so
             path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        if path.is_dir():  # else only the final replace fails, after the work
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        yield tmp
     except OSError as exc:
         raise InvalidConfig(f"{path}: cannot write: {exc.strerror or exc}") from None
     finally:
         with suppress(OSError):  # gone already after the replace
             tmp.unlink()
+
+
+@contextmanager
+def output_file(path):
+    """A UTF-8 text file that replaces ``path`` only when the block exits
+    cleanly, so a failed write leaves any earlier file at ``path`` as it was
+    and no temporary file behind. Errors are as in ``_writing``."""
+    path = Path(path)
+    with _writing(path) as tmp:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+
+
+def check_writable(path):
+    """Raise now the InvalidConfig that ``output_file(path)`` would raise,
+    leaving ``path`` as it is."""
+    with _writing(Path(path)) as tmp:
+        open(tmp, "w").close()
 
 
 # -- model files -----------------------------------------------------------------
@@ -258,8 +273,7 @@ def _document(model: EnsembleModel) -> dict:
     ``_blob`` encodes each one when the encoder reaches it."""
     def cell(d) -> dict:
         if isinstance(d, GaussianDensity):
-            vec = d.mu.rep if d.space == GRASSMANN else d.mu.coords
-            return {"mu": vec, "sigma": d.sigma, "normalizer": d.normalizer}
+            return {"mu": point_vector(d.mu), "sigma": d.sigma, "normalizer": d.normalizer}
         return {"support": d.support.points, "bandwidth": d.bandwidth,
                 "normalizer": d.normalizer}
 

@@ -57,7 +57,7 @@ def fitted_models(desk_suite):
     out = {}
     for kind in (PARAMETRIC, KDE):
         t0 = time.perf_counter()
-        densities, P_train = fit_densities(desk_suite["train"], SUITE_C, kind, seed=SUITE_SEED)
+        densities, P_train = fit_densities(desk_suite["train"], SUITE_C, kind)
         shift_to_pdf(P_train)
         t_densities = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -99,6 +99,14 @@ class TestFitCommand:
         assert metrics["wall_time_weight_learning_s"] > 0.0
         assert "learned weights" in result.output
 
+    @pytest.mark.parametrize("flag", [["--sigma-floor", "1"], ["--kde-max-support", "1"],
+                                      ["--seed", "1"]],
+                             ids=["sigma-floor", "kde-max-support", "seed"])
+    def test_removed_fit_options(self, runner, suite_dir, tmp_path, flag):
+        result, model_path = run_fit(runner, suite_dir, tmp_path, *flag)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and not model_path.exists()
+
     @pytest.mark.parametrize("flag", [["--backtrack"], ["--grad-mode", "analytic"]],
                              ids=["backtrack", "grad-mode"])
     def test_removed_descent_options(self, runner, suite_dir, tmp_path, flag):
@@ -131,7 +139,6 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--eta", "nan"), ("--eta", "inf"), ("--tol", "inf"),
-        ("--sigma-floor", "inf"), ("--sigma-floor", "nan"),
     ])
     def test_non_finite_option(self, runner, suite_dir, tmp_path, option, value):
         result, model_path = run_fit(runner, suite_dir, tmp_path, option, value)
@@ -167,12 +174,6 @@ class TestFitCommand:
         assert not {"train_accuracy", "uniform_accuracy",
                     "uniform_train_accuracy"} & set(metrics["fit_meta"])
 
-    def test_negative_kde_max_support(self, runner, suite_dir, tmp_path):
-        result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde",
-                                     "--kde-max-support", "-5")
-        assert result.exit_code == 2
-        assert "InvalidConfig" in result.output and not model_path.exists()
-
     def test_kde_fit(self, runner, suite_dir, tmp_path):
         result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde")
         assert result.exit_code == 0, result.output
@@ -180,11 +181,12 @@ class TestFitCommand:
         assert doc["kind"] == "kde"
         assert "support" in doc["densities"][0][0]
 
-    def test_fit_is_deterministic(self, runner, suite_dir, tmp_path):
-        _, m1 = run_fit(runner, suite_dir, tmp_path / "r1", "--model", "kde",
-                        "--kde-max-support", "40")
-        _, m2 = run_fit(runner, suite_dir, tmp_path / "r2", "--model", "kde",
-                        "--kde-max-support", "40")
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_fit_is_deterministic(self, runner, suite_dir, tmp_path, kind):
+        # fit draws no random numbers and takes no seed
+        r1, m1 = run_fit(runner, suite_dir, tmp_path / "r1", "--model", kind)
+        r2, m2 = run_fit(runner, suite_dir, tmp_path / "r2", "--model", kind)
+        assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
         assert m1.read_bytes() == m2.read_bytes()
 
 
@@ -466,6 +468,23 @@ class TestPathErrors:
             "--labels", str(suite_dir / "train_labels.txt"), "--out", str(tmp_path / out)])
         assert result.exit_code == 2, result.output
         assert f"InvalidConfig: {tmp_path / out}: cannot write" in result.output
+
+    @pytest.mark.parametrize("flag, target, named", [
+        ("--out", "dir", "dir"),
+        ("--report", "dir", "dir"),
+        ("--report", "dir/report.txt", "dir/report.json"),
+    ], ids=["out", "report", "report-json"])
+    def test_fit_output_checked_before_reading(self, runner, tmp_path, dir_and_file,
+                                               flag, target, named):
+        # the train table does not exist: a data error (3) if it were read first
+        (tmp_path / "dir" / "report.json").mkdir()
+        args = {"--out": str(tmp_path / "m.json"), flag: str(tmp_path / target)}
+        result = runner.invoke(main, [
+            "fit", "--train-table", str(tmp_path / "missing.csv"),
+            "--labels", str(tmp_path / "missing.txt"), *[a for kv in args.items() for a in kv]])
+        assert result.exit_code == 2, result.output
+        assert f"InvalidConfig: {tmp_path / named}: cannot write" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
     def test_predict_out(self, runner, suite_dir, fitted, dir_and_file):
         result = runner.invoke(main, [

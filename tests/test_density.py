@@ -193,14 +193,6 @@ class TestFitKde:
         )
         assert d.normalizer * total == pytest.approx(1.0, abs=1e-10)
 
-    def test_max_support_subsampling(self):
-        rng = np.random.default_rng(4)
-        rows = np.asarray([oracles.positive_quadrant_point(rng, 3) for _ in range(50)])
-        d = fit_kde(sample_set(rows), rows, max_support=10, seed=5)
-        assert len(d.support) == 10
-        d2 = fit_kde(sample_set(rows), rows, max_support=10, seed=5)
-        np.testing.assert_array_equal(d.support.points, d2.support.points)
-
     def test_positivity(self):
         rng = np.random.default_rng(5)
         rows = np.asarray([oracles.positive_quadrant_point(rng, 3) for _ in range(20)])

@@ -431,6 +431,15 @@ class TestFitWeights:
         with pytest.raises(ValueError, match="positive and finite"):
             fit_weights(P_train, batch, **option)
 
+    @pytest.mark.parametrize("options", [
+        {"eta": -1.0, "max_iters": 1}, {"eta": 0.0}, {"tol": math.nan}, {"max_iters": 0},
+    ], ids=["negative-eta", "zero-eta", "nan-tol", "no-iterations"])
+    def test_descent_from_pdf_checks_options(self, options):
+        # a negative step once raised the loss; eta 0 and tol nan ran silently
+        P, labels = random_pdf_problem(3, n=40, m=4, c=3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_weights_from_pdf(P, labels, **options)
+
     def test_backtracking_never_increases(self):
         rng = np.random.default_rng(3)
         P = rng.uniform(0.01, 1.5, (25, 3, 4))
@@ -553,10 +562,10 @@ class TestFusedTrainTensor:
             batch = sphere_batch(rng, 3, c, 90)
         else:
             batch = grassmann_batch(rng, (4, 6, 5), c, 90)
-        densities, P_train = fit_densities(batch, c, kind, kde_max_support=20)
+        densities, P_train = fit_densities(batch, c, kind)
         assert P_train.shape == (batch.n, batch.m, c)
         np.testing.assert_array_equal(P_train, pdf_grid(densities, batch.features))
-        threaded, P_threaded = fit_densities(batch, c, kind, kde_max_support=20, threads=4)
+        threaded, P_threaded = fit_densities(batch, c, kind, threads=4)
         np.testing.assert_array_equal(P_threaded, P_train)
         for row_a, row_b in zip(densities, threaded):
             assert [a.normalizer for a in row_a] == [b.normalizer for b in row_b]

@@ -122,7 +122,6 @@ class TestSampleSigma:
         x = [0.6, 0.8]
         ss = sample_set([x] * 5)
         assert sample_sigma(ss, SpherePoint(x)) == 1e-3
-        assert sample_sigma(ss, SpherePoint(x), sigma_floor=1e-5) == 1e-5
 
     def test_two_points_quarter_apart(self):
         mid = geodesic(SpherePoint([1, 0, 0]), SpherePoint([0, 1, 0]), 0.5)
