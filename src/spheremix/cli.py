@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -60,6 +61,24 @@ def _report_paths(report_path) -> tuple:
     return path, json_path if json_path != path else path.with_suffix(".metrics.json")
 
 
+def _check_paths(inputs, outputs, report_path=None):
+    """Before any input is read: InvalidConfig naming both paths when an
+    output resolves to an input's or another output's path, then the error
+    ``output_file`` would raise for each output. Paths come as (option, path);
+    ``report_path`` adds the report and its JSON sibling to ``outputs``."""
+    if report_path:
+        path, json_path = _report_paths(report_path)
+        outputs = [*outputs, ("--report", path), ("the report's JSON", json_path)]
+    seen = {os.path.realpath(path): f"{option} {path}" for option, path in inputs}
+    for option, path in outputs:
+        key = os.path.realpath(path)  # unlike Path.resolve, never raises
+        if key in seen:
+            raise InvalidConfig(f"{option} {path} is the same file as {seen[key]}")
+        seen[key] = f"{option} {path}"
+    for _, path in outputs:
+        check_writable(path)
+
+
 def _write_report(report_path, text: str, metrics: dict):
     path, json_path = _report_paths(report_path)
     with output_file(path) as fh:
@@ -75,10 +94,13 @@ def _load_batch(tables, labels_path, space: str, c: int | None):
         if c is None:
             c = width
         elif c != width:
-            raise DimensionMismatch(f"--classes {c} but probability tables have {width} columns")
+            raise DimensionMismatch(f"{c} classes but probability tables have {width} columns")
     elif c is None:
         raise InvalidConfig("--classes is required with --space grassmann")
-    return LabeledBatch(features, load_labels(labels_path, c), space), c
+    labels = load_labels(labels_path, c)
+    if labels.size != raw[0].n:
+        raise DimensionMismatch(f"{labels.size} labels for {raw[0].n} samples in {labels_path}")
+    return LabeledBatch(features, labels, space), c
 
 
 @click.group()
@@ -117,8 +139,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
             or (classes is not None and classes < 1)):
         raise InvalidConfig(
             "eta and tol must be positive and finite; max-iters, threads and classes >= 1")
-    for path in (out_path, *(_report_paths(report_path) if report_path else ())):
-        check_writable(path)
+    _check_paths([*(("--train-table", t) for t in tables), ("--labels", labels_path)],
+                 [("--out", out_path)], report_path)
     batch, c = _load_batch(tables, labels_path, space, classes)
 
     t0 = time.perf_counter()
@@ -184,6 +206,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
 @_exit_on_error
 def predict(model_file, tables, out_path):
     """Predict classes for new samples under a fitted model."""
+    _check_paths([("--model-file", model_file), *(("--table", t) for t in tables)],
+                 [("--out", out_path)])
     model = load_model_file(model_file)
     features, _ = load_split(tables, model.space)
     # one scoring pass; each written class is the argmax of its written row
@@ -204,10 +228,10 @@ def predict(model_file, tables, out_path):
 @_exit_on_error
 def evaluate_cmd(model_file, tables, labels_path, report_path):
     """Compare ensemble accuracy against the constituent networks."""
+    _check_paths([("--model-file", model_file), *(("--table", t) for t in tables),
+                  ("--labels", labels_path)], [], report_path)
     model = load_model_file(model_file)
-    features, _ = load_split(tables, model.space)
-    labels = load_labels(labels_path, model.c)
-    batch = LabeledBatch(features, labels, model.space)
+    batch, _ = _load_batch(tables, labels_path, model.space, model.c)
     result = evaluate(model, batch)
     standalone = result["standalone_accuracy"]
     average = float(np.mean(standalone))

@@ -1,18 +1,21 @@
 """Per-network, per-class densities on the sphere or Grassmannian.
 
-Both families are one object, a normalized Gaussian kernel sum over a matrix
-of centres, evaluated as a log density by `_kernels.kernel_sums` alone:
+Every density is one `KernelDensity`, a normalized Gaussian kernel sum over
+a support set, evaluated as a log density by `_kernels.kernel_sums` alone:
 
-    log p(x) = log(C / |centres|) + log sum_{y in centres} exp(-d^2(x, y) / (2 w^2)).
+    log p(x) = log(C / |support|) + log sum_{y in support} exp(-d^2(x, y) / (2 w^2)).
 
-Parametric model: a Gaussian in the geodesic distance, the one-centre case
-(centre mu = the incremental Fréchet mean, width sigma = RMS distance to it).
-Non-parametric model: a kernel density estimate whose centres are all the
-class features F, width b = (4 sigma^5 / (3 |F|))^(1/5) (Silverman).
+Parametric model: a Gaussian in the geodesic distance, the one-point support
+that `GaussianDensity` builds (mu = the incremental Fréchet mean, width
+sigma = RMS distance to it). Non-parametric model: a kernel density estimate
+whose support is all the class features F, width b = (4 sigma^5 / (3 |F|))^(1/5)
+(Silverman). `KernelDensity` checks every cell, fitted or loaded: a width w
+must be positive with 2 w^2 and its inverse finite, and a normalizer finite
+and positive.
 
-C is the *empirical* normalizer: C / |centres| inverts the kernel mass the
-centres give the network's whole training set (all classes). `_normalized`
-alone computes it, and `empirical_normalizer` is its one-centre case; the
+C is the *empirical* normalizer: C / |support| inverts the kernel mass the
+support gives the network's whole training set (all classes). `_normalized`
+alone computes it, and `empirical_normalizer` is its one-point case; the
 analytic sphere constant is intractable and never needed. A KDE support
 point evaluates its own kernel term (self-inclusion, no leave-one-out),
 exactly as the normalizer's double sum is written. `pdf`/`pdf_batch` are the exp of
@@ -32,21 +35,30 @@ from .errors import DimensionMismatch, EmptySampleSet, NumericError
 from .estimators import SampleSet, incremental_frechet_mean, sample_sigma
 
 
-class _KernelSum:
-    """What both families share: validation, and the density as
-    normalizer/|centres| times the kernel sums over ``centres`` at ``width``."""
+@dataclass(frozen=True)
+class KernelDensity:
+    """Gaussian-kernel density: normalizer/|support| times the kernel sums
+    over the ``support`` points at width ``bandwidth``. Every model cell is
+    one; ``GaussianDensity`` builds the one-point case."""
 
-    _width_name = "width"
+    support: SampleSet
+    bandwidth: float
+    normalizer: float
 
     def __post_init__(self):
-        if not (self.width > 0.0):
-            raise ValueError(f"{self._width_name} must be positive")
+        w = self.bandwidth
+        try:
+            ok = w > 0.0 and 0.0 < 1.0 / (2.0 * w**2) < math.inf
+        except ArithmeticError:  # 2 w^2 overflowed, or underflowed to 0
+            ok = False
+        if not ok:
+            raise ValueError(f"width {w!r} must be positive, and 2 width^2 and its inverse finite")
         if not (np.isfinite(self.normalizer) and self.normalizer > 0.0):
             raise ValueError("normalizer must be finite and positive")
 
     @property
     def dim(self) -> int:
-        return self.centres.shape[1]
+        return self.support.dim
 
     def pdf(self, x) -> float:
         return float(self.pdf_batch(point_vector(x)[None, :])[0])
@@ -57,59 +69,18 @@ class _KernelSum:
     def log_pdf_batch(self, pts: np.ndarray) -> np.ndarray:
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"point of dimension {pts.shape[1]} against density of dimension {self.dim}"
-            )
-        return math.log(self.normalizer / len(self.centres)) + self._log_sums(pts)
+                f"point of dimension {pts.shape[1]} against density of dimension {self.dim}")
+        return math.log(self.normalizer / len(self.support)) + self._log_sums(pts)
 
     def _log_sums(self, pts) -> np.ndarray:
-        return _kernels.kernel_sums(
-            pts, self.centres, 1.0 / (2.0 * self.width**2), absolute=self.space == GRASSMANN
-        )
+        return _kernels.kernel_sums(pts, self.support.points, 1.0 / (2.0 * self.bandwidth**2),
+                                    absolute=self.support.space == GRASSMANN)
 
 
-@dataclass(frozen=True)
-class GaussianDensity(_KernelSum):
+def GaussianDensity(mu, sigma: float, normalizer: float) -> KernelDensity:
     """Gaussian in geodesic distance with an empirical normalizer: the
-    one-centre kernel sum at mu with width sigma."""
-
-    mu: object
-    sigma: float
-    normalizer: float
-    _width_name = "sigma"
-
-    @property
-    def space(self) -> str:
-        return infer_space(self.mu)
-
-    @property
-    def centres(self) -> np.ndarray:
-        return point_vector(self.mu)[None, :]
-
-    @property
-    def width(self) -> float:
-        return self.sigma
-
-
-@dataclass(frozen=True)
-class KernelDensity(_KernelSum):
-    """Gaussian-kernel density over a retained class sample set."""
-
-    support: SampleSet
-    bandwidth: float
-    normalizer: float
-    _width_name = "bandwidth"
-
-    @property
-    def space(self) -> str:
-        return self.support.space
-
-    @property
-    def centres(self) -> np.ndarray:
-        return self.support.points
-
-    @property
-    def width(self) -> float:
-        return self.bandwidth
+    one-point KernelDensity at mu with width sigma."""
+    return KernelDensity(SampleSet(point_vector(mu)[None, :], infer_space(mu)), sigma, normalizer)
 
 
 def silverman_bandwidth(sigma_hat: float, n: int) -> float:
@@ -118,8 +89,8 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
 
 
 def _normalized(density, all_network_train, out: np.ndarray | None):
-    """``density`` with its empirical normalizer: |centres| over the kernel
-    mass the centres give every training row of the network. When ``out`` is
+    """``density`` with its empirical normalizer: |support| over the kernel
+    mass the support gives every training row of the network. When ``out`` is
     given, the fitted log density at each of those rows is written into it
     from the same sums, bit-equal to ``log_pdf_batch(all_network_train)``.
     A mass with no finite inverse (one that underflowed to 0) is NumericError."""
@@ -128,12 +99,12 @@ def _normalized(density, all_network_train, out: np.ndarray | None):
         raise EmptySampleSet("the normalizer needs a non-empty training set")
     log_sums = density._log_sums(train)
     mass = float(np.exp(log_sums).sum())
-    normalizer = len(density.centres) / mass if mass > 0.0 else math.inf
+    normalizer = len(density.support) / mass if mass > 0.0 else math.inf
     if not math.isfinite(normalizer):
         raise NumericError(
-            f"no finite normalizer: {density._width_name} {density.width!r}, kernel mass {mass!r}")
+            f"no finite normalizer: width {density.bandwidth!r}, kernel mass {mass!r}")
     if out is not None:
-        np.add(math.log(normalizer / len(density.centres)), log_sums, out=out)
+        np.add(math.log(normalizer / len(density.support)), log_sums, out=out)
     return replace(density, normalizer=normalizer)
 
 
@@ -143,13 +114,8 @@ def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
     return _normalized(GaussianDensity(mu, sigma, 1.0), all_train_points, None).normalizer
 
 
-def fit_gaussian(
-    class_samples: SampleSet,
-    all_network_train,
-    *,
-    out: np.ndarray | None = None,
-    mu=None,
-) -> GaussianDensity:
+def fit_gaussian(class_samples: SampleSet, all_network_train, *, out: np.ndarray | None = None,
+                 mu=None) -> KernelDensity:
     """Estimate (mu, sigma, C) for one (network, class) cell.
 
     ``all_network_train`` is the embedded output of the same network on the
@@ -164,13 +130,8 @@ def fit_gaussian(
     return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
 
 
-def fit_kde(
-    class_samples: SampleSet,
-    all_network_train,
-    *,
-    out: np.ndarray | None = None,
-    mu=None,
-) -> KernelDensity:
+def fit_kde(class_samples: SampleSet, all_network_train, *, out: np.ndarray | None = None,
+            mu=None) -> KernelDensity:
     """Fit the kernel density for one (network, class) cell. Every class
     sample is a support point; ``out`` and ``mu`` are as in ``fit_gaussian``.
     """

@@ -166,6 +166,8 @@ class EnsembleModel:
             raise ValueError(f"unknown space {self.space!r}")
         if len(self.densities) != self.m or any(len(row) != self.c for row in self.densities):
             raise ValueError("densities grid must be complete (m rows of c entries)")
+        if self.kind == PARAMETRIC and any(len(d.support) != 1 for r in self.densities for d in r):
+            raise ValueError("a parametric model's cells must each hold one support point")
         if self.weights.m != self.m:
             raise ValueError("weight count must match network count")
         for i, row in enumerate(self.densities):

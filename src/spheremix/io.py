@@ -6,12 +6,15 @@ feature vectors (d = d_i columns) in feature mode. Labels are one base-10
 integer per line. Models are stored as a single self-describing JSON
 document with an explicit schema_version (2; version 1 is still read). Every
 float array is a blob {"shape": [...], "f8": base64 of its little-endian
-float64 bytes}, so deserialize(serialize(M)) reproduces every array bit for
-bit by construction; scalars are plain JSON numbers, which round-trip too.
-Model files are streamed: each array becomes a blob when the encoder reaches
-it and an array again when the parser closes it, so neither side holds more
-than one base64 string. Every output file is written through
-``output_file``, which replaces its target atomically.
+float64 bytes}, so arrays and scalars alike round-trip bit for bit. The
+model's kind sets each cell's layout: {"mu", "sigma", "normalizer"} holds the
+one support point and width of a parametric cell's `KernelDensity`, and
+{"support", "bandwidth", "normalizer"} a KDE cell. A cell that fails the
+density's or a point's checks is a CorruptModel (exit 4). Model files are
+streamed: each array becomes a blob when the encoder reaches it and an array
+again when the parser closes it, so neither side holds more than one base64
+string. Every output file is written through ``output_file``, which replaces
+its target atomically.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._points import GRASSMANN, SPHERE, point_vector
+from ._points import GRASSMANN, SPHERE, make_point
 from .density import GaussianDensity, KernelDensity
 from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights
 from .errors import (
     CorruptModel,
+    DataError,
     EmptyBatch,
     InvalidConfig,
     LabelOutOfRange,
@@ -43,8 +47,6 @@ from .errors import (
     ZeroFeature,
 )
 from .estimators import SampleSet
-from .grassmann import GrassmannPoint
-from .sphere import SpherePoint
 
 SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, 2)
@@ -165,13 +167,6 @@ def load_labels(path, c: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def check_alignment(tables):
-    """All per-network tables of one split must agree on the sample count."""
-    counts = {t.n for t in tables}
-    if len(counts) != 1:
-        raise RaggedEnsemble(f"tables disagree on sample count: {sorted(counts)}")
-
-
 def embed_probability_rows(values: np.ndarray, out=None) -> np.ndarray:
     """Square-root embedding of already-normalized probability rows; pass
     ``out=values`` to embed in place."""
@@ -190,14 +185,17 @@ def embed_feature_rows(values: np.ndarray, out=None) -> np.ndarray:
 def load_split(table_paths, space: str = SPHERE):
     """Load and embed one split's per-network tables.
 
-    Returns (features, tables), with the cross-network alignment checked.
-    Each table is embedded in its own buffer: ``features[i]`` is
-    ``tables[i].values``, which the embedding has overwritten, so only the
-    tables' ``n`` and ``d`` still describe the file.
+    Returns (features, tables). A table whose row count is not the first
+    table's is RaggedEnsemble, naming both. Each table is embedded in its own
+    buffer: ``features[i]`` is ``tables[i].values``, which the embedding has
+    overwritten, so only the tables' ``n`` and ``d`` still describe the file.
     """
     mode = PROBABILITY if space == SPHERE else FEATURE
     tables = [load_output_table(p, mode) for p in table_paths]
-    check_alignment(tables)
+    for path, t in zip(table_paths, tables):
+        if t.n != tables[0].n:
+            raise RaggedEnsemble(
+                f"{path} has {t.n} rows, {table_paths[0]} has {tables[0].n}")
     embed = embed_probability_rows if space == SPHERE else embed_feature_rows
     return [embed(t.values, out=t.values) for t in tables], tables
 
@@ -272,8 +270,8 @@ def _document(model: EnsembleModel) -> dict:
     """The model's JSON document with every float array still an ndarray;
     ``_blob`` encodes each one when the encoder reaches it."""
     def cell(d) -> dict:
-        if isinstance(d, GaussianDensity):
-            return {"mu": point_vector(d.mu), "sigma": d.sigma, "normalizer": d.normalizer}
+        if model.kind == PARAMETRIC:
+            return {"mu": d.support.points[0], "sigma": d.bandwidth, "normalizer": d.normalizer}
         return {"support": d.support.points, "bandwidth": d.bandwidth,
                 "normalizer": d.normalizer}
 
@@ -293,13 +291,10 @@ def _document(model: EnsembleModel) -> dict:
 def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
     # a schema-2 array is already an ndarray; a schema-1 array is a nested list
     if kind == PARAMETRIC:
-        vec = np.asarray(obj["mu"], dtype=np.float64)
-        mu = GrassmannPoint(vec) if space == GRASSMANN else SpherePoint(vec)
-        return GaussianDensity(mu=mu, sigma=float(obj["sigma"]), normalizer=float(obj["normalizer"]))
+        mu = make_point(np.asarray(obj["mu"], dtype=np.float64), space)
+        return GaussianDensity(mu, float(obj["sigma"]), float(obj["normalizer"]))
     support = SampleSet(np.asarray(obj["support"], dtype=np.float64), space, network_id, class_id)
-    return KernelDensity(
-        support=support, bandwidth=float(obj["bandwidth"]), normalizer=float(obj["normalizer"])
-    )
+    return KernelDensity(support, float(obj["bandwidth"]), float(obj["normalizer"]))
 
 
 def save_model(model: EnsembleModel) -> bytes:
@@ -336,8 +331,8 @@ def load_model(data) -> EnsembleModel:
         )
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"unreadable model file: {exc}") from None
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        # a blob the parser could not decode lands here too
+    except (KeyError, TypeError, ValueError, IndexError, DataError) as exc:
+        # also a blob the parser could not decode, and a cell's EmptySampleSet or ZeroFeature
         raise CorruptModel(f"model file is missing or corrupts required fields: {exc}") from None
 
 

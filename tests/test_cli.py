@@ -11,7 +11,7 @@ from spheremix import ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
-from test_io import BLOB_DAMAGE, corrupt_blob, poison_blob
+from test_io import BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, poison_blob
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,19 @@ class TestPredictCommand:
             assert result.exit_code == 4 and "CorruptModel" in result.output
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("damage", CELL_DAMAGE.values(), ids=CELL_DAMAGE.keys())
+    def test_damaged_model_cell(self, runner, suite_dir, tmp_path, damage):
+        # exit 0, 1 (a ZeroDivisionError traceback) or 3 before
+        kind, space, field, damage = damage
+        extra = ["--space", "grassmann", "--classes", "4"] if space == "grassmann" else []
+        _, model_path = run_fit(runner, suite_dir, tmp_path, "--model", kind, *extra)
+        model_path.write_text(damage_cell(model_path.read_text(), field, damage))
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(model_path), *table_args("test", suite_dir, 3, "--table"),
+            "--labels", str(suite_dir / "test_labels.txt")])
+        assert result.exit_code == 4, result.output
+        assert "CorruptModel: model file is missing or corrupts required fields" in result.output
+
     def test_separable_fixture_all_correct(self, runner, tmp_path):
         # near-noiseless networks: the class means are the test points
         outdir = tmp_path / "sep"
@@ -498,6 +511,50 @@ class TestPathErrors:
             "--labels", str(suite_dir / "test_labels.txt"), "--report", str(dir_and_file[0])])
         assert result.exit_code == 2 and "InvalidConfig" in result.output
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_output_checked_before_reading(self, runner, fitted, tmp_path, dir_and_file,
+                                           command):
+        # the table does not exist: a data error (3) if it were read first
+        args = ["--table", str(tmp_path / "missing.csv")]
+        if command == "evaluate":
+            args += ["--labels", str(tmp_path / "missing.txt"), "--report", str(dir_and_file[0])]
+        else:
+            args += ["--out", str(dir_and_file[0])]
+        result = runner.invoke(main, [command, "--model-file", str(fitted), *args])
+        assert result.exit_code == 2, result.output
+        assert f"InvalidConfig: {dir_and_file[0]}: cannot write" in result.output
+
+    @pytest.mark.parametrize("command, option, target, named", [
+        ("fit", "--report", "m.txt", "the report's JSON m.json"),
+        ("fit", "--report", "m.json", "--report m.json"),
+        ("evaluate", "--report", "m.json", "--report m.json"),
+        ("predict", "--out", "m.json", "--out m.json"),
+        ("predict", "--out", "link.json", "--out link.json"),
+    ], ids=["fit-report-json-sibling", "fit-report", "evaluate-report", "predict-out",
+            "predict-out-symlink"])
+    def test_output_clashes(self, runner, suite_dir, fitted, tmp_path, command, option, target,
+                            named):
+        # each exited 0 before, and its last write replaced the model
+        model = tmp_path / "m.json"
+        model.write_bytes(fitted.read_bytes())
+        (tmp_path / "link.json").symlink_to(model)
+        if command == "fit":
+            args = [*table_args("train", suite_dir, 3, "--train-table"),
+                    "--labels", str(suite_dir / "train_labels.txt"), "--out", str(model)]
+            other = "--out"
+        else:
+            args = ["--model-file", str(model), *table_args("test", suite_dir, 3, "--table")]
+            if command == "evaluate":
+                args += ["--labels", str(suite_dir / "test_labels.txt")]
+            other = "--model-file"
+        result = runner.invoke(main, [command, *args, option, str(tmp_path / target)])
+        assert result.exit_code == 2, result.output
+        what, name = named.rsplit(" ", 1)
+        assert (f"InvalidConfig: {what} {tmp_path / name} is the same file as {other} {model}"
+                in result.output)
+        assert model.read_bytes() == fitted.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "m.json"]
+
     def test_synth_outdir(self, runner, dir_and_file):
         result = runner.invoke(main, [
             "synth", "--outdir", str(dir_and_file[1]), "--m", "2", "--c", "3",
@@ -607,6 +664,35 @@ class TestInputErrors:
         ])
         assert result.exit_code == 4, result.output
         assert "DimensionMismatch: 239 labels for 240 samples" in result.output
+
+    def test_ragged_tables_name_the_file(self, runner, suite_dir, tmp_path):
+        short = tmp_path / "train_net01.csv"
+        short.write_text("".join((suite_dir / "train_net01.csv").read_text()
+                                 .splitlines(keepends=True)[:-1]))
+        tables = table_args("train", suite_dir, 3, "--train-table")
+        tables[3] = str(short)
+        result = runner.invoke(main, [
+            "fit", *tables, "--labels", str(suite_dir / "train_labels.txt"),
+            "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 3, result.output
+        assert (f"RaggedEnsemble: {short} has 239 rows, {suite_dir / 'train_net00.csv'} has 240"
+                in result.output)
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_label_count_names_the_file(self, runner, suite_dir, fitted, tmp_path, command):
+        split = "train" if command == "fit" else "test"
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join((suite_dir / f"{split}_labels.txt").read_text()
+                                  .splitlines(keepends=True)[:-1]))
+        if command == "fit":
+            args = [*table_args("train", suite_dir, 3, "--train-table"),
+                    "--out", str(tmp_path / "m.json")]
+        else:
+            args = ["--model-file", str(fitted), *table_args("test", suite_dir, 3, "--table")]
+        result = runner.invoke(main, [command, *args, "--labels", str(labels)])
+        n = 240 if command == "fit" else 80
+        assert result.exit_code == 4, result.output
+        assert f"DimensionMismatch: {n - 1} labels for {n} samples in {labels}\n" in result.output
 
 
 def write_feature_suite(fx, outdir):

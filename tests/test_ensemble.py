@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import load_fixture
-from spheremix.density import GaussianDensity
+from spheremix.density import GaussianDensity, KernelDensity
 from spheremix.ensemble import (
     EnsembleModel,
     LabeledBatch,
@@ -36,6 +36,7 @@ from spheremix.errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
+from spheremix.estimators import SampleSet
 from spheremix.io import embed_feature_rows, embed_probability_rows
 from spheremix.synth import make_suite
 from spheremix.sphere import SpherePoint
@@ -513,6 +514,16 @@ class TestBatchValidation:
         with pytest.raises(LabelOutOfRange):
             fit_densities(batch, 2)
 
+    def test_parametric_cells_hold_one_point(self):
+        # io writes only the first support point of a parametric cell
+        two = KernelDensity(SampleSet(np.asarray([[1.0, 0.0], [0.0, 1.0]])), 0.5, 1.0)
+        grid = [[GaussianDensity(SpherePoint([1.0, 0.0]), 0.5, 1.0), two]]
+        args = dict(space="sphere", m=1, c=2, densities=grid,
+                    weights=MixtureWeights.uniform(1), fit_meta={})
+        EnsembleModel(kind="kde", **args)  # a KDE grid may mix support sizes
+        with pytest.raises(ValueError, match="^a parametric model's cells must each hold one"):
+            EnsembleModel(kind="parametric", **args)
+
     def test_threads_match_serial(self):
         rng = np.random.default_rng(6)
         c, n = 3, 40
@@ -525,8 +536,8 @@ class TestBatchValidation:
         threaded, P_threaded = fit_densities(batch, c, threads=4)
         for row_a, row_b in zip(serial, threaded):
             for a, b in zip(row_a, row_b):
-                np.testing.assert_array_equal(a.mu.coords, b.mu.coords)
-                assert a.sigma == b.sigma and a.normalizer == b.normalizer
+                np.testing.assert_array_equal(a.support.points, b.support.points)
+                assert a.bandwidth == b.bandwidth and a.normalizer == b.normalizer
         np.testing.assert_array_equal(P_serial, P_threaded)
 
 
@@ -617,7 +628,7 @@ class TestBatchedCellMeans:
                     batch.features[i][batch.labels == j], sign_align=True
                 ))
                 # a GrassmannPoint stores one canonical sign of its line
-                got = dens.centres[0]
+                got = dens.support.points[0]
                 ref *= np.sign(ref @ got)
                 assert np.abs(got - ref).max() <= oracles.CELL_MEAN_TOL
 

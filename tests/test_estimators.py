@@ -173,5 +173,6 @@ class TestEmpiricalNormalizer:
     @pytest.mark.parametrize("sigma", [0.0, -0.5])
     def test_non_positive_sigma_rejected(self, sigma):
         mu = SpherePoint([1, 0, 0])
-        with pytest.raises(ValueError, match="^sigma must be positive$"):
+        message = rf"^width {sigma} must be positive, and 2 width\^2 and its inverse finite$"
+        with pytest.raises(ValueError, match=message):
             empirical_normalizer([mu.coords], mu, sigma)

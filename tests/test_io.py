@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import re
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from spheremix import io
-from spheremix.density import GaussianDensity
+from spheremix.density import GaussianDensity, KernelDensity
 from spheremix.ensemble import EnsembleModel, LabeledBatch, MixtureWeights, fit_ensemble, predict_batch
 from spheremix.errors import (
     CorruptModel,
@@ -25,7 +26,6 @@ from spheremix.errors import (
     ZeroFeature,
 )
 from spheremix.io import (
-    check_alignment,
     embed_feature_rows,
     embed_probability_rows,
     load_labels,
@@ -37,6 +37,7 @@ from spheremix.io import (
     save_model,
     save_model_file,
 )
+from spheremix.estimators import SampleSet
 from spheremix.sphere import SpherePoint
 
 
@@ -188,10 +189,8 @@ class TestAlignment:
         b = tmp_path / "b.csv"
         a.write_text("0.5,0.5\n0.5,0.5\n")
         b.write_text("0.5,0.5\n")
-        ta = load_output_table(a)
-        tb = load_output_table(b)
-        with pytest.raises(RaggedEnsemble):
-            check_alignment([ta, tb])
+        with pytest.raises(RaggedEnsemble, match=f"^{b} has 1 rows, {a} has 2$"):
+            load_split([a, b])
 
     def test_label_count_mismatch(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -253,8 +252,8 @@ def v1_document(model) -> bytes:
     """The model as schema 1 wrote it: every array a nested decimal list."""
     def cell(d):
         if model.kind == "parametric":
-            vec = d.mu.rep if model.space == "grassmann" else d.mu.coords
-            return {"mu": vec.tolist(), "sigma": d.sigma, "normalizer": d.normalizer}
+            return {"mu": d.support.points[0].tolist(), "sigma": d.bandwidth,
+                    "normalizer": d.normalizer}
         return {"support": d.support.points.tolist(), "bandwidth": d.bandwidth,
                 "normalizer": d.normalizer}
     doc = {
@@ -274,7 +273,7 @@ def density_arrays(model):
             if model.kind == "kde":
                 yield d.support.points
             else:
-                yield d.mu.rep if model.space == "grassmann" else d.mu.coords
+                yield d.support.points[0]
 
 
 def assert_same_model(a, b):
@@ -307,6 +306,28 @@ def poison_blob(blob: dict):
     blob["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
 
 
+def damage_cell(text, field: str, damage) -> str:
+    """The model document ``text`` with the ``field`` of cell (1, 2) replaced
+    by the JSON text ``damage(old value)``, spliced in so that a number JSON
+    reads as inf (1e400) or a subnormal (1e-320) reaches the loader as such."""
+    doc = json.loads(text)
+    cell = doc["densities"][1][2]
+    replacement = damage(cell[field])
+    cell[field] = "@damaged@"
+    return json.dumps(doc).replace('"@damaged@"', replacement)
+
+
+# (kind, space, field, damage): model cells that no fit writes
+CELL_DAMAGE = {
+    "sigma-1e400": ("parametric", "sphere", "sigma", lambda old: "1e400"),
+    "sigma-1e-320": ("parametric", "sphere", "sigma", lambda old: "1e-320"),
+    "empty-support": ("kde", "sphere", "support",
+                      lambda old: json.dumps(io._blob(np.empty((0, old["shape"][1]))))),
+    "zero-grassmann-mu": ("parametric", "grassmann", "mu",
+                          lambda old: json.dumps(io._blob(np.zeros(old["shape"])))),
+}
+
+
 class TestModelRoundTrip:
     def test_descent_diagnostics_survive(self):
         model, _ = small_fitted_model(np.random.default_rng(2), m=3)
@@ -328,11 +349,10 @@ class TestModelRoundTrip:
         for row_a, row_b in zip(model.densities, clone.densities):
             for a, b in zip(row_a, row_b):
                 if kind == "parametric":
-                    np.testing.assert_array_equal(a.mu.coords, b.mu.coords)
-                    assert a.sigma == b.sigma
+                    np.testing.assert_array_equal(a.support.points[0], b.support.points[0])
                 else:
                     np.testing.assert_array_equal(a.support.points, b.support.points)
-                    assert a.bandwidth == b.bandwidth
+                assert a.bandwidth == b.bandwidth
                 assert a.normalizer == b.normalizer
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
@@ -375,8 +395,8 @@ class TestModelRoundTrip:
         clone = load_model(save_model(model))
         for row_a, row_b in zip(model.densities, clone.densities):
             for a, b in zip(row_a, row_b):
-                np.testing.assert_array_equal(a.mu.coords, b.mu.coords)
-                assert a.sigma == b.sigma and a.normalizer == b.normalizer
+                np.testing.assert_array_equal(a.support.points[0], b.support.points[0])
+                assert a.bandwidth == b.bandwidth and a.normalizer == b.normalizer
 
     def test_truncated_file(self, tmp_path):
         model, _ = small_fitted_model(np.random.default_rng(4))
@@ -554,3 +574,26 @@ class TestSchema2:
                 assert a.bandwidth == b.bandwidth
         features = desk_suite["test"].features
         np.testing.assert_array_equal(predict_batch(clone, features), predict_batch(model, features))
+
+
+class TestDamagedCells:
+    """Each damaged cell is a CorruptModel. Before, a width that JSON read as
+    inf loaded and scored, 1e-320 loaded and divided by zero on scoring, and
+    an empty support and a zero Grassmann mu raised data errors (exit 3)."""
+
+    @pytest.mark.parametrize("damage", CELL_DAMAGE.values(), ids=CELL_DAMAGE.keys())
+    def test_damaged_cell_is_corrupt(self, damage):
+        kind, space, field, damage = damage
+        model, _ = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
+                                      space=space)
+        with pytest.raises(CorruptModel, match="^model file is missing or corrupts"):
+            load_model(damage_cell(save_model(model), field, damage))
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.inf, math.nan, 1e-320, 1e-160, 1e200])
+    def test_width_must_have_a_finite_kernel(self, width):
+        support = SampleSet(np.asarray([[0.6, 0.8]]))
+        with pytest.raises(ValueError, match=r"^width \S+ must be positive, and 2 width\^2"):
+            KernelDensity(support, width, 1.0)
+        with pytest.raises(ValueError, match=r"^width \S+ must be positive, and 2 width\^2"):
+            GaussianDensity(SpherePoint([0.6, 0.8]), width, 1.0)
+
