@@ -214,8 +214,8 @@ def predict(model_file, tables, out_path):
     probs = ensemble_probability_batch(model, features)
     classes = np.argmax(probs, axis=1)
     with output_file(out_path) as fh:
-        for k, row in zip(classes, probs):
-            fh.write(",".join([str(int(k))] + [repr(float(v)) for v in row]))
+        for k, row in zip(classes.tolist(), probs.tolist()):
+            fh.write(",".join([str(k), *map(repr, row)]))
             fh.write("\n")
     click.echo(f"wrote {classes.shape[0]} predictions to {out_path}")
 

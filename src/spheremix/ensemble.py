@@ -368,14 +368,8 @@ def _sphere_step(at: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def fit_weights(
-    P_train: np.ndarray,
-    batch: LabeledBatch,
-    *,
-    eta: float = 0.1,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-):
+def fit_weights(P_train: np.ndarray, batch: LabeledBatch, *, eta: float = 0.1,
+                max_iters: int = 5000, tol: float = 1e-8):
     """Learn the mixture weights by Riemannian gradient descent on S^{m-1}.
 
     ``P_train`` is the batch's (n, m, c) pdf tensor up to a positive factor
@@ -394,14 +388,8 @@ def fit_weights(
     return fit_weights_from_pdf(P_train, batch.labels, eta=eta, max_iters=max_iters, tol=tol)
 
 
-def fit_weights_from_pdf(
-    P: np.ndarray,
-    labels: np.ndarray,
-    *,
-    eta: float = 0.1,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-):
+def fit_weights_from_pdf(P: np.ndarray, labels: np.ndarray, *, eta: float = 0.1,
+                         max_iters: int = 5000, tol: float = 1e-8):
     """fit_weights, starting from a precomputed (n, m, c) pdf tensor.
 
     Each step is one scores pass per trial and one gradient pass at the

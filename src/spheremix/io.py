@@ -2,19 +2,20 @@
 
 Input tables are headerless CSV, one row per sample, one file per network
 per split: softmax probabilities (d = c columns) in probability mode, raw
-feature vectors (d = d_i columns) in feature mode. Labels are one base-10
-integer per line. Models are stored as a single self-describing JSON
-document with an explicit schema_version (2; version 1 is still read). Every
-float array is a blob {"shape": [...], "f8": base64 of its little-endian
-float64 bytes}, so arrays and scalars alike round-trip bit for bit. The
-model's kind sets each cell's layout: {"mu", "sigma", "normalizer"} holds the
-one support point and width of a parametric cell's `KernelDensity`, and
-{"support", "bandwidth", "normalizer"} a KDE cell. A cell that fails the
-density's or a point's checks is a CorruptModel (exit 4). Model files are
-streamed: each array becomes a blob when the encoder reaches it and an array
-again when the parser closes it, so neither side holds more than one base64
-string. Every output file is written through ``output_file``, which replaces
-its target atomically.
+feature vectors (d = d_i columns) in feature mode, read by numpy's C reader
+or, for a table it refuses, row by row in Python with float() syntax. Labels
+are one base-10 integer per line. Models are stored as a single
+self-describing JSON document with an explicit schema_version (2; version 1
+is still read). Every float array is a blob {"shape": [...], "f8": base64 of
+its little-endian float64 bytes}, so arrays and scalars alike round-trip bit
+for bit. The model's kind sets each cell's layout: {"mu", "sigma",
+"normalizer"} holds the one support point and width of a parametric cell's
+`KernelDensity`, and {"support", "bandwidth", "normalizer"} a KDE cell. A
+cell that fails the density's or a point's checks is a CorruptModel (exit 4)
+naming its network and class. Model files are streamed: each array becomes a
+blob when the encoder reaches it and an array again when the parser closes
+it, so neither side holds more than one base64 string. Every output file is
+written through ``output_file``, which replaces its target atomically.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import base64
 import errno
 import json
 import os
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +40,7 @@ from .errors import (
     EmptyBatch,
     InvalidConfig,
     LabelOutOfRange,
+    ModelFormatError,
     NegativeProbability,
     NotNormalized,
     ParseError,
@@ -90,10 +93,19 @@ def _read_rows(path):
 
 
 def _parse_rows(path):
-    """A CSV table as one float64 array, all of its cells converted by one
-    numpy call (float() syntax), and the ``where`` of its rows. A ragged
-    row, a cell that is not a number and a non-finite cell raise, naming the
-    first bad line."""
+    """A CSV table as one float64 array and the ``where`` of its rows, read by
+    numpy's C reader. A table that it refuses or reads no row from is split in
+    Python, all cells converted by one numpy call (float() syntax); a ragged
+    row and a cell that is not a number raise, naming the first bad line."""
+    try:
+        # an open file, not a path: numpy would fetch a URL, or read t.csv.gz for t.csv
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        if len(values):  # the file is read again only when an error names a line
+            return values, lambda k: _read_rows(path)[1](k)
+    except (ValueError, OSError):  # UnicodeDecodeError is a ValueError
+        pass
     rows, where = _read_rows(path)
     if not rows:
         raise EmptyBatch(f"{path}: no rows")
@@ -115,9 +127,6 @@ def _parse_rows(path):
             except ValueError as exc:
                 raise ParseError(f"{where(k)}: {exc}") from None
         raise
-    if not np.isfinite(values).all():
-        k, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{where(k)}: non-finite value {values[k, j]}")
     return values, where
 
 
@@ -132,6 +141,9 @@ def load_output_table(path, mode: str = PROBABILITY) -> OutputTable:
     if mode not in (PROBABILITY, FEATURE):
         raise ValueError(f"unknown table mode {mode!r}")
     values, where = _parse_rows(path)
+    if not np.isfinite(values).all():
+        k, j = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{where(k)}: non-finite value {values[k, j]}")
     if mode == PROBABILITY:
         if np.any(values < -1e-9):
             row = np.where(values < -1e-9)[0][0]
@@ -290,11 +302,15 @@ def _document(model: EnsembleModel) -> dict:
 
 def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
     # a schema-2 array is already an ndarray; a schema-1 array is a nested list
-    if kind == PARAMETRIC:
-        mu = make_point(np.asarray(obj["mu"], dtype=np.float64), space)
-        return GaussianDensity(mu, float(obj["sigma"]), float(obj["normalizer"]))
-    support = SampleSet(np.asarray(obj["support"], dtype=np.float64), space, network_id, class_id)
-    return KernelDensity(support, float(obj["bandwidth"]), float(obj["normalizer"]))
+    try:
+        if kind == PARAMETRIC:
+            mu = make_point(np.asarray(obj["mu"], dtype=np.float64), space)
+            return GaussianDensity(mu, float(obj["sigma"]), float(obj["normalizer"]))
+        support = SampleSet(np.asarray(obj["support"], dtype=np.float64), space, network_id,
+                            class_id)
+        return KernelDensity(support, float(obj["bandwidth"]), float(obj["normalizer"]))
+    except (KeyError, TypeError, ValueError, IndexError, DataError) as exc:
+        raise ValueError(f"network {network_id}, class {class_id}: {exc}") from None
 
 
 def save_model(model: EnsembleModel) -> bytes:
@@ -331,8 +347,8 @@ def load_model(data) -> EnsembleModel:
         )
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"unreadable model file: {exc}") from None
-    except (KeyError, TypeError, ValueError, IndexError, DataError) as exc:
-        # also a blob the parser could not decode, and a cell's EmptySampleSet or ZeroFeature
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        # also a blob the parser could not decode, and a cell's error, which names the cell
         raise CorruptModel(f"model file is missing or corrupts required fields: {exc}") from None
 
 
@@ -347,13 +363,15 @@ def save_model_file(model: EnsembleModel, path):
 
 def load_model_file(path) -> EnsembleModel:
     """The model in the file at ``path``, whose text is read once. A path that
-    cannot be read (missing, a directory, no permission) is a CorruptModel
-    naming it."""
+    cannot be read (missing, a directory, no permission) is a CorruptModel, and
+    every model-format error names the path."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
+        return load_model(text)
     except OSError as exc:
         raise CorruptModel(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise CorruptModel(f"unreadable model file: {exc}") from None
-    return load_model(text)
+        raise CorruptModel(f"unreadable model file: {exc} (in {path})") from None
+    except ModelFormatError as exc:
+        raise type(exc)(f"{exc} (in {path})") from None

@@ -7,7 +7,8 @@ For a sample of true class j, network i emits
 so tau_i dials that network's standalone accuracy: tau -> 0 gives a
 near-perfect classifier, large tau drives accuracy to chance 1/c. For
 c = 10, tau around 0.70-0.74 lands in the 60-70% band. All randomness
-comes from the single seed; equal configs produce byte-identical files.
+comes from the single seed; equal configs produce byte-identical files. A
+table cell is the repr of its float, the shortest text float() reads back.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def make_suite(seed: int, m: int, c: int, n_train: int, n_test: int, taus) -> di
 
 def _write_table(path: Path, rows: np.ndarray):
     with output_file(path) as fh:
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row))
+        for row in rows.tolist():  # one pass to Python floats
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 

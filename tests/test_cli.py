@@ -229,6 +229,18 @@ class TestPredictCommand:
             cells = line.split(",")
             assert int(cells[0]) == int(np.argmax([float(v) for v in cells[1:]]))
 
+    def test_rows_are_class_then_float_reprs(self, runner, suite_dir, fitted, tmp_path):
+        out = tmp_path / "pred.csv"
+        tables = table_args("test", suite_dir, 3, "--table")
+        result = runner.invoke(main, [
+            "predict", "--model-file", str(fitted), *tables, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        model = io.load_model_file(fitted)
+        probs = ensemble.ensemble_probability_batch(model, io.load_split(tables[1::2])[0])
+        assert out.read_text() == "".join(
+            ",".join([str(int(np.argmax(row)))] + [repr(float(p)) for p in row]) + "\n"
+            for row in probs)
+
     def test_single_row(self, runner, suite_dir, fitted, tmp_path):
         single = []
         for i in range(3):
@@ -303,6 +315,7 @@ class TestPredictCommand:
             "--labels", str(suite_dir / "test_labels.txt")])
         assert result.exit_code == 4, result.output
         assert "CorruptModel: model file is missing or corrupts required fields" in result.output
+        assert "network 1, class 2: " in result.output and f"(in {model_path})" in result.output
 
     def test_separable_fixture_all_correct(self, runner, tmp_path):
         # near-noiseless networks: the class means are the test points

@@ -1,4 +1,5 @@
 import base64
+import gzip
 import json
 import math
 import re
@@ -39,6 +40,7 @@ from spheremix.io import (
 )
 from spheremix.estimators import SampleSet
 from spheremix.sphere import SpherePoint
+from spheremix.synth import make_suite, write_suite
 
 
 class TestOutputTable:
@@ -151,6 +153,94 @@ class TestOutputTable:
         a = load_output_table(p)
         b = load_output_table(p)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+# (file bytes, None when the table is accepted, else its error type and the
+# message after "<path>: "), as the row-by-row parser alone gives them
+TABLE_CASES = {
+    "blank-lines": (b"\n0.25,0.75\n\n\n0.5,0.5\n\n", None),
+    "whitespace-only-line": (b"0.25,0.75\n   \n0.5,0.5\n", None),
+    "tab-only-line": (b"0.25,0.75\n\t\n0.5,0.5\n", None),
+    "form-feed-line": (b"0.25,0.75\n\x0c\n0.5,0.5\n", None),
+    "crlf": (b"\r\n0.25,0.75\r\n\r\n0.5,0.5\r\n", None),
+    "cr-only": (b"0.25,0.75\r\r0.5,0.5\r", None),
+    "tabs-around-cells": (b"\t0.25\t,\t0.75\t\n0.5,0.5\n", None),
+    "spaces-around-cells": (b" 0.25 , 0.75 \n0.5,0.5\n", None),
+    "nbsp": (" 0.25,0.75\xa0\n0.5,0.5\n".encode(), None),
+    "underscore": (b"0.2_5,0.75\n0.5,0.5\n", None),
+    "arabic-indic-digits": ("٠.٢٥,0.75\n0.5,0.5\n".encode(), None),
+    "one-row": (b"0.25,0.75\n", None),
+    "one-column": (b"1.0\n1.0\n1.0\n", None),
+    "no-final-newline": (b"0.25,0.75\n0.5,0.5", None),
+    "float-forms": (b"+.25,7.5E-1\n1e-320,0000.999999999999999999999999\n", None),
+    "bom": (b"\xef\xbb\xbf0.25,0.75\n0.5,0.5\n",
+            (ParseError, "line 1: could not convert string to float: '\\ufeff0.25'")),
+    "hash-line": (b"0.25,0.75\n#0.5,0.5\n",
+                  (ParseError, "line 2: could not convert string to float: '#0.5'")),
+    "hash-after": (b"0.25,0.75 # note\n",
+                   (ParseError, "line 1: could not convert string to float: '0.75 # note'")),
+    "quotes": (b'"0.25","0.75"\n',
+               (ParseError, "line 1: could not convert string to float: '\"0.25\"'")),
+    "hex": (b"0x1p-2,0.75\n", (ParseError, "line 1: could not convert string to float: '0x1p-2'")),
+    "empty-cell": (b"0.5,0.5,0.0\n0.25,,0.75\n",
+                   (ParseError, "line 2: could not convert string to float: ''")),
+    "comma-only": (b",\n", (ParseError, "line 1: could not convert string to float: ''")),
+    "trailing-comma": (b"0.25,0.75,\n0.5,0.5,\n",
+                       (ParseError, "line 1: could not convert string to float: ''")),
+    "non-utf8": (b"0.25,0.75\n0.5,0.5\xff\n",
+                 (ParseError, "'utf-8' codec can't decode byte 0xff in position 17: "
+                              "invalid start byte")),
+    "nan": (b"0.25,0.75\nnan,0.5\n", (ParseError, "line 2: non-finite value nan")),
+    "inf": (b"\n0.25,0.75\n0.5,-inf\n", (ParseError, "line 3: non-finite value -inf")),
+    "1e500": (b"0.25,0.75\n1e500,0.5\n", (ParseError, "line 2: non-finite value inf")),
+    "infinity": (b"Infinity,0.5\n", (ParseError, "line 1: non-finite value inf")),
+    "nan-payload": (b"nan(1),0.5\n",
+                    (ParseError, "line 1: could not convert string to float: 'nan(1)'")),
+    "nul": (b"0.5\x00,0.5\n",
+            (ParseError, "line 1: could not convert string to float: '0.5\\x00'")),
+    "u2028": ("0.25,0.75 0.5,0.5\n".encode(),
+              (ParseError, "line 1: could not convert string to float: '0.75\\u20280.5'")),
+    "ragged": (b"0.25,0.75\n0.2,0.3,0.5\n", (RaggedTable, "line 2 has 3 columns, expected 2")),
+    "empty-file": (b"", (EmptyBatch, "no rows")),
+    "blank-only-file": (b"\n  \r\n\t\n", (EmptyBatch, "no rows")),
+}
+
+
+class TestParserAgreement:
+    """Every table parses as the row-by-row parser alone did: an accepted one
+    is float() of each cell of each non-blank line, which ``where`` names, and
+    a rejected one raises the same error with the same message. Under the
+    pytest filter, a warning that np.loadtxt let out (it warns on a file with
+    no data) would fail the empty cases."""
+
+    @pytest.mark.parametrize("data, expected", TABLE_CASES.values(), ids=TABLE_CASES.keys())
+    def test_table(self, tmp_path, data, expected):
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        if expected is not None:
+            error, message = expected
+            with pytest.raises(error) as info:
+                load_output_table(p, mode="feature")
+            assert str(info.value) == f"{p}: {message}"
+            return
+        with p.open(encoding="utf-8") as fh:
+            rows = [(i, line.split(",")) for i, line in enumerate(fh, start=1) if line.strip()]
+        values, where = io._parse_rows(p)
+        assert values.tolist() == [[float(cell) for cell in cells] for _, cells in rows]
+        assert [where(k) for k in range(len(rows))] == [f"{p}: line {i}" for i, _ in rows]
+
+    def test_compressed_sibling_is_not_read(self, tmp_path):
+        # np.loadtxt given a path would open t.csv.gz for a missing t.csv
+        with gzip.open(tmp_path / "t.csv.gz", "wt") as fh:
+            fh.write("0.25,0.75\n")
+        with pytest.raises(ParseError, match="No such file"):
+            load_output_table(tmp_path / "t.csv")
+
+    def test_desk_table_peak(self, tmp_path):
+        # the row-by-row path peaks at about 15x the array: a Python string per cell
+        path = write_suite(make_suite(18, 1, 10, 2000, 1, [0.7]), tmp_path)["train"][0]
+        peak = traced_peak(lambda: load_output_table(path))
+        assert peak <= 3 * 2000 * 10 * 8
 
 
 class TestLabels:
@@ -588,6 +678,21 @@ class TestDamagedCells:
                                       space=space)
         with pytest.raises(CorruptModel, match="^model file is missing or corrupts"):
             load_model(damage_cell(save_model(model), field, damage))
+
+    @pytest.mark.parametrize("damage, message", [
+        ("sigma-1e400", "width inf must be positive, and 2 width^2 and its inverse finite"),
+        ("zero-grassmann-mu", "cannot span a line with a (near-)zero vector"),
+    ])
+    def test_error_names_file_network_and_class(self, tmp_path, damage, message):
+        kind, space, field, damage = CELL_DAMAGE[damage]
+        model, _ = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
+                                      space=space)
+        path = tmp_path / "model.json"
+        path.write_text(damage_cell(save_model(model), field, damage))
+        with pytest.raises(CorruptModel) as info:
+            load_model_file(path)
+        assert str(info.value) == ("model file is missing or corrupts required fields: "
+                                   f"network 1, class 2: {message} (in {path})")
 
     @pytest.mark.parametrize("width", [0.0, -0.1, math.inf, math.nan, 1e-320, 1e-160, 1e200])
     def test_width_must_have_a_finite_kernel(self, width):

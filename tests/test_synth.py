@@ -74,6 +74,16 @@ class TestWriteSuite:
         for name in ["train_net00.csv", "test_net01.csv", "train_labels.txt", "test_labels.txt"]:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_cells_are_shortest_float_reprs(self, tmp_path):
+        # tau 0.1 puts the off-class probabilities far below 1e-4, in exponent form
+        suite = make_suite(13, 2, 4, 30, 10, [0.1, 0.1])
+        paths = write_suite(suite, tmp_path)
+        for split in ("train", "test"):
+            for table, path in zip(suite[split], paths[split]):
+                expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+                assert "e-" in expected
+                assert path.read_text() == expected
+
     def test_files_load_back(self, tmp_path):
         from spheremix.io import load_labels, load_output_table
 
