@@ -1,9 +1,9 @@
 """Hot numeric kernels: batched arc distances, Gaussian kernel sums, and the
 incremental mean recursion, in numpy.
 
-``kernel_sums`` is the one routine that computes kernel terms and returns the
-log of each row's sum; the one-centre ``kernel_values`` and ``kernel_total``
-are linear adapters over it. It turns a block of dot products into terms
+``kernel_sums`` returns the log of each evaluation row's kernel sum against a
+support set; the one-centre ``kernel_values`` and ``kernel_total`` are linear
+adapters over it. It turns a block of dot products into terms
 exp(-arccos(<x,y>)^2 * inv_two_sigma_sq) in place and reduces them with
 numpy's pairwise summation. Support sets can reach 1e4-1e5 terms of wildly
 varying magnitude; all terms are positive, so there is no cancellation, and
@@ -18,6 +18,17 @@ round a dot product differently in the last bit for another block shape.
 ``absolute=True`` switches the distance from the sphere arc length
 arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
 
+``class_log_sums`` is the kernel work of a KDE fit: each network's training
+rows against each class's own rows as support. It computes the squared arc
+distances of every class pair once, as one block that serves both cells of
+the pair, in one buffer that every pair reuses, and forms the kernel terms
+from it ``_CHUNK_BYTES`` of rows at a time. Each row is still one pairwise
+sum over contiguous memory, and a low row takes its shifted sum from the
+kept distances, with no second product. A pair whose block would exceed
+``_BLOCK_BYTES`` goes through ``kernel_sums`` in both directions. Its sums
+equal ``kernel_sums``' to within the rounding of the dot products, which
+BLAS forms in other shapes.
+
 ``cell_means`` is the one implementation of the mean recursion. It moves
 every (network, class) cell of a fit in the same step, so a fit takes as
 many numpy steps as its largest class has rows.
@@ -27,9 +38,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# Largest dense (rows x support) block one kernel_sums step allocates.
-# 8 MiB holds a 2000-row evaluation against 500 support points in one block.
+# Largest dense (rows x support) block one kernel_sums step, or one class
+# pair of class_log_sums, allocates. 8 MiB holds a 2000-row evaluation against
+# 500 support points, or two classes of 1000 rows, in one block.
 _BLOCK_BYTES = 8 << 20
+
+# Kernel terms class_log_sums forms at a time from a class pair's distances.
+_CHUNK_BYTES = 256 << 10
 
 # a row sum below |support| * 2^-1022 / eps may have lost an ulp to underflow
 _LOW_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
@@ -44,16 +59,20 @@ def _as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _log_terms(dots, inv_two_sigma_sq, absolute):
-    """Turn dot products into log kernel terms -arccos(dots)^2 * inv_two_sigma_sq,
-    in place."""
+def _squared_arcs(dots, absolute):
+    """Turn dot products into squared arc distances arccos(dots)^2, in place."""
     if absolute:
         np.abs(dots, out=dots)
     np.clip(dots, -1.0, 1.0, out=dots)
     np.arccos(dots, out=dots)
-    np.square(dots, out=dots)
+    return np.square(dots, out=dots)
+
+
+def _log_terms(dots, inv_two_sigma_sq, absolute):
+    """Turn dot products into log kernel terms -arccos(dots)^2 * inv_two_sigma_sq,
+    in place."""
     # multiplying by the negated factor equals negating the product exactly
-    return np.multiply(dots, -float(inv_two_sigma_sq), out=dots)
+    return np.multiply(_squared_arcs(dots, absolute), -float(inv_two_sigma_sq), out=dots)
 
 
 def arc_distances(pts, center, *, absolute: bool = False) -> np.ndarray:
@@ -93,6 +112,65 @@ def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = Fal
             top = terms.max(axis=1)
             terms -= top[:, None]
             out[start:start + rows][low] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+    return out
+
+
+def _log_row_sums(d2, inv_two_bw_sq: float) -> np.ndarray:
+    """Log of sum_y exp(-d2[r, y] * inv_two_bw_sq) for each row r of the
+    squared distances ``d2``, which may be a transposed view. The terms of a
+    few rows at a time go into one C-ordered buffer, so every row is one
+    pairwise sum over contiguous memory; a low row is shifted as in
+    ``kernel_sums``, from its kept distances."""
+    n, s = d2.shape
+    rows = max(1, _CHUNK_BYTES // (8 * max(1, s)))
+    buf = np.empty((min(rows, n), s))
+    neg = -float(inv_two_bw_sq)
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        block = d2[start:start + rows]
+        terms = np.multiply(block, neg, out=buf[:len(block)])
+        sums = np.exp(terms, out=terms).sum(axis=1)
+        low = sums < s * _LOW_SUM
+        part = out[start:start + rows]
+        np.log(sums, out=part, where=~low)
+        if low.any():
+            terms = np.multiply(block[low], neg, out=buf[:np.count_nonzero(low)])
+            top = terms.max(axis=1)
+            terms -= top[:, None]
+            part[low] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+    return out
+
+
+def class_log_sums(points, labels, inv_two_bw_sq, *, absolute: bool = False) -> np.ndarray:
+    """(n, c) log kernel sums of every row of ``points`` against the rows of
+    each class j in [0, c) as support, at the inverse width
+    ``inv_two_bw_sq[j]``: column j is ``kernel_sums(points,
+    points[labels == j], inv_two_bw_sq[j])`` up to the rounding of the dot
+    products. Every class needs at least one row.
+
+    The distances of class k's rows to class j's, k <= j, are one block that
+    gives cell j its rows of class k and, transposed, cell k its rows of
+    class j. A block over ``_BLOCK_BYTES`` goes through ``kernel_sums``."""
+    points = _as_matrix(points)
+    inv = [float(v) for v in inv_two_bw_sq]
+    rows = [np.flatnonzero(np.asarray(labels) == j) for j in range(len(inv))]
+    classes = [points[r] for r in rows]
+    out = np.empty((points.shape[0], len(inv)))
+    # every shared block in turn, so one block is alive at a time
+    blocks = np.empty(min(_BLOCK_BYTES // 8, max(map(len, rows)) ** 2))
+    for k, (rows_k, x_k) in enumerate(zip(rows, classes)):
+        for j in range(k, len(inv)):
+            x_j = classes[j]
+            if 8 * len(x_k) * len(x_j) > _BLOCK_BYTES:
+                out[rows_k, j] = kernel_sums(x_k, x_j, inv[j], absolute=absolute)
+                if j != k:
+                    out[rows[j], k] = kernel_sums(x_j, x_k, inv[k], absolute=absolute)
+                continue
+            d2 = blocks[:len(x_k) * len(x_j)].reshape(len(x_k), len(x_j))
+            _squared_arcs(np.matmul(x_k, x_j.T, out=d2), absolute)
+            out[rows_k, j] = _log_row_sums(d2, inv[j])
+            if j != k:
+                out[rows[j], k] = _log_row_sums(d2.T, inv[k])
     return out
 
 

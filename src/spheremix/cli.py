@@ -35,7 +35,9 @@ from .ensemble import (
     score_report,
     shift_to_pdf,
 )
-from .errors import DimensionMismatch, InvalidConfig, SpheremixError
+from .errors import (
+    DimensionMismatch, EmptySampleSet, InvalidConfig, RaggedEnsemble, SpheremixError,
+)
 from .io import (
     check_writable, load_labels, load_model_file, load_split, output_file, save_model_file,
 )
@@ -99,7 +101,8 @@ def _load_batch(tables, labels_path, space: str, c: int | None):
         raise InvalidConfig("--classes is required with --space grassmann")
     labels = load_labels(labels_path, c)
     if labels.size != raw[0].n:
-        raise DimensionMismatch(f"{labels.size} labels for {raw[0].n} samples in {labels_path}")
+        raise RaggedEnsemble(
+            f"{labels_path} has {labels.size} labels, {tables[0]} has {raw[0].n} rows")
     return LabeledBatch(features, labels, space), c
 
 
@@ -130,7 +133,8 @@ def main():
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Stop when |dL| <= tol * max(1, L).")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for per-(network, class) density fitting.")
+              help="Worker threads for density fitting: one task per network for kde, "
+                   "per (network, class) for parametric.")
 @_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, threads):
@@ -142,6 +146,9 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
     _check_paths([*(("--train-table", t) for t in tables), ("--labels", labels_path)],
                  [("--out", out_path)], report_path)
     batch, c = _load_batch(tables, labels_path, space, classes)
+    empty = np.flatnonzero(np.bincount(batch.labels, minlength=c) == 0)
+    if empty.size:
+        raise EmptySampleSet(f"{labels_path}: no training rows for class {empty[0]}")
 
     t0 = time.perf_counter()
     densities, P_train = fit_densities(batch, c, kind, threads=threads)

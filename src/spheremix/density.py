@@ -14,12 +14,13 @@ must be positive with 2 w^2 and its inverse finite, and a normalizer finite
 and positive.
 
 C is the *empirical* normalizer: C / |support| inverts the kernel mass the
-support gives the network's whole training set (all classes). `_normalized`
-alone computes it, and `empirical_normalizer` is its one-point case; the
-analytic sphere constant is intractable and never needed. A KDE support
-point evaluates its own kernel term (self-inclusion, no leave-one-out),
-exactly as the normalizer's double sum is written. `pdf`/`pdf_batch` are the exp of
-`log_pdf_batch`, which stays finite where a density underflows to 0.
+support gives the network's whole training set (all classes). `normalized`
+alone turns those log kernel sums into C, whoever computed them, and
+`empirical_normalizer` is its one-point case; the analytic sphere constant
+is intractable and never needed. A KDE support point evaluates its own
+kernel term (self-inclusion, no leave-one-out), exactly as the normalizer's
+double sum is written. `pdf`/`pdf_batch` are the exp of `log_pdf_batch`,
+which stays finite where a density underflows to 0.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ class KernelDensity:
                 f"point of dimension {pts.shape[1]} against density of dimension {self.dim}")
         return math.log(self.normalizer / len(self.support)) + self._log_sums(pts)
 
+    @property
+    def inv_two_bw_sq(self) -> float:
+        return 1.0 / (2.0 * self.bandwidth**2)
+
     def _log_sums(self, pts) -> np.ndarray:
-        return _kernels.kernel_sums(pts, self.support.points, 1.0 / (2.0 * self.bandwidth**2),
+        return _kernels.kernel_sums(pts, self.support.points, self.inv_two_bw_sq,
                                     absolute=self.support.space == GRASSMANN)
 
 
@@ -88,16 +93,12 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
     return (4.0 * sigma_hat**5 / (3.0 * n)) ** 0.2
 
 
-def _normalized(density, all_network_train, out: np.ndarray | None):
+def normalized(density, log_sums, out: np.ndarray | None = None):
     """``density`` with its empirical normalizer: |support| over the kernel
-    mass the support gives every training row of the network. When ``out`` is
-    given, the fitted log density at each of those rows is written into it
-    from the same sums, bit-equal to ``log_pdf_batch(all_network_train)``.
+    mass exp(``log_sums``).sum(), the log kernel sums its support gives every
+    training row of the network. When ``out`` is given, the fitted log
+    density at each of those rows is written into it from the same sums.
     A mass with no finite inverse (one that underflowed to 0) is NumericError."""
-    train = stack_points(all_network_train)
-    if train.size == 0:
-        raise EmptySampleSet("the normalizer needs a non-empty training set")
-    log_sums = density._log_sums(train)
     mass = float(np.exp(log_sums).sum())
     normalizer = len(density.support) / mass if mass > 0.0 else math.inf
     if not math.isfinite(normalizer):
@@ -106,6 +107,15 @@ def _normalized(density, all_network_train, out: np.ndarray | None):
     if out is not None:
         np.add(math.log(normalizer / len(density.support)), log_sums, out=out)
     return replace(density, normalizer=normalizer)
+
+
+def _normalized(density, all_network_train, out: np.ndarray | None):
+    """``normalized`` over the support's own kernel sums at the training rows;
+    ``out`` is then bit-equal to ``log_pdf_batch(all_network_train)``."""
+    train = stack_points(all_network_train)
+    if train.size == 0:
+        raise EmptySampleSet("the normalizer needs a non-empty training set")
+    return normalized(density, density._log_sums(train), out)
 
 
 def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
@@ -130,12 +140,17 @@ def fit_gaussian(class_samples: SampleSet, all_network_train, *, out: np.ndarray
     return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
 
 
+def kde_cell(class_samples: SampleSet, mu) -> KernelDensity:
+    """The unnormalized kernel density of one cell: every class sample a
+    support point, at Silverman's width about the Fréchet mean ``mu``."""
+    bandwidth = silverman_bandwidth(sample_sigma(class_samples, mu), len(class_samples))
+    return KernelDensity(class_samples, bandwidth, 1.0)
+
+
 def fit_kde(class_samples: SampleSet, all_network_train, *, out: np.ndarray | None = None,
             mu=None) -> KernelDensity:
-    """Fit the kernel density for one (network, class) cell. Every class
-    sample is a support point; ``out`` and ``mu`` are as in ``fit_gaussian``.
-    """
+    """Fit the kernel density for one (network, class) cell; ``out`` and
+    ``mu`` are as in ``fit_gaussian``."""
     if mu is None:
         mu = incremental_frechet_mean(class_samples)
-    bandwidth = silverman_bandwidth(sample_sigma(class_samples, mu), len(class_samples))
-    return _normalized(KernelDensity(class_samples, bandwidth, 1.0), all_network_train, out)
+    return _normalized(kde_cell(class_samples, mu), all_network_train, out)

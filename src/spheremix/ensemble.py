@@ -45,7 +45,12 @@ import numpy as np
 
 from . import _kernels
 from ._points import GRASSMANN, SPHERE
-from .density import fit_gaussian, fit_kde
+from .density import (
+    fit_gaussian,
+    fit_kde,  # not called here; pipebench/tracing.py patches this name
+    kde_cell,
+    normalized,
+)
 from .errors import (
     DegenerateScores,
     DimensionMismatch,
@@ -460,10 +465,15 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
     """Fit the m x c grid of class densities on a labeled batch.
 
     Returns (densities, L_train). L_train is the (n, m, c) tensor of
-    log p_ij(x_i) on the batch itself, filled cell by cell from the kernel
-    evaluation that sets each cell's normalizer; it has the layout of
-    ``pdf_grid(densities, batch.features)`` and equals it bit for bit.
-    ``shift_to_pdf`` turns it into the tensor ``fit_weights`` reads.
+    log p_ij(x_i) on the batch itself, in the layout of
+    ``pdf_grid(densities, batch.features)``, filled from the kernel sums that
+    set each cell's normalizer; ``shift_to_pdf`` turns it into the tensor
+    ``fit_weights`` reads. A parametric cell makes its own kernel sums, and
+    L_train equals ``pdf_grid`` bit for bit. A KDE network makes one
+    ``_kernels.class_log_sums`` call for all its cells, whose dot products
+    BLAS rounds in other shapes than ``pdf_grid``'s: the two agree to that
+    rounding. ``threads`` workers take one parametric cell or one KDE network
+    each; their number changes no bit.
 
     Every cell's Fréchet mean comes from one ``_kernels.cell_means`` call per
     feature width (Grassmann networks may differ in width), before any cell
@@ -482,20 +492,34 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
             sign_align=batch.space == GRASSMANN,
         )))
 
-    def fit_cell(i: int, j: int):
+    def cell(i: int, j: int):
         rows = batch.features[i][batch.labels == j]
         # an empty class fails here by name, before its NaN mean is read
-        cell = SampleSet(rows, batch.space, network_id=i, class_id=j)
-        mu = mean_point(means[i][j], batch.space)
-        fit = fit_gaussian if kind == PARAMETRIC else fit_kde
-        return fit(cell, batch.features[i], out=P_train[:, i, j], mu=mu)
+        return (SampleSet(rows, batch.space, network_id=i, class_id=j),
+                mean_point(means[i][j], batch.space))
 
-    cells = [(i, j) for i in range(batch.m) for j in range(c)]
+    def fit_gaussian_cell(ij):
+        i, j = ij
+        samples, mu = cell(i, j)
+        return [fit_gaussian(samples, batch.features[i], out=P_train[:, i, j], mu=mu)]
+
+    def fit_kde_network(i: int):
+        kdes = [kde_cell(*cell(i, j)) for j in range(c)]
+        log_sums = _kernels.class_log_sums(
+            batch.features[i], batch.labels, [d.inv_two_bw_sq for d in kdes],
+            absolute=batch.space == GRASSMANN)
+        return [normalized(d, log_sums[:, j], P_train[:, i, j]) for j, d in enumerate(kdes)]
+
+    if kind == PARAMETRIC:
+        fit, tasks = fit_gaussian_cell, [(i, j) for i in range(batch.m) for j in range(c)]
+    else:
+        fit, tasks = fit_kde_network, range(batch.m)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(lambda ij: fit_cell(*ij), cells))
+            fitted = list(pool.map(fit, tasks))
     else:
-        flat = [fit_cell(i, j) for i, j in cells]
+        fitted = [fit(task) for task in tasks]
+    flat = [d for part in fitted for d in part]
     return [flat[i * c:(i + 1) * c] for i in range(batch.m)], P_train
 
 

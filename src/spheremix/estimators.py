@@ -19,7 +19,7 @@ one-cell case.
 Dispersion is the RMS geodesic distance to the mean, floored at SIGMA_FLOOR
 to keep the downstream 1/sigma^2 finite. The empirical normalizer, which
 makes unequal class dispersions comparable, is fitted with each density
-(``density._normalized``).
+(``density.normalized``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spheremix import ensemble, io
+from spheremix import cli, ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
@@ -122,16 +122,19 @@ class TestFitCommand:
         ])
         assert result.exit_code == 3
 
-    def test_empty_class_exit_code(self, runner, suite_dir, tmp_path):
-        # the suite has 4 classes; relabel the last one so it has no rows
-        labels = (suite_dir / "train_labels.txt").read_text().replace("3", "0")
-        (tmp_path / "labels.txt").write_text(labels)
+    def test_empty_class_exit_code(self, runner, suite_dir, tmp_path, monkeypatch):
+        # the suite has 4 classes; relabel the last one so it has no rows. The
+        # labels are checked once, by name, before any density is fitted
+        labels = tmp_path / "labels.txt"
+        labels.write_text((suite_dir / "train_labels.txt").read_text().replace("3", "0"))
+        monkeypatch.setattr(cli, "fit_densities", None)
         result = runner.invoke(main, [
             "fit", *table_args("train", suite_dir, 3, "--train-table"),
-            "--labels", str(tmp_path / "labels.txt"), "--out", str(tmp_path / "m.json"),
+            "--labels", str(labels), "--out", str(tmp_path / "m.json"),
         ])
         assert result.exit_code == 3
-        assert "EmptySampleSet: no samples for network 0, class 3" in result.output
+        assert f"EmptySampleSet: {labels}: no training rows for class 3\n" in result.output
+        assert not (tmp_path / "m.json").exists()
 
     def test_invalid_eta(self, runner, suite_dir, tmp_path):
         result, _ = run_fit(runner, suite_dir, tmp_path, "--eta", "-1.0")
@@ -675,8 +678,8 @@ class TestInputErrors:
             "fit", *table_args("train", suite_dir, 3, "--train-table"),
             "--labels", str(labels), "--out", str(tmp_path / "m.json"),
         ])
-        assert result.exit_code == 4, result.output
-        assert "DimensionMismatch: 239 labels for 240 samples" in result.output
+        assert result.exit_code == 3, result.output
+        assert "RaggedEnsemble: " in result.output and "has 239 labels" in result.output
 
     def test_ragged_tables_name_the_file(self, runner, suite_dir, tmp_path):
         short = tmp_path / "train_net01.csv"
@@ -704,8 +707,10 @@ class TestInputErrors:
             args = ["--model-file", str(fitted), *table_args("test", suite_dir, 3, "--table")]
         result = runner.invoke(main, [command, *args, "--labels", str(labels)])
         n = 240 if command == "fit" else 80
-        assert result.exit_code == 4, result.output
-        assert f"DimensionMismatch: {n - 1} labels for {n} samples in {labels}\n" in result.output
+        first = suite_dir / f"{split}_net00.csv"
+        assert result.exit_code == 3, result.output
+        assert (f"RaggedEnsemble: {labels} has {n - 1} labels, {first} has {n} rows\n"
+                in result.output)
 
 
 def write_feature_suite(fx, outdir):

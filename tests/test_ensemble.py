@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import load_fixture
-from spheremix.density import GaussianDensity, KernelDensity
+from spheremix.density import GaussianDensity, KernelDensity, fit_kde
 from spheremix.ensemble import (
     EnsembleModel,
     LabeledBatch,
@@ -36,7 +36,7 @@ from spheremix.errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from spheremix.estimators import SampleSet
+from spheremix.estimators import SampleSet, mean_point
 from spheremix.io import embed_feature_rows, embed_probability_rows
 from spheremix.synth import make_suite
 from spheremix.sphere import SpherePoint
@@ -532,13 +532,15 @@ class TestBatchValidation:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         feats = [np.sqrt(e / e.sum(axis=1, keepdims=True)) for _ in range(2)]
         batch = LabeledBatch(feats, labels)
-        serial, P_serial = fit_densities(batch, c, threads=1)
-        threaded, P_threaded = fit_densities(batch, c, threads=4)
-        for row_a, row_b in zip(serial, threaded):
-            for a, b in zip(row_a, row_b):
-                np.testing.assert_array_equal(a.support.points, b.support.points)
-                assert a.bandwidth == b.bandwidth and a.normalizer == b.normalizer
-        np.testing.assert_array_equal(P_serial, P_threaded)
+        # parametric threads take one cell each, KDE threads one network each
+        for kind in ("parametric", "kde"):
+            serial, P_serial = fit_densities(batch, c, kind, threads=1)
+            threaded, P_threaded = fit_densities(batch, c, kind, threads=4)
+            for row_a, row_b in zip(serial, threaded):
+                for a, b in zip(row_a, row_b):
+                    np.testing.assert_array_equal(a.support.points, b.support.points)
+                    assert a.bandwidth == b.bandwidth and a.normalizer == b.normalizer
+            np.testing.assert_array_equal(P_serial, P_threaded)
 
 
 def sphere_batch(rng, m, c, n):
@@ -562,7 +564,10 @@ def grassmann_batch(rng, dims, c, n):
 
 class TestFusedTrainTensor:
     """fit_densities' train tensor comes from the kernel evaluations that set
-    the normalizers; it must equal a separate pdf_grid pass bit for bit."""
+    the normalizers. A parametric tensor equals a separate pdf_grid pass bit
+    for bit. A KDE tensor comes from class-pair distance blocks, whose dot
+    products BLAS rounds in other shapes than pdf_grid's, so it agrees at the
+    kernel tests' tolerance. Threads never change a bit."""
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
@@ -575,11 +580,48 @@ class TestFusedTrainTensor:
             batch = grassmann_batch(rng, (4, 6, 5), c, 90)
         densities, P_train = fit_densities(batch, c, kind)
         assert P_train.shape == (batch.n, batch.m, c)
-        np.testing.assert_array_equal(P_train, pdf_grid(densities, batch.features))
+        if kind == "parametric":
+            np.testing.assert_array_equal(P_train, pdf_grid(densities, batch.features))
+        else:
+            np.testing.assert_allclose(P_train, pdf_grid(densities, batch.features),
+                                       rtol=1e-13, atol=0)
         threaded, P_threaded = fit_densities(batch, c, kind, threads=4)
         np.testing.assert_array_equal(P_threaded, P_train)
         for row_a, row_b in zip(densities, threaded):
             assert [a.normalizer for a in row_a] == [b.normalizer for b in row_b]
+
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    def test_kde_cells_match_fit_kde(self, monkeypatch, space):
+        # the shared class-pair blocks give each cell the width fit_kde gives
+        # it, bit for bit, and its normalizer to the kernel tests' tolerance;
+        # no cell makes its own kernel_sums call
+        rng = np.random.default_rng(8)
+        c = 4
+        if space == "sphere":
+            batch = sphere_batch(rng, 3, c, 120)
+        else:
+            batch = grassmann_batch(rng, (4, 6, 5), c, 120)
+        means = {}
+        for i, f in enumerate(batch.features):
+            means[i] = _kernels.cell_means([f], batch.labels, c,
+                                           sign_align=space == "grassmann")[0]
+
+        def per_cell(*args, **kwargs):
+            raise AssertionError("a KDE fit made a per-cell kernel_sums call")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_kernels, "kernel_sums", per_cell)
+            densities, P_train = fit_densities(batch, c, "kde")
+        for i, row in enumerate(densities):
+            for j, got in enumerate(row):
+                cell = SampleSet(batch.features[i][batch.labels == j], space)
+                out = np.empty(batch.n)
+                ref = fit_kde(cell, batch.features[i], out=out,
+                              mu=mean_point(means[i][j], space))
+                np.testing.assert_array_equal(got.support.points, ref.support.points)
+                assert got.bandwidth == ref.bandwidth
+                assert got.normalizer == pytest.approx(ref.normalizer, rel=1e-13)
+                np.testing.assert_allclose(P_train[:, i, j], out, rtol=1e-13, atol=0)
 
     def test_fit_weights_checks_tensor_shape(self):
         batch = sphere_batch(np.random.default_rng(9), 2, 3, 30)

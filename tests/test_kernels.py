@@ -1,7 +1,8 @@
 """The numpy kernels against independent fsum references, the row-block
 split, the log sums of rows whose every term underflows, and the backend
-name the package reports. ``kernel_sums`` returns logs, which are compared
-with the log of the fsum reference at the same relative tolerance."""
+name the package reports. ``kernel_sums`` and ``class_log_sums`` return
+logs, which are compared with the log of the fsum reference at the same
+relative tolerance."""
 
 import json
 import math
@@ -14,6 +15,8 @@ import oracles
 import spheremix
 from spheremix import _kernels
 from spheremix.cli import main
+from spheremix.ensemble import LabeledBatch, fit_densities
+from spheremix.io import embed_probability_rows
 from spheremix.synth import make_suite, write_suite
 
 
@@ -151,6 +154,113 @@ class TestAgainstReference:
         a = _kernels.arc_distances(data["eval"], data["center"], absolute=True)
         b = _kernels.arc_distances(flipped, data["center"], absolute=True)
         np.testing.assert_array_equal(a, b)
+
+
+def shifted_log_sum(row, support, inv, absolute):
+    """top + log fsum exp(a - top) over the log terms a of ``row`` against
+    ``support``: the log of the fsum of the terms, also where they underflow."""
+    logs = [-oracles.ref_arc(row, s if not absolute or row @ s >= 0 else -s) ** 2 * inv
+            for s in support]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(a - top) for a in logs))
+
+
+def exact_unit_rows(rng, n, d):
+    """Unit rows of integer coordinates over 32 (squared norm exactly 1024 /
+    1024): every dot product of two rows, a row with itself included, is
+    exact in any summation order, so the arc of a row to its own support
+    point is exactly 0 in numpy and in the fsum reference alike."""
+    rows = []
+    while len(rows) < n:
+        head = rng.integers(-20, 21, d - 1)
+        rest = 1024 - int(head @ head)
+        if rest >= 0 and math.isqrt(rest) ** 2 == rest:
+            rows.append(rng.permutation([*head, rng.choice([-1, 1]) * math.isqrt(rest)]))
+    return np.asarray(rows, dtype=np.float64) / 32.0
+
+
+def class_rows(rng, sizes, d, *, absolute):
+    """Exact unit rows in classes of the given sizes, shuffled; sphere rows
+    (not ``absolute``) are folded into the positive orthant half of the time."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    points = exact_unit_rows(rng, len(labels), d)
+    if not absolute:
+        points[::2] = np.abs(points[::2])
+    return points, labels
+
+
+class TestClassLogSums:
+    """class_log_sums: every row of a network against each class's rows,
+    from one distance block per class pair."""
+
+    # classes of 1, 2 and many rows; at width 0.02 most rows of other
+    # classes have every term below 1e-300 and take the shifted sum
+    SIZES = [1, 2, 31, 17, 9]
+    WIDTHS = np.array([0.02, 0.3, 0.25, 0.02, 0.6])
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_against_fsum(self, absolute):
+        rng = np.random.default_rng(21)
+        points, labels = class_rows(rng, self.SIZES, 6, absolute=absolute)
+        inv = 1.0 / (2.0 * self.WIDTHS**2)
+        got = _kernels.class_log_sums(points, labels, inv, absolute=absolute)
+        assert got.shape == (len(labels), len(self.SIZES))
+        low = 0
+        for r, row in enumerate(points):
+            for j, inv_j in enumerate(inv):
+                support = points[labels == j]
+                expected = shifted_log_sum(row, support, inv_j, absolute)
+                low += expected < math.log(len(support) * _kernels._LOW_SUM)
+                assert got[r, j] == pytest.approx(expected, rel=1e-13), (r, j)
+        assert low >= 50  # the shifted path is exercised
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_fallback_agrees_with_shared_blocks(self, monkeypatch, absolute):
+        rng = np.random.default_rng(22)
+        points, labels = class_rows(rng, self.SIZES, 6, absolute=absolute)
+        inv = 1.0 / (2.0 * self.WIDTHS**2)
+        shared = _kernels.class_log_sums(points, labels, inv, absolute=absolute)
+        calls = []
+        kernel_sums = _kernels.kernel_sums
+
+        def counting(eval_pts, support, *args, **kwargs):
+            calls.append((len(eval_pts), len(support)))
+            return kernel_sums(eval_pts, support, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "kernel_sums", counting)
+        # under 8 * 31 * 17 bytes, only the pairs within the two largest
+        # classes fall back, each direction on its own
+        for budget, pairs in ((8 * 31 * 17 - 1, [(31, 31), (31, 17), (17, 31)]), (1, None)):
+            calls.clear()
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+            got = _kernels.class_log_sums(points, labels, inv, absolute=absolute)
+            assert calls == pairs if pairs else len(calls) == len(self.SIZES) ** 2
+            np.testing.assert_allclose(got, shared, rtol=1e-13, atol=0)
+
+    def test_chunks_change_nothing(self, monkeypatch):
+        # the chunks split only whole rows, so no sum changes
+        rng = np.random.default_rng(23)
+        points, labels = class_rows(rng, self.SIZES, 6, absolute=False)
+        inv = 1.0 / (2.0 * self.WIDTHS**2)
+        whole = _kernels.class_log_sums(points, labels, inv)
+        for budget in (1, 8 * 31 * 3):
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+            np.testing.assert_array_equal(_kernels.class_log_sums(points, labels, inv), whole)
+
+    def test_sharp_suite_stays_finite(self):
+        # the first networks of `synth --seed 18 --tau 0.1`: most rows of
+        # the KDE fit underflow; pytest turns a log(0) warning into an error
+        suite = make_suite(18, 2, 10, 2000, 1, [0.1, 0.1])
+        batch = LabeledBatch([embed_probability_rows(t) for t in suite["train"]],
+                             suite["train_labels"])
+        densities, P_train = fit_densities(batch, 10, "kde")
+        assert np.isfinite(P_train).all()
+        sizes = np.bincount(batch.labels, minlength=10)
+        for features, row in zip(batch.features, densities):
+            sums = _kernels.class_log_sums(features, batch.labels,
+                                           [d.inv_two_bw_sq for d in row])
+            assert np.isfinite(sums).all()
+            assert np.mean(sums < np.log(sizes * _kernels._LOW_SUM)) > 0.8
 
 
 def labelled_cells(rng, sizes, m, d, *, sign_flips=False):
