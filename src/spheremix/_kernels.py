@@ -1,30 +1,33 @@
-"""Hot numeric kernels: batched arc distances, Gaussian kernel sums, and the
+"""Hot numeric kernels: squared arc distances, Gaussian kernel sums, and the
 incremental mean recursion, in numpy.
+
+``squared_arcs`` turns dot products into squared arc distances;
+``absolute=True`` switches the distance from the sphere arc length
+arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
+``_log_row_sums`` is the one reduction of kernel terms: it forms
+exp(-d^2 * inv_two_sigma_sq) from a few rows of squared distances at a time,
+at most ``_CHUNK_BYTES`` of terms, and reduces each row with numpy's pairwise
+summation over contiguous memory. Support sets can reach 1e4-1e5 terms of
+wildly varying magnitude; all terms are positive, so there is no
+cancellation, and the relative error of the pairwise sum is
+O(log2(n) * eps) (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., ch. 4): about 1.6e-15 at 1e4 terms. Only a row so small that
+underflowed terms could move its sum by an ulp is shifted, as
+top + log(sum(exp(a - top))) over its kept distances (Blanchard, Higham &
+Higham, IMA J. Numer. Anal. 2021).
 
 ``kernel_sums`` returns the log of each evaluation row's kernel sum against a
 support set; the one-centre ``kernel_values`` and ``kernel_total`` are linear
-adapters over it. It turns a block of dot products into terms
-exp(-arccos(<x,y>)^2 * inv_two_sigma_sq) in place and reduces them with
-numpy's pairwise summation. Support sets can reach 1e4-1e5 terms of wildly
-varying magnitude; all terms are positive, so there is no cancellation, and
-the relative error of the pairwise sum is O(log2(n) * eps) (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., ch. 4): about 1.6e-15 at 1e4
-terms. Only a row so small that underflowed terms could move its sum by an
-ulp is recomputed as top + log(sum(exp(a - top))), its largest log term
-factored out (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
-``kernel_sums`` splits its evaluation rows into blocks of at most
-``_BLOCK_BYTES``. The split changes no row's summation order, but BLAS may
-round a dot product differently in the last bit for another block shape.
-``absolute=True`` switches the distance from the sphere arc length
-arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
+adapters over it. It forms the dot products of ``_CHUNK_BYTES`` of rows at a
+time and reduces them through ``_log_row_sums``. The split changes no row's
+summation order, but BLAS may round a dot product differently in the last
+bit for another chunk shape.
 
 ``class_log_sums`` is the kernel work of a KDE fit: each network's training
 rows against each class's own rows as support. It computes the squared arc
 distances of every class pair once, as one block that serves both cells of
-the pair, in one buffer that every pair reuses, and forms the kernel terms
-from it ``_CHUNK_BYTES`` of rows at a time. Each row is still one pairwise
-sum over contiguous memory, and a low row takes its shifted sum from the
-kept distances, with no second product. A pair whose block would exceed
+the pair, in one buffer that every pair reuses, and reduces it through
+``_log_row_sums`` in both directions. A pair whose block would exceed
 ``_BLOCK_BYTES`` goes through ``kernel_sums`` in both directions. Its sums
 equal ``kernel_sums``' to within the rounding of the dot products, which
 BLAS forms in other shapes.
@@ -38,12 +41,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Largest dense (rows x support) block one kernel_sums step, or one class
-# pair of class_log_sums, allocates. 8 MiB holds a 2000-row evaluation against
-# 500 support points, or two classes of 1000 rows, in one block.
+# Largest class-pair distance block class_log_sums allocates. 8 MiB holds
+# two classes of 1000 rows in one block.
 _BLOCK_BYTES = 8 << 20
 
-# Kernel terms class_log_sums forms at a time from a class pair's distances.
+# Dot products kernel_sums forms, and kernel terms _log_row_sums forms, at a time.
 _CHUNK_BYTES = 256 << 10
 
 # a row sum below |support| * 2^-1022 / eps may have lost an ulp to underflow
@@ -59,28 +61,13 @@ def _as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _squared_arcs(dots, absolute):
+def squared_arcs(dots, absolute):
     """Turn dot products into squared arc distances arccos(dots)^2, in place."""
     if absolute:
         np.abs(dots, out=dots)
     np.clip(dots, -1.0, 1.0, out=dots)
     np.arccos(dots, out=dots)
     return np.square(dots, out=dots)
-
-
-def _log_terms(dots, inv_two_sigma_sq, absolute):
-    """Turn dot products into log kernel terms -arccos(dots)^2 * inv_two_sigma_sq,
-    in place."""
-    # multiplying by the negated factor equals negating the product exactly
-    return np.multiply(_squared_arcs(dots, absolute), -float(inv_two_sigma_sq), out=dots)
-
-
-def arc_distances(pts, center, *, absolute: bool = False) -> np.ndarray:
-    """Geodesic distances from each row of ``pts`` to ``center``."""
-    dots = _as_matrix(pts) @ _as_matrix(center)
-    if absolute:
-        dots = np.abs(dots)
-    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 def kernel_values(pts, center, inv_two_sigma_sq: float, *, absolute: bool = False) -> np.ndarray:
@@ -98,20 +85,11 @@ def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = Fal
     """Log of the per-row kernel sums of ``eval_pts`` against ``support``."""
     eval_pts = _as_matrix(eval_pts)
     support = _as_matrix(support)
-    n = eval_pts.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, support.shape[0])))
-    out = np.empty(n)
-    for start in range(0, n, rows):
-        pts = eval_pts[start:start + rows]
-        block = _log_terms(pts @ support.T, inv_two_bw_sq, absolute)
-        sums = np.exp(block, out=block).sum(axis=1)
-        low = sums < support.shape[0] * _LOW_SUM
-        np.log(sums, out=out[start:start + rows], where=~low)
-        if low.any():
-            terms = _log_terms(pts[low] @ support.T, inv_two_bw_sq, absolute)
-            top = terms.max(axis=1)
-            terms -= top[:, None]
-            out[start:start + rows][low] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+    rows = max(1, _CHUNK_BYTES // (8 * max(1, support.shape[0])))
+    out = np.empty(eval_pts.shape[0])
+    for start in range(0, len(out), rows):
+        d2 = squared_arcs(eval_pts[start:start + rows] @ support.T, absolute)
+        out[start:start + rows] = _log_row_sums(d2, inv_two_bw_sq)
     return out
 
 
@@ -119,8 +97,8 @@ def _log_row_sums(d2, inv_two_bw_sq: float) -> np.ndarray:
     """Log of sum_y exp(-d2[r, y] * inv_two_bw_sq) for each row r of the
     squared distances ``d2``, which may be a transposed view. The terms of a
     few rows at a time go into one C-ordered buffer, so every row is one
-    pairwise sum over contiguous memory; a low row is shifted as in
-    ``kernel_sums``, from its kept distances."""
+    pairwise sum over contiguous memory; a low row is shifted by its largest
+    log term, from its kept distances."""
     n, s = d2.shape
     rows = max(1, _CHUNK_BYTES // (8 * max(1, s)))
     buf = np.empty((min(rows, n), s))
@@ -167,7 +145,7 @@ def class_log_sums(points, labels, inv_two_bw_sq, *, absolute: bool = False) -> 
                     out[rows[j], k] = kernel_sums(x_j, x_k, inv[k], absolute=absolute)
                 continue
             d2 = blocks[:len(x_k) * len(x_j)].reshape(len(x_k), len(x_j))
-            _squared_arcs(np.matmul(x_k, x_j.T, out=d2), absolute)
+            squared_arcs(np.matmul(x_k, x_j.T, out=d2), absolute)
             out[rows_k, j] = _log_row_sums(d2, inv[j])
             if j != k:
                 out[rows[j], k] = _log_row_sums(d2.T, inv[k])

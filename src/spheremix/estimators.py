@@ -94,8 +94,6 @@ def incremental_frechet_mean(samples: SampleSet):
 
 def sample_sigma(samples: SampleSet, mu) -> float:
     """RMS geodesic distance of the samples to mu, floored at SIGMA_FLOOR."""
-    d = _kernels.arc_distances(
-        samples.points, point_vector(mu), absolute=samples.space == GRASSMANN
-    )
-    sigma = math.sqrt(math.fsum(d * d) / len(d))
+    d2 = _kernels.squared_arcs(samples.points @ point_vector(mu), samples.space == GRASSMANN)
+    sigma = math.sqrt(math.fsum(d2) / len(d2))
     return max(sigma, SIGMA_FLOOR)

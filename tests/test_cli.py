@@ -614,6 +614,31 @@ def replace_first_cell(src, dst, lineno, cell):
     dst.write_text("\n".join(lines) + "\n")
 
 
+def at_line_5(edit):
+    """Damage that rewrites the comma-separated cells of file line 5."""
+    def damage(lines):
+        cells = lines[4].rstrip("\n").split(",")
+        return [*lines[:4], ",".join(edit(cells)) + "\n", *lines[5:]]
+    return damage
+
+
+# Every input fault fit meets: the damaged file, the error it raises, the
+# damage, and the line the message names (None where no one line is at fault).
+FIT_INPUT_FAULTS = {
+    "row-sum-1.5": ("table", "NotNormalized",
+                    at_line_5(lambda c: [repr(float(c[0]) + 0.5), *c[1:]]), 5),
+    "negative-cell": ("table", "NegativeProbability",
+                      at_line_5(lambda c: [repr(-float(c[0])), *c[1:]]), 5),
+    "label-12": ("labels", "LabelOutOfRange", at_line_5(lambda c: ["12"]), 5),
+    "label-x": ("labels", "ParseError", at_line_5(lambda c: ["x"]), 5),
+    "ragged-row": ("table", "RaggedTable", at_line_5(lambda c: c[:-1]), 5),
+    "table-one-row-short": ("table", "RaggedEnsemble", lambda lines: lines[:-1], None),
+    "labels-one-row-short": ("labels", "RaggedEnsemble", lambda lines: lines[:-1], None),
+    "class-without-rows": ("labels", "EmptySampleSet",
+                           lambda lines: [x.replace("3", "0") for x in lines], None),
+}
+
+
 class TestInputErrors:
     def test_fit_rejects_non_finite_cell(self, runner, suite_dir, tmp_path):
         bad = tmp_path / "train_net01.csv"
@@ -711,6 +736,28 @@ class TestInputErrors:
         assert result.exit_code == 3, result.output
         assert (f"RaggedEnsemble: {labels} has {n - 1} labels, {first} has {n} rows\n"
                 in result.output)
+
+    @pytest.mark.parametrize("fault", FIT_INPUT_FAULTS)
+    def test_every_fit_input_fault(self, runner, suite_dir, tmp_path, fault):
+        # each fault fit meets in its inputs exits 3 before anything is
+        # written, and names its error, the damaged file and its line
+        damaged, error, damage, line = FIT_INPUT_FAULTS[fault]
+        name = "train_net01.csv" if damaged == "table" else "train_labels.txt"
+        bad = tmp_path / name
+        bad.write_text("".join(damage((suite_dir / name).read_text().splitlines(keepends=True))))
+        tables = table_args("train", suite_dir, 3, "--train-table")
+        labels = suite_dir / "train_labels.txt"
+        if damaged == "table":
+            tables[3] = str(bad)
+        else:
+            labels = bad
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", *tables, "--labels", str(labels), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"error: {error}: "), result.stderr
+        named = re.escape(str(bad)) + (rf": line {line}\b" if line else "")
+        assert re.search(named, result.stderr), result.stderr
+        assert not out.exists()
 
 
 def write_feature_suite(fx, outdir):

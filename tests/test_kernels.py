@@ -1,4 +1,4 @@
-"""The numpy kernels against independent fsum references, the row-block
+"""The numpy kernels against independent fsum references, the row-chunk
 split, the log sums of rows whose every term underflows, and the backend
 name the package reports. ``kernel_sums`` and ``class_log_sums`` return
 logs, which are compared with the log of the fsum reference at the same
@@ -37,7 +37,7 @@ def data():
 
 class TestAgainstReference:
     def test_arc_distances(self, data):
-        got = _kernels.arc_distances(data["eval"], data["center"])
+        got = np.sqrt(_kernels.squared_arcs(data["eval"] @ data["center"], False))
         expected = [oracles.ref_arc(row, data["center"]) for row in data["eval"]]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
@@ -92,14 +92,14 @@ class TestAgainstReference:
     @pytest.mark.parametrize("absolute", [False, True])
     def test_row_blocks_change_nothing(self, monkeypatch, absolute):
         # signed basis rows make every dot product exact whatever the BLAS
-        # call shape, so blocking may not change a single bit
+        # call shape, so chunking may not change a single bit
         rng = np.random.default_rng(12)
         support = random_unit_rows(rng, 300, 5)
         eval_pts = np.eye(5)[rng.integers(0, 5, 37)] * rng.choice([-1.0, 1.0], (37, 1))
         inv = 1.0 / (2 * 0.3**2)
         whole = _kernels.kernel_sums(eval_pts, support, inv, absolute=absolute)
         for budget in (1, 3 * 8 * 300):
-            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
             np.testing.assert_array_equal(
                 _kernels.kernel_sums(eval_pts, support, inv, absolute=absolute), whole
             )
@@ -134,7 +134,7 @@ class TestAgainstReference:
             assert value == pytest.approx(
                 top + math.log(math.fsum(math.exp(a - top) for a in logs)), rel=1e-13)
 
-    def test_only_low_rows_are_recomputed(self):
+    def test_only_low_rows_are_shifted(self):
         # row 0 sums to about 1e-261 and keeps its linear sum, in which the
         # terms that underflowed are lost below an ulp; row 1's largest term
         # is about 1e-304, under |support| * 2^-1022 / eps, and is factored out
@@ -151,8 +151,8 @@ class TestAgainstReference:
     def test_absolute_flag(self, data):
         flipped = data["eval"].copy()
         flipped[::2] *= -1.0
-        a = _kernels.arc_distances(data["eval"], data["center"], absolute=True)
-        b = _kernels.arc_distances(flipped, data["center"], absolute=True)
+        a = np.sqrt(_kernels.squared_arcs(data["eval"] @ data["center"], True))
+        b = np.sqrt(_kernels.squared_arcs(flipped @ data["center"], True))
         np.testing.assert_array_equal(a, b)
 
 
@@ -235,7 +235,7 @@ class TestClassLogSums:
             monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
             got = _kernels.class_log_sums(points, labels, inv, absolute=absolute)
             assert calls == pairs if pairs else len(calls) == len(self.SIZES) ** 2
-            np.testing.assert_allclose(got, shared, rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(got, shared)
 
     def test_chunks_change_nothing(self, monkeypatch):
         # the chunks split only whole rows, so no sum changes
