@@ -81,6 +81,12 @@ def _check_paths(inputs, outputs, report_path=None):
         check_writable(path)
 
 
+def _below_uniform(accuracy: float, uniform: float, split: str) -> list:
+    """The report line naming learned weights that classify worse than uniform ones."""
+    return [f"note: learned weights classify worse than uniform ones on {split}: accuracy "
+            f"{accuracy:.4f} < uniform {uniform:.4f}"] if accuracy < uniform else []
+
+
 def _write_report(report_path, text: str, metrics: dict):
     path, json_path = _report_paths(report_path)
     with output_file(path) as fh:
@@ -89,16 +95,23 @@ def _write_report(report_path, text: str, metrics: dict):
         fh.write(json.dumps(metrics, indent=1) + "\n")
 
 
-def _load_batch(tables, labels_path, space: str, c: int | None):
+def _load_tables(tables, space: str, c: int | None = None, dims=None):
+    """load_split; DimensionMismatch names the first table whose width is not
+    its entry of the model's ``dims`` or, fitting on the sphere, ``c`` or the first's."""
     features, raw = load_split(tables, space)
-    if space == SPHERE:
-        width = raw[0].d
-        if c is None:
-            c = width
-        elif c != width:
-            raise DimensionMismatch(f"{c} classes but probability tables have {width} columns")
-    elif c is None:
+    source = "the model expects" if dims else "--classes is" if c else f"{tables[0]} has"
+    dims = dims or ([c or raw[0].d] * len(raw) if space == SPHERE else [])
+    for path, table, width in zip(tables, raw, dims):
+        if table.d != width:
+            raise DimensionMismatch(f"{path} has {table.d} columns; {source} {width}")
+    return features, raw
+
+
+def _load_batch(tables, labels_path, space: str, c: int | None, dims=None):
+    features, raw = _load_tables(tables, space, c, dims)
+    if c is None and space == GRASSMANN:
         raise InvalidConfig("--classes is required with --space grassmann")
+    c = c or raw[0].d
     labels = load_labels(labels_path, c)
     if labels.size != raw[0].n:
         raise RaggedEnsemble(
@@ -133,8 +146,8 @@ def main():
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Stop when |dL| <= tol * max(1, L).")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for density fitting: one task per network for kde, "
-                   "per (network, class) for parametric.")
+              help="Worker threads for a kde fit's kernel sums, one network each; "
+                   "a parametric fit is one pass.")
 @_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, threads):
@@ -178,6 +191,7 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         f"final loss: {meta['final_loss']:.6f}   uniform-weight loss: {meta['uniform_loss']:.6f}",
         f"train accuracy: {train['accuracy']:.4f}   "
         f"uniform-weight train accuracy: {train['uniform_accuracy']:.4f}",
+        *_below_uniform(train["accuracy"], train["uniform_accuracy"], "the training set"),
         f"descent stopped by {meta['stop_reason']}   gradient norm: {meta['grad_norm']:.3e}   "
         f"effective networks: {meta['effective_networks']:.3f}",
         "learned weights (sorted):",
@@ -216,7 +230,7 @@ def predict(model_file, tables, out_path):
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables)],
                  [("--out", out_path)])
     model = load_model_file(model_file)
-    features, _ = load_split(tables, model.space)
+    features, _ = _load_tables(tables, model.space, dims=model.network_dims())
     # one scoring pass; each written class is the argmax of its written row
     probs = ensemble_probability_batch(model, features)
     classes = np.argmax(probs, axis=1)
@@ -238,7 +252,7 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables),
                   ("--labels", labels_path)], [], report_path)
     model = load_model_file(model_file)
-    batch, _ = _load_batch(tables, labels_path, model.space, model.c)
+    batch, _ = _load_batch(tables, labels_path, model.space, model.c, model.network_dims())
     result = evaluate(model, batch)
     standalone = result["standalone_accuracy"]
     average = float(np.mean(standalone))
@@ -246,6 +260,7 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
     lines = [
         f"ensemble accuracy:       {result['accuracy']:.4f}",
         f"uniform-weight accuracy: {result['uniform_accuracy']:.4f}",
+        *_below_uniform(result["accuracy"], result["uniform_accuracy"], "this batch"),
         f"mean loss:               {result['mean_loss']:.6f}",
         "constituent accuracies:",
     ]

@@ -93,51 +93,39 @@ def silverman_bandwidth(sigma_hat: float, n: int) -> float:
     return (4.0 * sigma_hat**5 / (3.0 * n)) ** 0.2
 
 
-def normalized(density, log_sums, out: np.ndarray | None = None):
+def normalized(density, log_sums):
     """``density`` with its empirical normalizer: |support| over the kernel
     mass exp(``log_sums``).sum(), the log kernel sums its support gives every
-    training row of the network. When ``out`` is given, the fitted log
-    density at each of those rows is written into it from the same sums.
-    A mass with no finite inverse (one that underflowed to 0) is NumericError."""
+    training row of the network. ``log_sums`` becomes, in place, the fitted
+    log density at those rows. A mass with no finite inverse (one that
+    underflowed to 0) is NumericError."""
     mass = float(np.exp(log_sums).sum())
     normalizer = len(density.support) / mass if mass > 0.0 else math.inf
     if not math.isfinite(normalizer):
         raise NumericError(
             f"no finite normalizer: width {density.bandwidth!r}, kernel mass {mass!r}")
-    if out is not None:
-        np.add(math.log(normalizer / len(density.support)), log_sums, out=out)
+    log_sums += math.log(normalizer / len(density.support))
     return replace(density, normalizer=normalizer)
 
 
-def _normalized(density, all_network_train, out: np.ndarray | None):
-    """``normalized`` over the support's own kernel sums at the training rows;
-    ``out`` is then bit-equal to ``log_pdf_batch(all_network_train)``."""
+def _normalized(density, all_network_train):
+    """``normalized`` over the support's own kernel sums at the training rows."""
     train = stack_points(all_network_train)
     if train.size == 0:
         raise EmptySampleSet("the normalizer needs a non-empty training set")
-    return normalized(density, density._log_sums(train), out)
+    return normalized(density, density._log_sums(train))
 
 
 def empirical_normalizer(all_train_points, mu, sigma: float) -> float:
     """Inverse kernel mass of the unnormalized Gaussian at mu over the whole
     training set of a network: [sum_I exp(-d^2(x_I, mu)/2 sigma^2)]^-1."""
-    return _normalized(GaussianDensity(mu, sigma, 1.0), all_train_points, None).normalizer
+    return _normalized(GaussianDensity(mu, sigma, 1.0), all_train_points).normalizer
 
 
-def fit_gaussian(class_samples: SampleSet, all_network_train, *, out: np.ndarray | None = None,
-                 mu=None) -> KernelDensity:
-    """Estimate (mu, sigma, C) for one (network, class) cell.
-
-    ``all_network_train`` is the embedded output of the same network on the
-    whole training set (all classes); it feeds only the normalizer. When
-    ``out`` is given, the fitted log density at each training row is written
-    into it (see ``_normalized``). ``mu`` is the cell's Fréchet mean when the
-    caller already has it; otherwise it is computed here.
-    """
-    if mu is None:
-        mu = incremental_frechet_mean(class_samples)
-    sigma = sample_sigma(class_samples, mu)
-    return _normalized(GaussianDensity(mu, sigma, 1.0), all_network_train, out)
+def gaussian_cell(class_samples: SampleSet, mu) -> KernelDensity:
+    """The unnormalized Gaussian of one cell: at the Fréchet mean ``mu``,
+    with the RMS distance to it as width."""
+    return GaussianDensity(mu, sample_sigma(class_samples, mu), 1.0)
 
 
 def kde_cell(class_samples: SampleSet, mu) -> KernelDensity:
@@ -147,10 +135,15 @@ def kde_cell(class_samples: SampleSet, mu) -> KernelDensity:
     return KernelDensity(class_samples, bandwidth, 1.0)
 
 
-def fit_kde(class_samples: SampleSet, all_network_train, *, out: np.ndarray | None = None,
-            mu=None) -> KernelDensity:
-    """Fit the kernel density for one (network, class) cell; ``out`` and
-    ``mu`` are as in ``fit_gaussian``."""
-    if mu is None:
-        mu = incremental_frechet_mean(class_samples)
-    return _normalized(kde_cell(class_samples, mu), all_network_train, out)
+def fit_gaussian(class_samples: SampleSet, all_network_train) -> KernelDensity:
+    """Fit (mu, sigma, C) for one (network, class) cell on its own; the
+    network's whole training set ``all_network_train`` feeds only C."""
+    return _normalized(gaussian_cell(class_samples, incremental_frechet_mean(class_samples)),
+                       all_network_train)
+
+
+def fit_kde(class_samples: SampleSet, all_network_train) -> KernelDensity:
+    """Fit the kernel density of one (network, class) cell on its own, as
+    ``fit_gaussian`` does."""
+    return _normalized(kde_cell(class_samples, incremental_frechet_mean(class_samples)),
+                       all_network_train)

@@ -45,12 +45,8 @@ import numpy as np
 
 from . import _kernels
 from ._points import GRASSMANN, SPHERE
-from .density import (
-    fit_gaussian,
-    fit_kde,  # not called here; pipebench/tracing.py patches this name
-    kde_cell,
-    normalized,
-)
+# fit_gaussian and fit_kde are not called here; pipebench/tracing.py patches them
+from .density import fit_gaussian, fit_kde, gaussian_cell, kde_cell, normalized
 from .errors import (
     DegenerateScores,
     DimensionMismatch,
@@ -464,26 +460,25 @@ def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
 def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, threads: int = 1):
     """Fit the m x c grid of class densities on a labeled batch.
 
-    Returns (densities, L_train). L_train is the (n, m, c) tensor of
-    log p_ij(x_i) on the batch itself, in the layout of
-    ``pdf_grid(densities, batch.features)``, filled from the kernel sums that
-    set each cell's normalizer; ``shift_to_pdf`` turns it into the tensor
-    ``fit_weights`` reads. A parametric cell makes its own kernel sums, and
-    L_train equals ``pdf_grid`` bit for bit. A KDE network makes one
-    ``_kernels.class_log_sums`` call for all its cells, whose dot products
-    BLAS rounds in other shapes than ``pdf_grid``'s: the two agree to that
-    rounding. ``threads`` workers take one parametric cell or one KDE network
-    each; their number changes no bit.
+    Returns (densities, L_train): L_train is the (n, m, c) tensor of
+    log p_ij(x_i) on the batch itself, laid out as ``pdf_grid``'s, which
+    ``shift_to_pdf`` turns into the tensor ``fit_weights`` reads. Each cell
+    is built at normalizer 1 from its Fréchet mean; L_train first holds the
+    cells' log kernel sums at the training rows, and ``normalized`` turns
+    each column into its cell's normalizer and, in place, log density. A
+    parametric fit's sums are one ``pdf_grid`` pass over those cells, so
+    L_train equals ``pdf_grid`` bit for bit. A KDE network's are one
+    ``_kernels.class_log_sums`` call, whose dot products BLAS rounds in other
+    shapes than ``pdf_grid``'s: the two agree to that rounding. ``threads``
+    workers take one KDE network each; their number changes no bit.
 
     Every cell's Fréchet mean comes from one ``_kernels.cell_means`` call per
-    feature width (Grassmann networks may differ in width), before any cell
-    is fitted.
+    feature width (Grassmann networks may differ in width).
     """
     if kind not in (PARAMETRIC, KDE):
         raise ValueError(f"unknown model kind {kind!r}")
     if np.any(batch.labels >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    P_train = _empty_pdf_tensor(batch.n, batch.m, c)
     means = {}
     for width in dict.fromkeys(f.shape[1] for f in batch.features):
         nets = [i for i, f in enumerate(batch.features) if f.shape[1] == width]
@@ -491,36 +486,26 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
             [batch.features[i] for i in nets], batch.labels, c,
             sign_align=batch.space == GRASSMANN,
         )))
-
-    def cell(i: int, j: int):
-        rows = batch.features[i][batch.labels == j]
-        # an empty class fails here by name, before its NaN mean is read
-        return (SampleSet(rows, batch.space, network_id=i, class_id=j),
-                mean_point(means[i][j], batch.space))
-
-    def fit_gaussian_cell(ij):
-        i, j = ij
-        samples, mu = cell(i, j)
-        return [fit_gaussian(samples, batch.features[i], out=P_train[:, i, j], mu=mu)]
-
-    def fit_kde_network(i: int):
-        kdes = [kde_cell(*cell(i, j)) for j in range(c)]
-        log_sums = _kernels.class_log_sums(
-            batch.features[i], batch.labels, [d.inv_two_bw_sq for d in kdes],
-            absolute=batch.space == GRASSMANN)
-        return [normalized(d, log_sums[:, j], P_train[:, i, j]) for j, d in enumerate(kdes)]
-
+    build = gaussian_cell if kind == PARAMETRIC else kde_cell
+    # an empty class fails in its SampleSet by name, before its NaN mean is read
+    cells = [[build(SampleSet(f[batch.labels == j], batch.space, network_id=i, class_id=j),
+                    mean_point(means[i][j], batch.space)) for j in range(c)]
+             for i, f in enumerate(batch.features)]
     if kind == PARAMETRIC:
-        fit, tasks = fit_gaussian_cell, [(i, j) for i in range(batch.m) for j in range(c)]
+        L_train = pdf_grid(cells, batch.features)
     else:
-        fit, tasks = fit_kde_network, range(batch.m)
-    if threads > 1:
+        L_train = _empty_pdf_tensor(batch.n, batch.m, c)
+
+        def network_sums(i: int):
+            L_train[:, i, :] = _kernels.class_log_sums(
+                batch.features[i], batch.labels, [d.inv_two_bw_sq for d in cells[i]],
+                absolute=batch.space == GRASSMANN)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fitted = list(pool.map(fit, tasks))
-    else:
-        fitted = [fit(task) for task in tasks]
-    flat = [d for part in fitted for d in part]
-    return [flat[i * c:(i + 1) * c] for i in range(batch.m)], P_train
+            # the pool starts no thread until it is given a task
+            list((pool.map if threads > 1 else map)(network_sums, range(batch.m)))
+    return [[normalized(d, L_train[:, i, j]) for j, d in enumerate(row)]
+            for i, row in enumerate(cells)], L_train
 
 
 def fit_ensemble(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, eta: float = 0.1,

@@ -192,6 +192,31 @@ class TestFitCommand:
         assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("kind, below", [("parametric", True), ("kde", False)])
+    def test_flags_learned_below_uniform(self, runner, suite_dir, tmp_path, kind, below):
+        # on this suite the parametric weights collapse onto one network and
+        # classify worse than uniform ones, on both splits; the KDE weights tie
+        # with them there, and nothing is flagged
+        result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", kind,
+                                     "--report", str(tmp_path / "fit.txt"))
+        evaluated = runner.invoke(main, [
+            "evaluate", "--model-file", str(model_path),
+            *table_args("test", suite_dir, 3, "--table"),
+            "--labels", str(suite_dir / "test_labels.txt"), "--report", str(tmp_path / "ev.txt")])
+        assert result.exit_code == 0 and evaluated.exit_code == 0, result.output + evaluated.output
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        ev = json.loads((tmp_path / "ev.json").read_text())
+        for output, report, accuracy, uniform, split in (
+            (result.output, "fit.txt", fit["train_accuracy"], fit["uniform_train_accuracy"],
+             "the training set"),
+            (evaluated.output, "ev.txt", ev["accuracy"], ev["uniform_accuracy"], "this batch"),
+        ):
+            assert (accuracy < uniform) == below
+            line = (f"note: learned weights classify worse than uniform ones on {split}: "
+                    f"accuracy {accuracy:.4f} < uniform {uniform:.4f}\n")
+            assert (line in output) == below and (line in (tmp_path / report).read_text()) == below
+            assert output.count("worse than uniform") == below
+
 
 @pytest.fixture(scope="module")
 def fitted(runner, suite_dir, tmp_path_factory):
@@ -736,6 +761,48 @@ class TestInputErrors:
         assert result.exit_code == 3, result.output
         assert (f"RaggedEnsemble: {labels} has {n - 1} labels, {first} has {n} rows\n"
                 in result.output)
+
+    @pytest.mark.parametrize("narrow, classes", [(1, None), (0, None), (1, "4")],
+                             ids=["second", "first", "classes"])
+    def test_fit_names_a_narrow_table(self, runner, suite_dir, tmp_path, monkeypatch,
+                                      narrow, classes):
+        # a valid probability table one column short is named as soon as the
+        # tables are loaded, before the labels are read or any density is fitted
+        # (a narrow second table exited 4 after the whole fit, naming no file;
+        # a narrow first one exited 3 on the labels)
+        bad = tmp_path / "narrow.csv"
+        bad.write_text("0.5,0.25,0.25\n" * 240)
+        tables = table_args("train", suite_dir, 3, "--train-table")
+        tables[2 * narrow + 1] = str(bad)
+        monkeypatch.setattr(cli, "fit_densities", None)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, [
+            "fit", *tables, *(["--classes", classes] if classes else []),
+            "--labels", str(tmp_path / "no_labels.txt"), "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        source = (f"--classes is {classes}" if classes
+                  else f"{suite_dir / 'train_net00.csv'} has 4")
+        expected = (f"{bad} has 3 columns; {source}" if narrow
+                    else f"{suite_dir / 'train_net01.csv'} has 4 columns; {bad} has 3")
+        assert result.stderr == f"error: DimensionMismatch: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scoring_names_a_narrow_table(self, runner, suite_dir, fitted, tmp_path, command):
+        # checked against the model's widths before the labels are read (an
+        # evaluate or predict used to exit 4 in scoring, naming network 1)
+        bad = tmp_path / "narrow.csv"
+        bad.write_text("0.5,0.25,0.25\n" * 80)
+        tables = table_args("test", suite_dir, 3, "--table")
+        tables[3] = str(bad)
+        out = tmp_path / "p.csv"
+        extra = (["--labels", str(tmp_path / "no_labels.txt")] if command == "evaluate"
+                 else ["--out", str(out)])
+        result = runner.invoke(main, [command, "--model-file", str(fitted), *tables, *extra])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == (
+            f"error: DimensionMismatch: {bad} has 3 columns; the model expects 4\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", FIT_INPUT_FAULTS)
     def test_every_fit_input_fault(self, runner, suite_dir, tmp_path, fault):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import load_fixture
-from spheremix.density import GaussianDensity, KernelDensity, fit_kde
+from spheremix.density import GaussianDensity, KernelDensity, kde_cell
 from spheremix.ensemble import (
     EnsembleModel,
     LabeledBatch,
@@ -26,7 +26,7 @@ from spheremix.ensemble import (
     _Objective,
     _shifted_scores,
 )
-from spheremix import _kernels, density
+from spheremix import _kernels, density, ensemble
 from spheremix.errors import (
     AntipodalPoints,
     DegenerateScores,
@@ -532,7 +532,8 @@ class TestBatchValidation:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         feats = [np.sqrt(e / e.sum(axis=1, keepdims=True)) for _ in range(2)]
         batch = LabeledBatch(feats, labels)
-        # parametric threads take one cell each, KDE threads one network each
+        # KDE threads take one network's class_log_sums each; a parametric fit
+        # is one pdf_grid pass whatever the thread count
         for kind in ("parametric", "kde"):
             serial, P_serial = fit_densities(batch, c, kind, threads=1)
             threaded, P_threaded = fit_densities(batch, c, kind, threads=4)
@@ -592,7 +593,7 @@ class TestFusedTrainTensor:
 
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
     def test_kde_cells_match_fit_kde(self, monkeypatch, space):
-        # the shared class-pair blocks give each cell the width fit_kde gives
+        # the shared class-pair blocks give each cell the width kde_cell gives
         # it, bit for bit, and its normalizer to the kernel tests' tolerance;
         # no cell makes its own kernel_sums call
         rng = np.random.default_rng(8)
@@ -615,13 +616,26 @@ class TestFusedTrainTensor:
         for i, row in enumerate(densities):
             for j, got in enumerate(row):
                 cell = SampleSet(batch.features[i][batch.labels == j], space)
-                out = np.empty(batch.n)
-                ref = fit_kde(cell, batch.features[i], out=out,
-                              mu=mean_point(means[i][j], space))
+                ref = density._normalized(kde_cell(cell, mean_point(means[i][j], space)),
+                                          batch.features[i])
                 np.testing.assert_array_equal(got.support.points, ref.support.points)
                 assert got.bandwidth == ref.bandwidth
                 assert got.normalizer == pytest.approx(ref.normalizer, rel=1e-13)
-                np.testing.assert_allclose(P_train[:, i, j], out, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(P_train[:, i, j], ref.log_pdf_batch(batch.features[i]),
+                                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kind, grids, sums", [("parametric", 1, 0), ("kde", 0, 3)])
+    def test_one_tensor_fill(self, monkeypatch, kind, grids, sums):
+        # a parametric fit's tensor is one pdf_grid pass over the unnormalized
+        # cells; a KDE fit's is one class_log_sums call per network
+        calls = []
+        for module, name in ((ensemble, "pdf_grid"), (_kernels, "class_log_sums")):
+            def counting(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        fit_densities(sphere_batch(np.random.default_rng(10), 3, 3, 60), 3, kind, threads=2)
+        assert calls.count("pdf_grid") == grids and calls.count("class_log_sums") == sums
 
     def test_fit_weights_checks_tensor_shape(self):
         batch = sphere_batch(np.random.default_rng(9), 2, 3, 30)
