@@ -4,18 +4,15 @@ Input tables are headerless CSV, one row per sample, one file per network
 per split: softmax probabilities (d = c columns) in probability mode, raw
 feature vectors (d = d_i columns) in feature mode, read by numpy's C reader
 or, for a table it refuses, row by row in Python with float() syntax. Labels
-are one base-10 integer per line. Models are stored as a single
-self-describing JSON document with an explicit schema_version (2; version 1
-is still read). Every float array is a blob {"shape": [...], "f8": base64 of
-its little-endian float64 bytes}, so arrays and scalars alike round-trip bit
-for bit. The model's kind sets each cell's layout: {"mu", "sigma",
-"normalizer"} holds the one support point and width of a parametric cell's
-`KernelDensity`, and {"support", "bandwidth", "normalizer"} a KDE cell. A
-cell that fails the density's or a point's checks is a CorruptModel (exit 4)
-naming its network and class. Model files are streamed: each array becomes a
-blob when the encoder reaches it and an array again when the parser closes
-it, so neither side holds more than one base64 string. Every output file is
-written through ``output_file``, which replaces its target atomically.
+are one base-10 integer per line. A model file (schema_version 3; 1 and 2
+are still read) is a JSON line in which each float array is {"shape": [...]},
+then the arrays' little-endian float64 bytes in C order, so every value
+round-trips bit for bit. The model's kind sets each cell's layout: {"mu",
+"sigma", "normalizer"} holds the one support point and width of a parametric
+cell's `KernelDensity`, and {"support", "bandwidth", "normalizer"} a KDE
+cell. A cell that fails the density's or a point's checks is a CorruptModel
+(exit 4) naming its network and class. Every output file is written through
+``output_file``, which replaces its target atomically.
 """
 
 from __future__ import annotations
@@ -23,10 +20,12 @@ from __future__ import annotations
 import base64
 import errno
 import json
+import math
 import os
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +50,8 @@ from .errors import (
 )
 from .estimators import SampleSet
 
-SCHEMA_VERSION = 2
-_READABLE_SCHEMAS = (1, 2)
+SCHEMA_VERSION = 3
+_READABLE_SCHEMAS = (1, 2, 3)
 
 PROBABILITY = "probability"
 FEATURE = "feature"
@@ -257,30 +256,18 @@ def check_writable(path):
 # -- model files -----------------------------------------------------------------
 
 
-def _blob(a) -> dict:
-    """The JSON encoder's ``default`` hook: a float array as its shape and the
-    base64 of its little-endian float64 bytes. Anything else that JSON cannot
-    encode (a numpy integer in fit_meta, say) is a TypeError, not a blob."""
+def _shape(a, body: list) -> dict:
+    """The JSON encoder's ``default`` hook: a float array joins ``body`` and
+    leaves its shape; anything else (a numpy int in fit_meta, say) is a TypeError."""
     if not isinstance(a, np.ndarray):
         raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a).decode("ascii")}
-
-
-def _unblob(obj: dict):
-    """The JSON parser's ``object_hook``: a blob becomes its float64 array as
-    soon as the parser closes it, so only one base64 string is held at a time.
-    Bad base64, a byte count that is not a multiple of 8 and a shape that does
-    not hold the bytes raise ValueError."""
-    if "f8" not in obj and "shape" not in obj:
-        return obj
-    raw = base64.b64decode(obj["f8"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
+    body.append(a)
+    return {"shape": list(a.shape)}
 
 
 def _document(model: EnsembleModel) -> dict:
-    """The model's JSON document with every float array still an ndarray;
-    ``_blob`` encodes each one when the encoder reaches it."""
+    """The model's JSON document, its float arrays still ndarrays."""
     def cell(d) -> dict:
         if model.kind == PARAMETRIC:
             return {"mu": d.support.points[0], "sigma": d.bandwidth, "normalizer": d.normalizer}
@@ -301,7 +288,7 @@ def _document(model: EnsembleModel) -> dict:
 
 
 def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
-    # a schema-2 array is already an ndarray; a schema-1 array is a nested list
+    # a schema-2 or -3 array is already an ndarray; a schema-1 array is a nested list
     try:
         if kind == PARAMETRIC:
             mu = make_point(np.asarray(obj["mu"], dtype=np.float64), space)
@@ -313,18 +300,47 @@ def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_
         raise ValueError(f"network {network_id}, class {class_id}: {exc}") from None
 
 
+def _write_model(model: EnsembleModel, fh):
+    # the header is streamed: json.dumps would hold it as small strings, 8x its size
+    body = []
+    for chunk in json.JSONEncoder(default=lambda a: _shape(a, body)).iterencode(_document(model)):
+        fh.write(chunk.encode("utf-8"))
+    fh.write(b"\n")
+    for a in body:
+        fh.write(a)
+
+
 def save_model(model: EnsembleModel) -> bytes:
-    """Serialize a fitted model to its JSON document (UTF-8 bytes), on one
-    line: without ``indent`` CPython runs its C encoder."""
-    return (json.dumps(_document(model), default=_blob) + "\n").encode("utf-8")
+    """The bytes of a fitted model's file."""
+    with BytesIO() as fh:
+        _write_model(model, fh)
+        return fh.getvalue()
 
 
-def load_model(data) -> EnsembleModel:
-    """Rebuild an EnsembleModel from its JSON document (schema 1 or 2), given
-    as bytes or str."""
+def _read_model(fh, size: int) -> EnsembleModel:
+    """The model in ``fh``, a binary file of ``size`` bytes."""
+    def array(obj: dict):  # the parser's object_hook: a blob becomes its array
+        if "shape" not in obj:
+            return obj
+        shape = obj["shape"]
+        if not all(type(k) is int and k >= 0 for k in shape):
+            raise CorruptModel(f"array shape {shape!r} is not a list of sizes")
+        if "f8" in obj:  # schema 2
+            return np.frombuffer(base64.b64decode(obj["f8"], validate=True), "<f8").reshape(shape)
+        if fh.tell() + 8 * math.prod(shape) > size:  # before anything is allocated or read
+            raise CorruptModel(
+                f"model body ends early: shape {shape} at byte {fh.tell()} of {size}")
+        a = np.empty(shape, dtype="<f8")
+        fh.readinto(a)
+        return a
+
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
-                         object_hook=_unblob)
+        header = fh.readline()
+        if header.strip() == b"{":  # schema 1 was written indented, over many lines
+            header += fh.read()
+        doc = json.loads(header.decode("utf-8"), object_hook=array)
+        if fh.tell() != size:
+            raise CorruptModel(f"model body runs past its last array: byte {fh.tell()} of {size}")
         if not isinstance(doc, dict):
             raise CorruptModel("model file is not a JSON object")
         if doc.get("schema_version") not in _READABLE_SCHEMAS:
@@ -352,26 +368,29 @@ def load_model(data) -> EnsembleModel:
         raise CorruptModel(f"model file is missing or corrupts required fields: {exc}") from None
 
 
+def load_model(data) -> EnsembleModel:
+    """The model in a model file's bytes, or in a schema 1 or 2 document's text."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _read_model(BytesIO(data), len(data))
+
+
 def save_model_file(model: EnsembleModel, path):
-    """Write the bytes of ``save_model(model)`` to ``path`` through
-    ``output_file``: the encoder streams the document into the temporary file,
-    one blob at a time, and the file replaces ``path`` before this returns."""
+    """Write ``save_model(model)`` to ``path`` through ``output_file``."""
     with output_file(path) as fh:
-        json.dump(_document(model), fh, default=_blob)
-        fh.write("\n")
+        _write_model(model, fh.buffer)
 
 
 def load_model_file(path) -> EnsembleModel:
-    """The model in the file at ``path``, whose text is read once. A path that
-    cannot be read (missing, a directory, no permission) is a CorruptModel, and
-    every model-format error names the path."""
+    """The model in the file at ``path``. A path that cannot be read (missing,
+    a directory, no permission) is a CorruptModel, and every model-format
+    error names the path."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        return load_model(text)
+        with open(path, "rb") as fh:
+            if not fh.seekable():  # a pipe: its size is known once it is read
+                return load_model(fh.read())
+            return _read_model(fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise CorruptModel(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CorruptModel(f"unreadable model file: {exc} (in {path})") from None
     except ModelFormatError as exc:
         raise type(exc)(f"{exc} (in {path})") from None

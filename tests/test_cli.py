@@ -11,7 +11,10 @@ from spheremix import cli, ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, write_suite
-from test_io import BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, poison_blob
+from test_io import (
+    BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, model_file, model_header, parse_model,
+    poison_blob,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +183,7 @@ class TestFitCommand:
     def test_kde_fit(self, runner, suite_dir, tmp_path):
         result, model_path = run_fit(runner, suite_dir, tmp_path, "--model", "kde")
         assert result.exit_code == 0, result.output
-        doc = json.loads(model_path.read_text())
+        doc = model_header(model_path)
         assert doc["kind"] == "kde"
         assert "support" in doc["densities"][0][0]
 
@@ -302,25 +305,35 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize("how", BLOB_DAMAGE)
     def test_damaged_array_blob(self, runner, suite_dir, fitted, tmp_path, how):
-        doc = json.loads(fitted.read_text())
-        corrupt_blob(doc["densities"][1][2]["mu"], how)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(corrupt_blob(io.load_model_file(fitted),
+                                     lambda doc: doc["densities"][1][2]["mu"], how))
         for command in (["inspect", "--model-file", str(bad)], [
             "predict", "--model-file", str(bad),
             *table_args("test", suite_dir, 3, "--table"), "--out", str(tmp_path / "p.csv"),
         ]):
             result = runner.invoke(main, command)
             assert result.exit_code == 4 and "CorruptModel" in result.output
+            assert BLOB_DAMAGE[how] in result.output and f"(in {bad})" in result.output
+
+    def test_short_model_body(self, runner, suite_dir, fitted, tmp_path):
+        short = tmp_path / "short.json"
+        short.write_bytes(fitted.read_bytes()[:-8])
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(short), *table_args("test", suite_dir, 3, "--table"),
+            "--labels", str(suite_dir / "test_labels.txt")])
+        assert result.exit_code == 4, result.output
+        assert "CorruptModel: model body ends early" in result.output
+        assert f"(in {short})" in result.output
 
     @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
     def test_non_finite_model_array(self, runner, suite_dir, tmp_path, field):
         # a NaN alpha_tilde used to load and predict exited 0 with nan probabilities
         kind = "kde" if field == "support" else "parametric"
         _, model_path = run_fit(runner, suite_dir, tmp_path, "--model", kind)
-        doc = json.loads(model_path.read_text())
+        doc = parse_model(model_path.read_bytes())
         poison_blob(doc[field] if field == "alpha_tilde" else doc["densities"][1][2][field])
-        model_path.write_text(json.dumps(doc))
+        model_path.write_bytes(model_file(doc))
         tables = table_args("test", suite_dir, 3, "--table")
         for command in (
             ["predict", "--model-file", str(model_path), *tables, "--out", str(tmp_path / "p.csv")],
@@ -337,7 +350,7 @@ class TestPredictCommand:
         kind, space, field, damage = damage
         extra = ["--space", "grassmann", "--classes", "4"] if space == "grassmann" else []
         _, model_path = run_fit(runner, suite_dir, tmp_path, "--model", kind, *extra)
-        model_path.write_text(damage_cell(model_path.read_text(), field, damage))
+        model_path.write_bytes(damage_cell(model_path.read_bytes(), field, damage))
         result = runner.invoke(main, [
             "evaluate", "--model-file", str(model_path), *table_args("test", suite_dir, 3, "--table"),
             "--labels", str(suite_dir / "test_labels.txt")])
@@ -494,7 +507,7 @@ class TestInspectCommand:
         assert "descent stopped by max_iters" in fit_result.output
         assert "uniform-weight loss" in fit_result.output
         assert "effective networks" in fit_result.output
-        meta = json.loads(model_path.read_text())["fit_meta"]
+        meta = model_header(model_path)["fit_meta"]
         assert f"{meta['loss_evaluations']} loss evaluations" in fit_result.output
         result = runner.invoke(main, ["inspect", "--model-file", str(model_path)])
         assert result.exit_code == 0
@@ -616,15 +629,15 @@ class TestPathErrors:
         result, model_path = run_fit(runner, suite_dir, tmp_path)
         assert result.exit_code == 0
         before = model_path.read_bytes()
-        blob, calls = io._blob, []
+        shape, calls = io._shape, []
 
-        def failing(a):
+        def failing(a, body):
             calls.append(a)
             if len(calls) == 4:
                 raise RuntimeError("encoder failed")
-            return blob(a)
+            return shape(a, body)
 
-        monkeypatch.setattr(io, "_blob", failing)
+        monkeypatch.setattr(io, "_shape", failing)
         result, _ = run_fit(runner, suite_dir, tmp_path, "--model", "kde")
         assert isinstance(result.exception, RuntimeError) and len(calls) == 4
         assert model_path.read_bytes() == before

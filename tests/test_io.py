@@ -2,8 +2,10 @@ import base64
 import gzip
 import json
 import math
+import os
 import re
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -338,23 +340,84 @@ def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric", space="sphere"):
     return fit_ensemble(batch, c, kind), batch
 
 
-def v1_document(model) -> bytes:
-    """The model as schema 1 wrote it: every array a nested decimal list."""
+def blob(a) -> dict:
+    """A schema-2 array: its shape and the base64 of its little-endian float64 bytes."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a).decode("ascii")}
+
+
+def text_document(model, schema: int, array) -> dict:
+    """The model's document as schema 1 or 2 wrote it, each float array as ``array(a)``."""
     def cell(d):
         if model.kind == "parametric":
-            return {"mu": d.support.points[0].tolist(), "sigma": d.bandwidth,
+            return {"mu": array(d.support.points[0]), "sigma": d.bandwidth,
                     "normalizer": d.normalizer}
-        return {"support": d.support.points.tolist(), "bandwidth": d.bandwidth,
+        return {"support": array(d.support.points), "bandwidth": d.bandwidth,
                 "normalizer": d.normalizer}
-    doc = {
-        "schema_version": 1, "kind": model.kind, "space": model.space,
+    return {
+        "schema_version": schema, "kind": model.kind, "space": model.space,
         "m": model.m, "c": model.c,
         "alpha": model.weights.alpha.tolist(),
-        "alpha_tilde": model.weights.alpha_tilde.tolist(),
+        "alpha_tilde": array(model.weights.alpha_tilde),
         "fit_meta": model.fit_meta,
         "densities": [[cell(d) for d in row] for row in model.densities],
     }
+
+
+def v1_document(model) -> bytes:
+    """The model as schema 1 wrote it: every array a nested decimal list."""
+    doc = text_document(model, 1, np.ndarray.tolist)
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+def v2_document(model) -> bytes:
+    """The model as schema 2 wrote it: one line, every array a base64 blob."""
+    return (json.dumps(text_document(model, 2, blob)) + "\n").encode("utf-8")
+
+
+@dataclass
+class Blob:
+    """A schema-3 array as the helpers below hold it: its header shape and
+    its share of the body, either of which a test may damage."""
+    shape: list
+    body: bytes
+
+
+def parse_model(data: bytes) -> dict:
+    """The header document of the schema-3 model file ``data``, each array a
+    Blob holding its share of the body."""
+    header, _, body = data.partition(b"\n")
+    end = 0
+
+    def hook(obj):
+        nonlocal end
+        if "shape" not in obj:
+            return obj
+        n = 8 * math.prod(obj["shape"])
+        end += n
+        return Blob(obj["shape"], body[end - n:end])
+
+    doc = json.loads(header, object_hook=hook)
+    assert end == len(body)
+    return doc
+
+
+def model_file(doc) -> bytes:
+    """The model file of a ``parse_model`` document: its header line, then
+    each Blob's body in header order."""
+    bodies = []
+
+    def shape(b):
+        bodies.append(b.body)
+        return {"shape": b.shape}
+
+    return (json.dumps(doc, default=shape) + "\n").encode("utf-8") + b"".join(bodies)
+
+
+def model_header(path) -> dict:
+    """The header document of the model file at ``path``: its first line."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
 
 
 def density_arrays(model):
@@ -377,44 +440,60 @@ def assert_same_model(a, b):
             assert da.normalizer == db.normalizer
 
 
-def corrupt_blob(blob: dict, how: str):
+# how an array blob is damaged -> what the loader says. Base64 is in schema 2
+# alone, so "invalid base64" damages a schema-2 document, the others schema 3.
+BLOB_DAMAGE = {
+    "invalid base64": "Only base64 data is allowed",
+    "truncated": "model body ends early",
+    "wrong shape": "model body runs past its last array",
+}
+
+
+def corrupt_blob(model, locate, how: str) -> bytes:
+    """The model file of ``model`` with the array blob that ``locate(doc)``
+    picks damaged ``how`` (a key of BLOB_DAMAGE)."""
     if how == "invalid base64":  # a lenient decoder would skip the stray byte and load
-        blob["f8"] = "!" + blob["f8"]
-    elif how == "truncated":
-        blob["f8"] = blob["f8"][:-4]
-    else:  # wrong shape
-        blob["shape"] = [blob["shape"][0] + 1] + blob["shape"][1:]
+        doc = json.loads(v2_document(model))
+        locate(doc)["f8"] = "!" + locate(doc)["f8"]
+        return json.dumps(doc).encode("utf-8")
+    doc = parse_model(save_model(model))
+    if how == "truncated":  # the body ends 4 bytes before the header's arrays do
+        locate(doc).body = locate(doc).body[:-4]
+    else:  # wrong shape: one element fewer than the body holds
+        locate(doc).shape = [locate(doc).shape[0] - 1] + locate(doc).shape[1:]
+    return model_file(doc)
 
 
-BLOB_DAMAGE = ["invalid base64", "truncated", "wrong shape"]
-
-
-def poison_blob(blob: dict):
+def poison_blob(blob: Blob):
     """Set the first value of a blob's array (of a KDE support, its first row) to NaN."""
-    values = np.frombuffer(base64.b64decode(blob["f8"]), dtype="<f8").copy()
+    values = np.frombuffer(blob.body, dtype="<f8").copy()
     values[0] = np.nan
-    blob["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
+    blob.body = values.tobytes()
 
 
-def damage_cell(text, field: str, damage) -> str:
-    """The model document ``text`` with the ``field`` of cell (1, 2) replaced
-    by the JSON text ``damage(old value)``, spliced in so that a number JSON
-    reads as inf (1e400) or a subnormal (1e-320) reaches the loader as such."""
-    doc = json.loads(text)
+def damage_cell(data: bytes, field: str, damage) -> bytes:
+    """The schema-3 model file ``data`` with the ``field`` of cell (1, 2)
+    replaced by ``damage(old Blob or value)``: a Blob, with the body it
+    brings, or JSON text spliced into the header, so that a number JSON reads
+    as inf (1e400) or a subnormal (1e-320) reaches the loader as such."""
+    doc = parse_model(data)
     cell = doc["densities"][1][2]
     replacement = damage(cell[field])
+    if isinstance(replacement, Blob):
+        cell[field] = replacement
+        return model_file(doc)
     cell[field] = "@damaged@"
-    return json.dumps(doc).replace('"@damaged@"', replacement)
+    return model_file(doc).replace(b'"@damaged@"', replacement.encode("utf-8"), 1)
 
 
 # (kind, space, field, damage): model cells that no fit writes
 CELL_DAMAGE = {
     "sigma-1e400": ("parametric", "sphere", "sigma", lambda old: "1e400"),
     "sigma-1e-320": ("parametric", "sphere", "sigma", lambda old: "1e-320"),
-    "empty-support": ("kde", "sphere", "support",
-                      lambda old: json.dumps(io._blob(np.empty((0, old["shape"][1]))))),
+    # the cell's rows leave the body with it, so the body still fits the header
+    "empty-support": ("kde", "sphere", "support", lambda old: Blob([0, old.shape[1]], b"")),
     "zero-grassmann-mu": ("parametric", "grassmann", "mu",
-                          lambda old: json.dumps(io._blob(np.zeros(old["shape"])))),
+                          lambda old: Blob(old.shape, bytes(len(old.body)))),
 }
 
 
@@ -447,7 +526,7 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_file_bytes_equal_save_model(self, kind, tmp_path):
-        # the file is streamed through json.dump; save_model runs the C encoder
+        # the file is written one array at a time; save_model joins them
         path = tmp_path / "model.json"
         path.write_text("an older model")
         for space in ("sphere", "grassmann"):
@@ -510,7 +589,7 @@ class TestModelRoundTrip:
             load_model_file(tmp_path / "m.json")
 
     def test_missing_fields(self):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             with pytest.raises(CorruptModel):
                 load_model(b'{"schema_version": %d, "kind": "parametric"}' % version)
 
@@ -522,16 +601,28 @@ class TestModelRoundTrip:
         with pytest.raises(CorruptModel, match=re.escape(f"{tmp_path}: cannot read: ")):
             load_model_file(tmp_path)
 
+    def test_pipe_loads(self):
+        # a pipe has no size to check the body against, and cannot tell or seek
+        model, _ = small_fitted_model(np.random.default_rng(4))
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as fh:
+            fh.write(save_model(model))  # a few KB: the pipe's buffer holds them
+        try:
+            assert_same_model(load_model_file(f"/dev/fd/{r}"), model)
+        finally:
+            os.close(r)
+
     def test_text_document_loads(self):
+        # a schema 1 or 2 document is text; a schema-3 body is not
         model, _ = small_fitted_model(np.random.default_rng(4), kind="kde")
-        assert_same_model(load_model(save_model(model).decode("utf-8")), model)
+        assert_same_model(load_model(v2_document(model).decode("utf-8")), model)
 
 
 class TestModelFileWrite:
     def test_default_hook_rejects_non_array(self, tmp_path):
         # a numpy integer in fit_meta is an error, not a blob
         with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-            io._blob(np.int64(3))
+            io._shape(np.int64(3), [])
         model, _ = small_fitted_model(np.random.default_rng(5))
         model.fit_meta["iterations_run"] = np.int64(model.fit_meta["iterations_run"])
         with pytest.raises(TypeError):
@@ -547,15 +638,15 @@ class TestModelFileWrite:
         save_model_file(model, path)
         before = path.read_bytes()
         calls = []
-        blob = io._blob
+        shape = io._shape
 
-        def failing(a):
+        def failing(a, body):
             calls.append(a)
             if len(calls) == fail_at:
                 raise RuntimeError("encoder failed")
-            return blob(a)
+            return shape(a, body)
 
-        monkeypatch.setattr(io, "_blob", failing)
+        monkeypatch.setattr(io, "_shape", failing)
         with pytest.raises(RuntimeError, match="encoder failed"):
             save_model_file(model, path)
         assert len(calls) == fail_at
@@ -585,8 +676,9 @@ def traced_peak(fn) -> int:
 
 
 class TestModelFileMemory:
-    """A save holds one blob at a time, and a load holds the text, the arrays
-    and one blob: about 3x the file size each before either streamed."""
+    """A save holds the header line and no copy of the arrays, and a load
+    holds the header line and the arrays it reads the body into: the body
+    is never held as bytes or text."""
 
     @pytest.fixture(scope="class")
     def kde_file(self, tmp_path_factory):
@@ -604,25 +696,27 @@ class TestModelFileMemory:
     def test_load_peak(self, kde_file):
         model, path = kde_file
         peak = traced_peak(lambda: load_model_file(path))
-        assert peak <= 2.2 * path.stat().st_size
+        assert peak <= 1.2 * path.stat().st_size
         assert_same_model(load_model_file(path), model)
 
 
 class TestSchema2:
+    """Array storage: the schema-3 header and body, and the schema 1 and 2
+    documents, which are read but no longer written."""
+
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_arrays_are_blobs(self, kind):
+        # the header line holds each array's shape, the body its bytes in header order
         model, _ = small_fitted_model(np.random.default_rng(6), kind=kind)
-        text = save_model(model)
-        assert text.count(b"\n") == 1  # one line: no indent
-        doc = json.loads(text)
-        assert doc["schema_version"] == 2
+        header, body = save_model(model).split(b"\n", 1)
+        doc = json.loads(header.decode("utf-8"))
+        assert doc["schema_version"] == 3
         assert doc["alpha"] == model.weights.alpha.tolist()
         key = "support" if kind == "kde" else "mu"
         blobs = [doc["alpha_tilde"]] + [cell[key] for row in doc["densities"] for cell in row]
         arrays = [model.weights.alpha_tilde] + list(density_arrays(model))
-        for blob, array in zip(blobs, arrays):
-            assert set(blob) == {"shape", "f8"} and blob["shape"] == list(array.shape)
-            assert base64.b64decode(blob["f8"]) == array.astype("<f8").tobytes()
+        assert blobs == [{"shape": list(a.shape)} for a in arrays]
+        assert body == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
@@ -635,14 +729,27 @@ class TestSchema2:
             predict_batch(clone, batch.features), predict_batch(model, batch.features)
         )
 
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_v2_document_still_loads(self, kind, space, tmp_path):
+        model, batch = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
+        path = tmp_path / "v2.json"
+        path.write_bytes(v2_document(model))
+        clone = load_model_file(path)
+        assert_same_model(clone, model)
+        assert_same_model(clone, load_model(save_model(model)))
+        np.testing.assert_array_equal(
+            predict_batch(clone, batch.features), predict_batch(model, batch.features)
+        )
+
     @pytest.mark.parametrize("field", ["alpha_tilde", "mu"])
     @pytest.mark.parametrize("how", BLOB_DAMAGE)
     def test_damaged_blob_is_corrupt(self, how, field):
         model, _ = small_fitted_model(np.random.default_rng(8))
-        doc = json.loads(save_model(model))
-        corrupt_blob(doc["alpha_tilde"] if field == "alpha_tilde" else doc["densities"][0][0]["mu"], how)
-        with pytest.raises(CorruptModel):
-            load_model(json.dumps(doc).encode("utf-8"))
+        data = corrupt_blob(model, lambda doc: doc["alpha_tilde"] if field == "alpha_tilde"
+                            else doc["densities"][0][0]["mu"], how)
+        with pytest.raises(CorruptModel, match=BLOB_DAMAGE[how]):
+            load_model(data)
 
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
     @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
@@ -650,10 +757,10 @@ class TestSchema2:
         # a NaN norm passed the unit-vector check, and a NaN support row loaded
         kind = "kde" if field == "support" else "parametric"
         model, _ = small_fitted_model(np.random.default_rng(9), kind=kind, space=space)
-        doc = json.loads(save_model(model))
+        doc = parse_model(save_model(model))
         poison_blob(doc[field] if field == "alpha_tilde" else doc["densities"][1][0][field])
-        with pytest.raises(CorruptModel):
-            load_model(json.dumps(doc).encode("utf-8"))
+        with pytest.raises(CorruptModel, match="finite"):
+            load_model(model_file(doc))
 
     def test_desk_kde_model_round_trips_bit_exact(self, desk_suite, fitted_models):
         model = fitted_models["kde"]["model"]
@@ -664,6 +771,45 @@ class TestSchema2:
                 assert a.bandwidth == b.bandwidth
         features = desk_suite["test"].features
         np.testing.assert_array_equal(predict_batch(clone, features), predict_batch(model, features))
+
+
+def reshaped(rows):
+    """A damage that sets the header shape of cell (1, 2)'s support to
+    ``rows(old rows)`` rows and leaves the body as it is."""
+    def damage(data):
+        doc = parse_model(data)
+        blob = doc["densities"][1][2]["support"]
+        blob.shape = [rows(blob.shape[0]), blob.shape[1]]
+        return model_file(doc)
+    return damage
+
+
+# damage to a KDE model file -> what the loader says
+BODY_DAMAGE = {
+    "truncated body": (lambda data: data[:-8], "model body ends early: shape "),
+    "one trailing byte": (lambda data: data + b"\0", "model body runs past its last array"),
+    "shape too large": (reshaped(lambda n: n + 1), "model body ends early: shape "),
+    "shape too small": (reshaped(lambda n: n - 1), "model body runs past its last array"),
+    "negative shape": (reshaped(lambda n: -1), re.escape("array shape [-1, 3] is not a list")),
+    "1e12 rows": (reshaped(lambda n: 10**12),
+                  re.escape("model body ends early: shape [1000000000000, 3] at byte ")),
+}
+
+
+class TestModelBody:
+    """A body that does not fit its header is a CorruptModel naming the file.
+    Each array's shape is checked against the bytes left in the file before
+    the array is allocated or read, so a header claiming 10^12 rows raises no
+    MemoryError."""
+
+    @pytest.mark.parametrize("damage, message", BODY_DAMAGE.values(), ids=BODY_DAMAGE.keys())
+    def test_bad_body_names_the_file(self, tmp_path, damage, message):
+        model, _ = small_fitted_model(np.random.default_rng(11), kind="kde")
+        path = tmp_path / "model.json"
+        path.write_bytes(damage(save_model(model)))
+        with pytest.raises(CorruptModel, match=message) as info:
+            load_model_file(path)
+        assert str(info.value).endswith(f" (in {path})")
 
 
 class TestDamagedCells:
@@ -688,7 +834,7 @@ class TestDamagedCells:
         model, _ = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
                                       space=space)
         path = tmp_path / "model.json"
-        path.write_text(damage_cell(save_model(model), field, damage))
+        path.write_bytes(damage_cell(save_model(model), field, damage))
         with pytest.raises(CorruptModel) as info:
             load_model_file(path)
         assert str(info.value) == ("model file is missing or corrupts required fields: "
