@@ -40,6 +40,7 @@ from .errors import (
 )
 from .io import (
     check_writable, load_labels, load_model_file, load_split, output_file, save_model_file,
+    write_rows,
 )
 from .synth import make_suite, parse_taus, write_suite
 
@@ -109,8 +110,6 @@ def _load_tables(tables, space: str, c: int | None = None, dims=None):
 
 def _load_batch(tables, labels_path, space: str, c: int | None, dims=None):
     features, raw = _load_tables(tables, space, c, dims)
-    if c is None and space == GRASSMANN:
-        raise InvalidConfig("--classes is required with --space grassmann")
     c = c or raw[0].d
     labels = load_labels(labels_path, c)
     if labels.size != raw[0].n:
@@ -156,6 +155,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
             or (classes is not None and classes < 1)):
         raise InvalidConfig(
             "eta and tol must be positive and finite; max-iters, threads and classes >= 1")
+    if classes is None and space == GRASSMANN:
+        raise InvalidConfig("--classes is required with --space grassmann")
     _check_paths([*(("--train-table", t) for t in tables), ("--labels", labels_path)],
                  [("--out", out_path)], report_path)
     batch, c = _load_batch(tables, labels_path, space, classes)
@@ -234,10 +235,7 @@ def predict(model_file, tables, out_path):
     # one scoring pass; each written class is the argmax of its written row
     probs = ensemble_probability_batch(model, features)
     classes = np.argmax(probs, axis=1)
-    with output_file(out_path) as fh:
-        for k, row in zip(classes.tolist(), probs.tolist()):
-            fh.write(",".join([str(k), *map(repr, row)]))
-            fh.write("\n")
+    write_rows(out_path, ([k, *row] for k, row in zip(classes.tolist(), probs.tolist())))
     click.echo(f"wrote {classes.shape[0]} predictions to {out_path}")
 
 

@@ -1,10 +1,13 @@
 """Data ingestion and model serialization.
 
-Input tables are headerless CSV, one row per sample, one file per network
-per split: softmax probabilities (d = c columns) in probability mode, raw
-feature vectors (d = d_i columns) in feature mode, read by numpy's C reader
-or, for a table it refuses, row by row in Python with float() syntax. Labels
-are one base-10 integer per line. A model file (schema_version 3; 1 and 2
+This module alone knows the CSV text format. Input tables are headerless
+CSV, one row per sample, one file per network per split: softmax
+probabilities (d = c columns) in probability mode, raw feature vectors
+(d = d_i columns) in feature mode, read by numpy's C reader or, for a table
+it refuses, in one Python pass with float() syntax. Labels are one base-10
+integer per line. Tables, labels and predictions are all written by
+``write_rows``: each cell is the repr of its Python number, for a float the
+shortest text float() reads back. A model file (schema_version 3; 1 and 2
 are still read) is a JSON line in which each float array is {"shape": [...]},
 then the arrays' little-endian float64 bytes in C order, so every value
 round-trips bit for bit. The model's kind sets each cell's layout: {"mu",
@@ -75,58 +78,50 @@ class OutputTable:
         return self.values.shape[1]
 
 
-def _read_rows(path):
-    """The non-blank lines of a UTF-8 text file, stripped, and ``where(k)``:
-    "<path>: line <1-based file line of row k>", blank lines counted, which
-    is only worked out when an error names the line."""
+def _read_rows(path) -> list:
+    """The non-blank lines of a UTF-8 text file, stripped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+            return [line for line in map(str.strip, fh) if line]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
-    def where(k) -> str:
-        return f"{path}: line {[i for i, line in enumerate(lines, start=1) if line][k]}"
 
-    return [line for line in lines if line], where
+def _where(path, k) -> str:
+    """The "<path>: line <n>" naming row k, n its 1-based file line with blank
+    lines counted. It reads the file again, so only an error message calls it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return f"{path}: line {[i for i, line in enumerate(fh, start=1) if line.strip()][k]}"
 
 
-def _parse_rows(path):
-    """A CSV table as one float64 array and the ``where`` of its rows, read by
-    numpy's C reader. A table that it refuses or reads no row from is split in
-    Python, all cells converted by one numpy call (float() syntax); a ragged
-    row and a cell that is not a number raise, naming the first bad line."""
+def _parse_rows(path) -> np.ndarray:
+    """A CSV table as one float64 array, read by numpy's C reader. A table
+    that it refuses or reads no row from is read in one Python pass, each row
+    converted by numpy (float() syntax); the first ragged row or cell that is
+    not a number raises, naming its line."""
     try:
         # an open file, not a path: numpy would fetch a URL, or read t.csv.gz for t.csv
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             values = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        if len(values):  # the file is read again only when an error names a line
-            return values, lambda k: _read_rows(path)[1](k)
+        if len(values):
+            return values
     except (ValueError, OSError):  # UnicodeDecodeError is a ValueError
         pass
-    rows, where = _read_rows(path)
+    rows = _read_rows(path)
     if not rows:
         raise EmptyBatch(f"{path}: no rows")
-    width = rows[0].count(",") + 1
-    try:
-        if any(row.count(",") != width - 1 for row in rows):
-            raise ValueError("ragged table")
-        # one flat list of cells: a list per row left ~2.5 MB of freed object
-        # memory resident after loading the desk suite
-        values = np.array(",".join(rows).split(","), dtype=np.float64).reshape(-1, width)
-    except ValueError:
-        for k, row in enumerate(rows):
-            cells = row.split(",")
-            if len(cells) != width:
-                raise RaggedTable(
-                    f"{where(k)} has {len(cells)} columns, expected {width}") from None
-            try:
-                np.array(cells, dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{where(k)}: {exc}") from None
-        raise
-    return values, where
+    values = np.empty((len(rows), rows[0].count(",") + 1))
+    for k, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != values.shape[1]:
+            raise RaggedTable(
+                f"{_where(path, k)} has {len(cells)} columns, expected {values.shape[1]}")
+        try:
+            values[k] = np.array(cells, dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{_where(path, k)}: {exc}") from None
+    return values
 
 
 def load_output_table(path, mode: str = PROBABILITY) -> OutputTable:
@@ -139,31 +134,31 @@ def load_output_table(path, mode: str = PROBABILITY) -> OutputTable:
     """
     if mode not in (PROBABILITY, FEATURE):
         raise ValueError(f"unknown table mode {mode!r}")
-    values, where = _parse_rows(path)
+    values = _parse_rows(path)
     if not np.isfinite(values).all():
         k, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{where(k)}: non-finite value {values[k, j]}")
+        raise ParseError(f"{_where(path, k)}: non-finite value {values[k, j]}")
     if mode == PROBABILITY:
         if np.any(values < -1e-9):
             row = np.where(values < -1e-9)[0][0]
-            raise NegativeProbability(f"{where(row)} has a negative probability")
+            raise NegativeProbability(f"{_where(path, row)} has a negative probability")
         np.maximum(values, 0.0, out=values)
         sums = values.sum(axis=1)
         off = np.abs(sums - 1.0)
         if np.any(off > _ROW_SUM_HARD):
             row = int(np.argmax(off))
-            raise NotNormalized(f"{where(row)} sums to {sums[row]:.6g}")
+            raise NotNormalized(f"{_where(path, row)} sums to {sums[row]:.6g}")
         values /= sums[:, None]
     else:
         norms = np.linalg.norm(values, axis=1)
         if np.any(norms <= 1e-12):
-            raise ZeroFeature(f"{where(np.argmin(norms))} is a zero feature vector")
+            raise ZeroFeature(f"{_where(path, np.argmin(norms))} is a zero feature vector")
     return OutputTable(values)
 
 
 def load_labels(path, c: int) -> np.ndarray:
     """One class id per line, each in [0, c)."""
-    rows, where = _read_rows(path)
+    rows = _read_rows(path)
     if not rows:
         raise EmptyBatch(f"{path}: no labels")
     labels = []
@@ -171,9 +166,9 @@ def load_labels(path, c: int) -> np.ndarray:
         try:
             value = int(row)
         except ValueError:
-            raise ParseError(f"{where(k)}: not an integer: {row!r}") from None
+            raise ParseError(f"{_where(path, k)}: not an integer: {row!r}") from None
         if value < 0 or value >= c:
-            raise LabelOutOfRange(f"{where(k)}: label {value} outside [0, {c})")
+            raise LabelOutOfRange(f"{_where(path, k)}: label {value} outside [0, {c})")
         labels.append(value)
     return np.asarray(labels, dtype=np.int64)
 
@@ -244,6 +239,15 @@ def output_file(path):
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
+
+
+def write_rows(path, rows):
+    """Write ``rows`` of Python numbers to ``path`` through ``output_file``,
+    one line each: the cells' reprs, joined by commas."""
+    with output_file(path) as fh:
+        for row in rows:
+            fh.write(",".join(map(repr, row)))
+            fh.write("\n")
 
 
 def check_writable(path):

@@ -7,8 +7,8 @@ For a sample of true class j, network i emits
 so tau_i dials that network's standalone accuracy: tau -> 0 gives a
 near-perfect classifier, large tau drives accuracy to chance 1/c. For
 c = 10, tau around 0.70-0.74 lands in the 60-70% band. All randomness
-comes from the single seed; equal configs produce byte-identical files. A
-table cell is the repr of its float, the shortest text float() reads back.
+comes from the single seed; equal configs produce byte-identical files,
+written by ``io.write_rows``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
-from .io import output_file
+from .io import write_rows
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -85,19 +85,6 @@ def make_suite(seed: int, m: int, c: int, n_train: int, n_test: int, taus) -> di
     }
 
 
-def _write_table(path: Path, rows: np.ndarray):
-    with output_file(path) as fh:
-        for row in rows.tolist():  # one pass to Python floats
-            fh.write(",".join(map(repr, row)))
-            fh.write("\n")
-
-
-def _write_labels(path: Path, labels: np.ndarray):
-    with output_file(path) as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
 def write_suite(suite: dict, outdir) -> dict:
     """Write a generated suite as CSV tables plus label files.
 
@@ -105,17 +92,11 @@ def write_suite(suite: dict, outdir) -> dict:
     two label files.
     """
     outdir = Path(outdir)
-    m = len(suite["train"])
-    paths = {"train": [], "test": []}
-    for i in range(m):
-        p = outdir / f"train_net{i:02d}.csv"
-        _write_table(p, suite["train"][i])
-        paths["train"].append(p)
-        p = outdir / f"test_net{i:02d}.csv"
-        _write_table(p, suite["test"][i])
-        paths["test"].append(p)
-    paths["train_labels"] = outdir / "train_labels.txt"
-    paths["test_labels"] = outdir / "test_labels.txt"
-    _write_labels(paths["train_labels"], suite["train_labels"])
-    _write_labels(paths["test_labels"], suite["test_labels"])
+    paths = {split: [outdir / f"{split}_net{i:02d}.csv" for i in range(len(suite[split]))]
+             for split in ("train", "test")}
+    for split in ("train", "test"):
+        for path, table in zip(paths[split], suite[split]):
+            write_rows(path, table.tolist())
+        paths[f"{split}_labels"] = outdir / f"{split}_labels.txt"
+        write_rows(paths[f"{split}_labels"], suite[f"{split}_labels"][:, None].tolist())
     return paths

@@ -915,9 +915,12 @@ class TestGrassmannCli:
         # one kernel sum per (network, class) density over the 30 test rows
         assert calls == [30] * 6
 
-    def test_grassmann_requires_classes(self, runner, tmp_path):
+    # usage before data: a missing table is not read, and so not a ParseError (3)
+    @pytest.mark.parametrize("table_exists", [True, False], ids=["table", "missing-table"])
+    def test_grassmann_requires_classes(self, runner, tmp_path, table_exists):
         p = tmp_path / "f.csv"
-        p.write_text("1.0,2.0\n2.0,1.0\n")
+        if table_exists:
+            p.write_text("1.0,2.0\n2.0,1.0\n")
         y = tmp_path / "y.txt"
         y.write_text("0\n1\n")
         result = runner.invoke(main, [

@@ -210,7 +210,7 @@ TABLE_CASES = {
 
 class TestParserAgreement:
     """Every table parses as the row-by-row parser alone did: an accepted one
-    is float() of each cell of each non-blank line, which ``where`` names, and
+    is float() of each cell of each non-blank line, which ``_where`` names, and
     a rejected one raises the same error with the same message. Under the
     pytest filter, a warning that np.loadtxt let out (it warns on a file with
     no data) would fail the empty cases."""
@@ -227,9 +227,9 @@ class TestParserAgreement:
             return
         with p.open(encoding="utf-8") as fh:
             rows = [(i, line.split(",")) for i, line in enumerate(fh, start=1) if line.strip()]
-        values, where = io._parse_rows(p)
+        values = io._parse_rows(p)
         assert values.tolist() == [[float(cell) for cell in cells] for _, cells in rows]
-        assert [where(k) for k in range(len(rows))] == [f"{p}: line {i}" for i, _ in rows]
+        assert [io._where(p, k) for k in range(len(rows))] == [f"{p}: line {i}" for i, _ in rows]
 
     def test_compressed_sibling_is_not_read(self, tmp_path):
         # np.loadtxt given a path would open t.csv.gz for a missing t.csv
@@ -243,6 +243,20 @@ class TestParserAgreement:
         path = write_suite(make_suite(18, 1, 10, 2000, 1, [0.7]), tmp_path)["train"][0]
         peak = traced_peak(lambda: load_output_table(path))
         assert peak <= 3 * 2000 * 10 * 8
+
+    def test_refused_desk_table_peak(self, tmp_path):
+        # a whitespace-only line sends the table to the Python pass, which
+        # holds the stripped lines and one row's cells at a time, not every cell
+        path = write_suite(make_suite(18, 1, 10, 2000, 1, [0.7]), tmp_path)["train"][0]
+        lines = path.read_text().splitlines(keepends=True)
+        refused = tmp_path / "refused.csv"
+        refused.write_text("".join([*lines[:1000], "  \n", *lines[1000:]]))
+        with pytest.raises(ValueError):
+            with refused.open() as fh:
+                np.loadtxt(fh, delimiter=",", comments=None)
+        assert io._parse_rows(refused).tobytes() == io._parse_rows(path).tobytes()
+        peak = traced_peak(lambda: load_output_table(refused))
+        assert peak <= 6 * 2000 * 10 * 8
 
 
 class TestLabels:
