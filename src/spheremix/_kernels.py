@@ -30,7 +30,8 @@ the pair, in one buffer that every pair reuses, and reduces it through
 ``_log_row_sums`` in both directions. A pair whose block would exceed
 ``_BLOCK_BYTES`` goes through ``kernel_sums`` in both directions. Its sums
 equal ``kernel_sums``' to within the rounding of the dot products, which
-BLAS forms in other shapes.
+BLAS forms in other shapes. ``class_selectors`` picks each class's rows: a
+slice, so a view, when the rows are grouped by class, else an index array.
 
 ``cell_means`` is the one implementation of the mean recursion. It moves
 every (network, class) cell of a fit in the same step, so a fit takes as
@@ -119,23 +120,39 @@ def _log_row_sums(d2, inv_two_bw_sq: float) -> np.ndarray:
     return out
 
 
+def class_selectors(labels, c: int) -> list:
+    """The rows of each class j in [0, c) of ``labels``: a slice when they
+    are contiguous, so that indexing a table with it is a view, and their
+    index array otherwise (a gather, a copy)."""
+    labels = np.asarray(labels)
+    selectors = []
+    for j in range(c):
+        rows = np.flatnonzero(labels == j)
+        if rows.size and rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        selectors.append(rows)
+    return selectors
+
+
 def class_log_sums(points, labels, inv_two_bw_sq, *, absolute: bool = False) -> np.ndarray:
     """(n, c) log kernel sums of every row of ``points`` against the rows of
     each class j in [0, c) as support, at the inverse width
     ``inv_two_bw_sq[j]``: column j is ``kernel_sums(points,
     points[labels == j], inv_two_bw_sq[j])`` up to the rounding of the dot
-    products. Every class needs at least one row.
+    products. Every class needs at least one row. A class's rows are read
+    through its ``class_selectors`` entry: a view when they are contiguous
+    (rows grouped by class), else a copy.
 
     The distances of class k's rows to class j's, k <= j, are one block that
     gives cell j its rows of class k and, transposed, cell k its rows of
     class j. A block over ``_BLOCK_BYTES`` goes through ``kernel_sums``."""
     points = _as_matrix(points)
     inv = [float(v) for v in inv_two_bw_sq]
-    rows = [np.flatnonzero(np.asarray(labels) == j) for j in range(len(inv))]
+    rows = class_selectors(labels, len(inv))
     classes = [points[r] for r in rows]
     out = np.empty((points.shape[0], len(inv)))
     # every shared block in turn, so one block is alive at a time
-    blocks = np.empty(min(_BLOCK_BYTES // 8, max(map(len, rows)) ** 2))
+    blocks = np.empty(min(_BLOCK_BYTES // 8, max(map(len, classes)) ** 2))
     for k, (rows_k, x_k) in enumerate(zip(rows, classes)):
         for j in range(k, len(inv)):
             x_j = classes[j]

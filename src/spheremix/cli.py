@@ -163,6 +163,12 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
     empty = np.flatnonzero(np.bincount(batch.labels, minlength=c) == 0)
     if empty.size:
         raise EmptySampleSet(f"{labels_path}: no training rows for class {empty[0]}")
+    # rows grouped by class, each class in file order: every KDE support is
+    # then a view of its table, and the Fréchet means see the same sequences
+    order = np.argsort(batch.labels, kind="stable")
+    for f in batch.features:
+        f[:] = f[order]
+    batch = LabeledBatch(batch.features, batch.labels[order], space)
 
     t0 = time.perf_counter()
     densities, P_train = fit_densities(batch, c, kind, threads=threads)

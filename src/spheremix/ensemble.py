@@ -472,6 +472,12 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
     shapes than ``pdf_grid``'s: the two agree to that rounding. ``threads``
     workers take one KDE network each; their number changes no bit.
 
+    Each cell reads its class's rows through ``_kernels.class_selectors``.
+    On a batch grouped by class, as ``cli.fit`` groups its tables,
+    every class's rows are contiguous, so each KDE support is a view of its
+    network's table and the fit holds each training row once; on a batch in
+    any other order each support is a copy.
+
     Every cell's Fréchet mean comes from one ``_kernels.cell_means`` call per
     feature width (Grassmann networks may differ in width).
     """
@@ -487,8 +493,9 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
             sign_align=batch.space == GRASSMANN,
         )))
     build = gaussian_cell if kind == PARAMETRIC else kde_cell
+    rows = _kernels.class_selectors(batch.labels, c)
     # an empty class fails in its SampleSet by name, before its NaN mean is read
-    cells = [[build(SampleSet(f[batch.labels == j], batch.space, network_id=i, class_id=j),
+    cells = [[build(SampleSet(f[rows[j]], batch.space, network_id=i, class_id=j),
                     mean_point(means[i][j], batch.space)) for j in range(c)]
              for i, f in enumerate(batch.features)]
     if kind == PARAMETRIC:

@@ -144,15 +144,15 @@ def load_output_table(path, mode: str = PROBABILITY) -> OutputTable:
             raise NegativeProbability(f"{_where(path, row)} has a negative probability")
         np.maximum(values, 0.0, out=values)
         sums = values.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if np.any(off > _ROW_SUM_HARD):
-            row = int(np.argmax(off))
+        off = np.abs(sums - 1.0) > _ROW_SUM_HARD
+        if off.any():
+            row = int(off.argmax())
             raise NotNormalized(f"{_where(path, row)} sums to {sums[row]:.6g}")
         values /= sums[:, None]
     else:
-        norms = np.linalg.norm(values, axis=1)
-        if np.any(norms <= 1e-12):
-            raise ZeroFeature(f"{_where(path, np.argmin(norms))} is a zero feature vector")
+        zero = np.linalg.norm(values, axis=1) <= 1e-12
+        if zero.any():
+            raise ZeroFeature(f"{_where(path, zero.argmax())} is a zero feature vector")
     return OutputTable(values)
 
 

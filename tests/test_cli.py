@@ -195,6 +195,22 @@ class TestFitCommand:
         assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_grouped_input_is_a_fixed_point(self, runner, suite_dir, tmp_path, kind):
+        # fit groups the rows by class (stable), so files already grouped
+        # that way give the same model bytes
+        grouped = tmp_path / "grouped"
+        grouped.mkdir()
+        labels = (suite_dir / "train_labels.txt").read_text().splitlines(keepends=True)
+        order = np.argsort([int(v) for v in labels], kind="stable")
+        for name in ["train_labels.txt"] + [f"train_net{i:02d}.csv" for i in range(3)]:
+            lines = (suite_dir / name).read_text().splitlines(keepends=True)
+            (grouped / name).write_text("".join(lines[k] for k in order))
+        r1, m1 = run_fit(runner, suite_dir, tmp_path / "r1", "--model", kind)
+        r2, m2 = run_fit(runner, grouped, tmp_path / "r2", "--model", kind)
+        assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
+        assert m1.read_bytes() == m2.read_bytes()
+
     @pytest.mark.parametrize("kind, below", [("parametric", True), ("kde", False)])
     def test_flags_learned_below_uniform(self, runner, suite_dir, tmp_path, kind, below):
         # on this suite the parametric weights collapse onto one network and

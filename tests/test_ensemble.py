@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,6 +644,60 @@ class TestFusedTrainTensor:
             fit_weights(np.ones((30, 3, 3)), batch)
         with pytest.raises(LabelOutOfRange):
             fit_weights(np.ones((30, 2, 1)), batch)
+
+
+def grouped_by_class(batch):
+    """The batch's rows grouped by class, each class in its batch order, as
+    `fit` groups its tables; and the permutation that groups them."""
+    order = np.argsort(batch.labels, kind="stable")
+    return LabeledBatch([f[order] for f in batch.features], batch.labels[order],
+                        batch.space), order
+
+
+class TestGroupedSupports:
+    """On a batch grouped by class every KDE support is a view of its
+    network's table. Only the sums over samples (each normalizer's kernel
+    mass) change order, so the cells and the tensor are the file-order fit's
+    up to that rounding."""
+
+    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
+    def test_supports_are_views(self, space):
+        rng = np.random.default_rng(12)
+        c = 4
+        if space == "sphere":
+            batch = sphere_batch(rng, 3, c, 150)
+        else:
+            batch = grassmann_batch(rng, (4, 6, 5), c, 150)
+        grouped, order = grouped_by_class(batch)
+        densities, L = fit_densities(batch, c, "kde")
+        grouped_densities, L_grouped = fit_densities(grouped, c, "kde")
+        for i, (row, grouped_row) in enumerate(zip(densities, grouped_densities)):
+            for a, b in zip(row, grouped_row):
+                assert np.shares_memory(b.support.points, grouped.features[i])
+                assert not np.shares_memory(a.support.points, batch.features[i])
+                np.testing.assert_array_equal(a.support.points, b.support.points)
+                assert a.bandwidth == b.bandwidth
+                assert b.normalizer == pytest.approx(a.normalizer, rel=1e-15, abs=0)
+        np.testing.assert_allclose(L_grouped, L[order], rtol=1e-13, atol=0)
+
+    def test_class_selectors(self):
+        rows = _kernels.class_selectors([1, 1, 0, 2, 0], 4)
+        assert rows[1] == slice(0, 2) and rows[2] == slice(3, 4)
+        np.testing.assert_array_equal(rows[0], [2, 4])
+        assert rows[3].size == 0
+
+    def test_desk_fit_peak(self, desk_suite):
+        # the grouped seed-18 desk fit holds each training row once: its
+        # tracemalloc peak is the tensor and the per-network work buffers,
+        # not the tensor and 200 support copies (2.37x before supports were views)
+        grouped, _ = grouped_by_class(desk_suite["train"])
+        tracemalloc.start()
+        try:
+            _, L = fit_densities(grouped, 10, "kde")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * L.nbytes, peak / L.nbytes
 
 
 class TestBatchedCellMeans:

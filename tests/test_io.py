@@ -98,16 +98,20 @@ class TestOutputTable:
         table = load_output_table(p, mode="feature")
         assert table.values.tolist() == [[float(c) for c in cells]]
 
-    @pytest.mark.parametrize("text, error, message", [
-        ("0.5,0.5\n0.5,oops\n0.2,0.3,0.5\n", ParseError,
+    @pytest.mark.parametrize("text, mode, error, message", [
+        ("0.5,0.5\n0.5,oops\n0.2,0.3,0.5\n", "probability", ParseError,
          "line 2: could not convert string to float: 'oops'"),
-        ("0.5,0.5\n0.2,0.3,0.5\n0.5,oops\n", RaggedTable, "line 2 has 3 columns, expected 2"),
-    ], ids=["parse-error-first", "ragged-first"])
-    def test_first_bad_line_is_named(self, tmp_path, text, error, message):
+        ("0.5,0.5\n0.2,0.3,0.5\n0.5,oops\n", "probability", RaggedTable,
+         "line 2 has 3 columns, expected 2"),
+        # line 3 is further off 1, and line 3 is the smaller vector
+        ("0.5,0.5\n0.5,0.6\n0.5,0.9\n", "probability", NotNormalized, "line 2 sums to 1.1$"),
+        ("1.0,2.0\n1e-13,0\n0,0\n", "feature", ZeroFeature, "line 2 is a zero"),
+    ], ids=["parse-error-first", "ragged-first", "not-normalized-first", "zero-feature-first"])
+    def test_first_bad_line_is_named(self, tmp_path, text, mode, error, message):
         p = tmp_path / "t.csv"
         p.write_text(text)
         with pytest.raises(error, match=message):
-            load_output_table(p)
+            load_output_table(p, mode)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "t.csv"
