@@ -28,9 +28,10 @@ from .ensemble import (
     LabeledBatch,
     density_argmax_accuracies,
     ensemble_probability_batch,
-    evaluate,
+    evaluate,  # not called here; pipebench/tracing.py patches this name
     fit_densities,
     fit_weights,
+    pdf_grid,
     predict_batch,  # not called here; pipebench/tracing.py patches this name
     score_report,
     shift_to_pdf,
@@ -39,8 +40,8 @@ from .errors import (
     DimensionMismatch, EmptySampleSet, InvalidConfig, RaggedEnsemble, SpheremixError,
 )
 from .io import (
-    check_writable, load_labels, load_model_file, load_split, output_file, save_model_file,
-    write_rows,
+    check_writable, iter_split, load_labels, load_model_file, load_split, output_file,
+    save_model_file, write_rows,
 )
 from .synth import make_suite, parse_taus, write_suite
 
@@ -88,6 +89,15 @@ def _below_uniform(accuracy: float, uniform: float, split: str) -> list:
             f"{accuracy:.4f} < uniform {uniform:.4f}"] if accuracy < uniform else []
 
 
+def _weight_lines(alpha) -> list:
+    """One line per network's weight, as printed to 6 decimals: largest
+    printed weight first, equal printed weights in network order, so weights
+    that differ only below the printed digits list the same way."""
+    printed = [f"{a:.6f}" for a in alpha]
+    order = sorted(range(len(printed)), key=lambda i: (-float(printed[i]), i))
+    return [f"  net {i:02d}  alpha = {printed[i]}" for i in order]
+
+
 def _write_report(report_path, text: str, metrics: dict):
     path, json_path = _report_paths(report_path)
     with output_file(path) as fh:
@@ -96,26 +106,43 @@ def _write_report(report_path, text: str, metrics: dict):
         fh.write(json.dumps(metrics, indent=1) + "\n")
 
 
-def _load_tables(tables, space: str, c: int | None = None, dims=None):
-    """load_split; DimensionMismatch names the first table whose width is not
-    its entry of the model's ``dims`` or, fitting on the sphere, ``c`` or the first's."""
+def _check_width(path, table, width: int, source: str):
+    if table.d != width:
+        raise DimensionMismatch(f"{path} has {table.d} columns; {source} {width}")
+
+
+def _check_label_count(labels_path, labels, tables, n: int):
+    if labels.size != n:
+        raise RaggedEnsemble(f"{labels_path} has {labels.size} labels, {tables[0]} has {n} rows")
+
+
+def _load_batch(tables, labels_path, space: str, c: int | None):
+    """fit's batch. DimensionMismatch names the first sphere table whose
+    width is not ``c`` or, without ``c``, the first table's."""
     features, raw = load_split(tables, space)
-    source = "the model expects" if dims else "--classes is" if c else f"{tables[0]} has"
-    dims = dims or ([c or raw[0].d] * len(raw) if space == SPHERE else [])
-    for path, table, width in zip(tables, raw, dims):
-        if table.d != width:
-            raise DimensionMismatch(f"{path} has {table.d} columns; {source} {width}")
-    return features, raw
-
-
-def _load_batch(tables, labels_path, space: str, c: int | None, dims=None):
-    features, raw = _load_tables(tables, space, c, dims)
+    if space == SPHERE:
+        source = "--classes is" if c else f"{tables[0]} has"
+        for path, table in zip(tables, raw):
+            _check_width(path, table, c or raw[0].d, source)
     c = c or raw[0].d
     labels = load_labels(labels_path, c)
-    if labels.size != raw[0].n:
-        raise RaggedEnsemble(
-            f"{labels_path} has {labels.size} labels, {tables[0]} has {raw[0].n} rows")
+    _check_label_count(labels_path, labels, tables, raw[0].n)
     return LabeledBatch(features, labels, space), c
+
+
+def _scoring_tables(tables, model: EnsembleModel):
+    """The embedded points of each ``--table`` in turn, each table read only
+    when ``pdf_grid`` asks for it. DimensionMismatch for a table count that
+    is not the model's m, before any table is read, and for a table whose
+    width is not the model's for its network."""
+    if len(tables) != model.m:
+        raise DimensionMismatch(f"{len(tables)} --table files for a model with m={model.m}")
+    split = iter_split(tables, model.space)
+    for path, width in zip(tables, model.network_dims()):
+        table = next(split)
+        _check_width(path, table, width, "the model expects")
+        yield table.values
+        del table  # before the next table is parsed
 
 
 @click.group()
@@ -186,9 +213,9 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
                           densities=densities, weights=weights, fit_meta=meta)
     save_model_file(model, out_path)
 
-    train = score_report(P_train, batch, weights, density_accuracies)
+    network_classes = [np.argmax(f, axis=1) for f in batch.features] if space == SPHERE else None
+    train = score_report(P_train, batch.labels, weights, density_accuracies, network_classes)
     standalone = train["standalone_accuracy"]
-    order = np.argsort(weights.alpha)[::-1]
     lines = [
         f"fitted {kind} ensemble: m={batch.m} networks, c={c} classes, space={space}",
         f"model file: {out_path}",
@@ -203,7 +230,7 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         f"effective networks: {meta['effective_networks']:.3f}",
         "learned weights (sorted):",
     ]
-    lines += [f"  net {i:02d}  alpha = {weights.alpha[i]:.6f}" for i in order]
+    lines += _weight_lines(weights.alpha)
     lines.append("standalone train accuracy per network:")
     lines += [f"  net {i:02d}  {a:.4f}" for i, a in enumerate(standalone)]
     lines.append(
@@ -233,13 +260,17 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
               help="Predictions CSV: class id, then c ensemble probabilities.")
 @_exit_on_error
 def predict(model_file, tables, out_path):
-    """Predict classes for new samples under a fitted model."""
+    """Predict classes for new samples under a fitted model.
+
+    The --table count is checked against the model's before any table is
+    read; each table is then read, checked and scored in turn, so the
+    command holds the model, the (n, m, c) density tensor and one table.
+    """
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables)],
                  [("--out", out_path)])
     model = load_model_file(model_file)
-    features, _ = _load_tables(tables, model.space, dims=model.network_dims())
     # one scoring pass; each written class is the argmax of its written row
-    probs = ensemble_probability_batch(model, features)
+    probs = ensemble_probability_batch(model, _scoring_tables(tables, model))
     classes = np.argmax(probs, axis=1)
     write_rows(out_path, ([k, *row] for k, row in zip(classes.tolist(), probs.tolist())))
     click.echo(f"wrote {classes.shape[0]} predictions to {out_path}")
@@ -252,12 +283,29 @@ def predict(model_file, tables, out_path):
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_exit_on_error
 def evaluate_cmd(model_file, tables, labels_path, report_path):
-    """Compare ensemble accuracy against the constituent networks."""
+    """Compare ensemble accuracy against the constituent networks.
+
+    The tables are read and scored one at a time, as in predict, keeping
+    each sphere table's own class per row for its standalone accuracy; the
+    labels are read after the last table.
+    """
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables),
                   ("--labels", labels_path)], [], report_path)
     model = load_model_file(model_file)
-    batch, _ = _load_batch(tables, labels_path, model.space, model.c, model.network_dims())
-    result = evaluate(model, batch)
+    network_classes = []
+
+    def kept(features):  # each table's own classes outlive the table
+        network_classes.append(np.argmax(features, axis=1))
+        return features
+
+    L = pdf_grid(model.densities, map(kept, _scoring_tables(tables, model)))
+    # the labels are read after every table, so a table's fault is named first
+    labels = load_labels(labels_path, model.c)
+    _check_label_count(labels_path, labels, tables, L.shape[0])
+    density_accuracies = density_argmax_accuracies(L, labels)
+    shift_to_pdf(L)
+    result = score_report(L, labels, model.weights, density_accuracies,
+                          network_classes if model.space == SPHERE else None)
     standalone = result["standalone_accuracy"]
     average = float(np.mean(standalone))
     delta = result["accuracy"] - average
@@ -335,8 +383,8 @@ def inspect(model_file):
         f"effective_networks={meta.get('effective_networks')}"
     )
     click.echo("alpha (sorted):")
-    for i in np.argsort(model.weights.alpha)[::-1]:
-        click.echo(f"  net {i:02d}  alpha = {model.weights.alpha[i]:.6f}")
+    for line in _weight_lines(model.weights.alpha):
+        click.echo(line)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ being sample k's largest. Scores, probabilities, argmax and the loss ignore
 that alpha-free factor per sample, and no row underflows. ``_scores`` is the
 one scoring routine and raises DegenerateScores for a non-finite or all-zero
 row. ``predict_batch`` and ``ensemble_probability_batch``, the scoring API,
-take one (n, d_i) table per network; ``pdf_grid`` checks their count and rows.
+take one (n, d_i) table per network, a list or any iterable that ``pdf_grid``
+reads once, one table at a time, checking their count, rows and widths.
 The tensor is stored sample x class x network, so its (n*c, m) matrix view
 is free and each weighted sum over the networks (the scores, and the
 gradient's sum over samples and classes) is one matrix-vector product.
@@ -243,18 +244,26 @@ def _row_norms(scores: np.ndarray) -> np.ndarray:
 def pdf_grid(densities, features) -> np.ndarray:
     """(n, m, c) tensor of log p_ij(x_i) values for a batch of features,
     stored sample x class x network (see ``_empty_pdf_tensor``).
-    ``features`` holds one (n, d_i) table per network; DimensionMismatch
-    names a missing or extra table and one whose rows or width disagree."""
+
+    ``features`` is any iterable of one (n, d_i) table per network, read
+    once, in order: the tensor is allocated when the first table arrives and
+    each table is dropped before the next is asked for, so a generator that
+    reads its tables one by one has one alive at a time. DimensionMismatch
+    names a table whose rows or width disagree as it arrives, and a missing
+    or extra table after the last."""
     m = len(densities)
     c = len(densities[0])
-    if len(features) != m:
-        raise DimensionMismatch(f"{len(features)} tables for a model with m={m}")
-    n = features[0].shape[0]
-    out = _empty_pdf_tensor(n, m, c)
+    tables = iter(features)
+    out = None
     for i in range(m):
-        fi = features[i]
-        if fi.shape[0] != n:
-            raise DimensionMismatch(f"network {i} table has {fi.shape[0]} rows, expected {n}")
+        fi = next(tables, None)
+        if fi is None:
+            raise DimensionMismatch(f"{i} tables for a model with m={m}")
+        if out is None:
+            out = _empty_pdf_tensor(fi.shape[0], m, c)
+        if fi.shape[0] != out.shape[0]:
+            raise DimensionMismatch(
+                f"network {i} table has {fi.shape[0]} rows, expected {out.shape[0]}")
         if fi.shape[1] != densities[i][0].dim:
             raise DimensionMismatch(
                 f"network {i} features have dimension {fi.shape[1]}, "
@@ -262,6 +271,10 @@ def pdf_grid(densities, features) -> np.ndarray:
             )
         for j in range(c):
             out[:, i, j] = densities[i][j].log_pdf_batch(fi)
+        del fi  # before the next table is asked for
+    extra = sum(1 for _ in tables)
+    if extra:
+        raise DimensionMismatch(f"{m + extra} tables for a model with m={m}")
     return out
 
 
@@ -534,32 +547,37 @@ def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
     L = pdf_grid(model.densities, batch.features)
     density_accuracies = density_argmax_accuracies(L, batch.labels)
     shift_to_pdf(L)
-    return score_report(L, batch, model.weights, density_accuracies)
+    network_classes = ([np.argmax(f, axis=1) for f in batch.features]
+                       if batch.space == SPHERE else None)
+    return score_report(L, batch.labels, model.weights, density_accuracies, network_classes)
 
 
-def score_report(P: np.ndarray, batch: LabeledBatch, weights: MixtureWeights,
-                 density_accuracies: list) -> dict:
-    """Accuracy, per-class accuracy and mean loss of ``weights`` on a batch,
-    the uniform mixture's accuracy, and each network's density-classifier and
-    standalone accuracy: all read from the batch's shifted pdf tensor ``P``,
-    but ``density_accuracies``, which are read before the shift."""
-    objective = _Objective(P, batch.labels)
+def score_report(P: np.ndarray, labels: np.ndarray, weights: MixtureWeights,
+                 density_accuracies: list, network_classes: list | None) -> dict:
+    """Accuracy, per-class accuracy and mean loss of ``weights`` on a batch
+    and the uniform mixture's accuracy, read from the batch's shifted pdf
+    tensor ``P``, with each network's density-classifier accuracy
+    (``density_accuracies``, read before the shift) and standalone accuracy.
+    On the sphere a network's standalone classes are its own argmax per
+    sample, the argmax of its embedded rows (sqrt is monotone), which
+    ``network_classes`` holds; on the Grassmannian no probabilities exist,
+    ``network_classes`` is None and the standalone accuracies are the
+    density classifiers'."""
+    objective = _Objective(P, labels)
     point = objective.at(weights.alpha_tilde)
-    uniform = objective.at(MixtureWeights.uniform(batch.m).alpha_tilde)
-    hits = np.argmax(point.scores, axis=1) == batch.labels
-    counts = np.bincount(batch.labels, minlength=P.shape[2])
-    per_class = np.divide(np.bincount(batch.labels, hits, P.shape[2]), counts,
+    uniform = objective.at(MixtureWeights.uniform(P.shape[1]).alpha_tilde)
+    hits = np.argmax(point.scores, axis=1) == labels
+    counts = np.bincount(labels, minlength=P.shape[2])
+    per_class = np.divide(np.bincount(labels, hits, P.shape[2]), counts,
                           out=np.full(P.shape[2], np.nan), where=counts > 0)
-    # standalone: each network's own argmax on the sphere (sqrt is monotone),
-    # its density classifier on the Grassmannian (no probabilities exist)
     standalone = density_accuracies
-    if batch.space == SPHERE:
-        standalone = [float(np.mean(np.argmax(f, axis=1) == batch.labels)) for f in batch.features]
+    if network_classes is not None:
+        standalone = [float(np.mean(k == labels)) for k in network_classes]
     return {
         "accuracy": float(np.mean(hits)),
         "per_class_accuracy": per_class,
         "mean_loss": point.loss,
-        "uniform_accuracy": float(np.mean(np.argmax(uniform.scores, axis=1) == batch.labels)),
+        "uniform_accuracy": float(np.mean(np.argmax(uniform.scores, axis=1) == labels)),
         "density_argmax_accuracy": density_accuracies,
         "standalone_accuracy": standalone,
     }

@@ -188,22 +188,34 @@ def embed_feature_rows(values: np.ndarray, out=None) -> np.ndarray:
     return reps
 
 
-def load_split(table_paths, space: str = SPHERE):
-    """Load and embed one split's per-network tables.
+def iter_split(table_paths, space: str = SPHERE):
+    """Yield one split's per-network tables in order, each parsed, checked
+    and embedded only when it is asked for, so a consumer that drops each
+    table before asking for the next holds one at a time.
 
-    Returns (features, tables). A table whose row count is not the first
-    table's is RaggedEnsemble, naming both. Each table is embedded in its own
-    buffer: ``features[i]`` is ``tables[i].values``, which the embedding has
-    overwritten, so only the tables' ``n`` and ``d`` still describe the file.
+    A table whose row count is not the first table's is RaggedEnsemble,
+    naming both. Each table is embedded in its own buffer: a yielded table's
+    ``values`` are its embedded points, so only its ``n`` and ``d`` still
+    describe the file.
     """
     mode = PROBABILITY if space == SPHERE else FEATURE
-    tables = [load_output_table(p, mode) for p in table_paths]
-    for path, t in zip(table_paths, tables):
-        if t.n != tables[0].n:
-            raise RaggedEnsemble(
-                f"{path} has {t.n} rows, {table_paths[0]} has {tables[0].n}")
     embed = embed_probability_rows if space == SPHERE else embed_feature_rows
-    return [embed(t.values, out=t.values) for t in tables], tables
+    n = None
+    for path in table_paths:
+        table = load_output_table(path, mode)
+        n = table.n if n is None else n
+        if table.n != n:
+            raise RaggedEnsemble(f"{path} has {table.n} rows, {table_paths[0]} has {n}")
+        embed(table.values, out=table.values)
+        yield table
+        del table  # before the next table is parsed
+
+
+def load_split(table_paths, space: str = SPHERE):
+    """Load and embed one split's per-network tables: all of ``iter_split``'s,
+    as (features, tables) with ``features[i]`` being ``tables[i].values``."""
+    tables = list(iter_split(table_paths, space))
+    return [t.values for t in tables], tables
 
 
 # -- output files ----------------------------------------------------------------

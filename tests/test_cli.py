@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import re
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import click
@@ -10,7 +13,8 @@ from click.testing import CliRunner
 from spheremix import cli, ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
-from spheremix.synth import make_suite, write_suite
+from spheremix.synth import make_suite, parse_taus, write_suite
+from conftest import SUITE_C, SUITE_M, SUITE_N_TEST, SUITE_N_TRAIN, SUITE_SEED, SUITE_TAU
 from test_io import (
     BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, model_file, model_header, parse_model,
     poison_blob,
@@ -533,6 +537,76 @@ class TestInspectCommand:
         assert f"effective_networks={meta['effective_networks']}" in result.output
         assert f"loss_evaluations={meta['loss_evaluations']}" in result.output
 
+    def test_weights_listed_by_printed_value(self, runner, fitted, tmp_path):
+        # by printed weight, then network index: two models whose weights
+        # differ below 1e-7 list alike (an argsort listed them by their last bits)
+        model = io.load_model_file(fitted)
+        listings = []
+        for k, tail in enumerate(([1e-9, 2e-9], [2e-9, 1e-9])):
+            path = tmp_path / f"m{k}.json"
+            weights = ensemble.MixtureWeights.from_alpha([1.0 - 3e-9, *tail])
+            io.save_model_file(dataclasses.replace(model, weights=weights), path)
+            result = runner.invoke(main, ["inspect", "--model-file", str(path)])
+            assert result.exit_code == 0, result.output
+            listings.append(result.output.split("alpha (sorted):\n")[1])
+        assert listings[0] == listings[1] == (
+            "  net 00  alpha = 1.000000\n  net 01  alpha = 0.000000\n"
+            "  net 02  alpha = 0.000000\n")
+        assert cli._weight_lines([0.25 + 1e-12, 0.25, 0.5 - 1e-12]) == [
+            "  net 02  alpha = 0.500000", "  net 00  alpha = 0.250000",
+            "  net 01  alpha = 0.250000"]
+
+
+class TestScoringMemory:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_one_table_alive(self, runner, suite_dir, fitted, tmp_path, monkeypatch, command):
+        # each --table is parsed only once the one before it is gone
+        alive = []
+        load_output_table = io.load_output_table
+
+        def load(path, mode):
+            assert all(ref() is None for ref in alive), path
+            table = load_output_table(path, mode)
+            alive.append(weakref.ref(table.values))
+            return table
+
+        monkeypatch.setattr(io, "load_output_table", load)
+        extra = (["--labels", str(suite_dir / "test_labels.txt")] if command == "evaluate"
+                 else ["--out", str(tmp_path / "p.csv")])
+        result = runner.invoke(main, [command, "--model-file", str(fitted),
+                                      *table_args("test", suite_dir, 3, "--table"), *extra])
+        assert result.exit_code == 0, result.output
+        assert len(alive) == 3
+
+    def test_desk_kde_peak(self, runner, fitted_models, tmp_path):
+        # evaluate and predict read their tables one at a time, so a scoring
+        # command holds the model, the (n, m, c) tensor and one table: its
+        # tracemalloc peak is the model's arrays plus about 1.5x the tensor
+        # (2.4x when every table was loaded before scoring began)
+        model = fitted_models["kde"]["model"]
+        model_path = tmp_path / "kde.model"
+        io.save_model_file(model, model_path)
+        suite = make_suite(SUITE_SEED, SUITE_M, SUITE_C, SUITE_N_TRAIN, SUITE_N_TEST,
+                           parse_taus(SUITE_TAU, SUITE_M))
+        for i, table in enumerate(suite["test"]):
+            io.write_rows(tmp_path / f"test_net{i:02d}.csv", table.tolist())
+        io.write_rows(tmp_path / "labels.txt", suite["test_labels"][:, None].tolist())
+        arrays = sum(d.support.points.nbytes for row in model.densities for d in row)
+        tensor = 8 * SUITE_N_TEST * SUITE_M * SUITE_C
+        tables = table_args("test", tmp_path, SUITE_M, "--table")
+        for extra in (["--labels", str(tmp_path / "labels.txt")],
+                      ["--out", str(tmp_path / "p.csv")]):
+            command = "evaluate" if extra[0] == "--labels" else "predict"
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, [command, "--model-file", str(model_path),
+                                              *tables, *extra])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            assert peak <= arrays + 1.8 * tensor, (command, (peak - arrays) / tensor)
+
 
 class TestPathErrors:
     """An output path that cannot be written is a configuration error (2), a
@@ -832,6 +906,42 @@ class TestInputErrors:
         assert result.stderr == (
             f"error: DimensionMismatch: {bad} has 3 columns; the model expects 4\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scoring_checks_the_table_count_first(self, runner, suite_dir, fitted, tmp_path,
+                                                  command):
+        # two --table options for a three-network model exit 4 before any
+        # table is read (they exited 3 on the missing second file)
+        tables = ["--table", str(suite_dir / "test_net00.csv"),
+                  "--table", str(tmp_path / "missing.csv")]
+        out = tmp_path / "p.csv"
+        extra = (["--labels", str(suite_dir / "test_labels.txt")] if command == "evaluate"
+                 else ["--out", str(out)])
+        result = runner.invoke(main, [command, "--model-file", str(fitted), *tables, *extra])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == "error: DimensionMismatch: 2 --table files for a model with m=3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scoring_names_a_short_last_table(self, runner, suite_dir, fitted, tmp_path,
+                                              command):
+        # the tables reach pdf_grid one at a time, each checked against the
+        # first as it is read: a short last one is a data error naming both
+        # files, not pdf_grid's DimensionMismatch, and nothing is written
+        short = tmp_path / "test_net02.csv"
+        short.write_text("".join((suite_dir / "test_net02.csv").read_text()
+                                 .splitlines(keepends=True)[:-1]))
+        tables = table_args("test", suite_dir, 3, "--table")
+        tables[5] = str(short)
+        out, report = tmp_path / "p.csv", tmp_path / "eval.txt"
+        extra = (["--labels", str(suite_dir / "test_labels.txt"), "--report", str(report)]
+                 if command == "evaluate" else ["--out", str(out)])
+        result = runner.invoke(main, [command, "--model-file", str(fitted), *tables, *extra])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"error: RaggedEnsemble: {short} has 79 rows, "
+                                 f"{suite_dir / 'test_net00.csv'} has 80\n")
+        assert not out.exists() and not report.exists()
+        assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("fault", FIT_INPUT_FAULTS)
     def test_every_fit_input_fault(self, runner, suite_dir, tmp_path, fault):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +250,37 @@ class TestBatchShape:
         batch = LabeledBatch(self.tables(desk_suite, case), desk_suite["test"].labels)
         with pytest.raises(DimensionMismatch, match=self.MESSAGES[case]):
             evaluate(model, batch)
+
+    @pytest.mark.parametrize("case", ["extra", "missing", "short"])
+    def test_streamed_tables(self, desk_suite, fitted_models, case):
+        # pdf_grid takes any iterable of tables, and a generator fails as a list does
+        model = fitted_models["parametric"]["model"]
+        with pytest.raises(DimensionMismatch, match=self.MESSAGES[case]):
+            pdf_grid(model.densities, iter(self.tables(desk_suite, case)))
+
+    def test_each_table_dropped_before_the_next(self, desk_suite, fitted_models):
+        model = fitted_models["parametric"]["model"]
+        alive = []
+
+        def tables():
+            for f in desk_suite["test"].features:
+                assert all(ref() is None for ref in alive)
+                table = f[:50].copy()
+                alive.append(weakref.ref(table))
+                yield table
+                del table
+
+        pdf_grid(model.densities, tables())
+        assert len(alive) == 20
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_generator_gives_the_list_bits(self, desk_suite, fitted_models, kind):
+        model = fitted_models[kind]["model"]
+        features = [f[:200] for f in desk_suite["test"].features]
+        assert (pdf_grid(model.densities, (f for f in features)).tobytes()
+                == pdf_grid(model.densities, features).tobytes())
+        assert (ensemble_probability_batch(model, (f for f in features)).tobytes()
+                == ensemble_probability_batch(model, features).tobytes())
 
 
 class TestLabelDistance:

@@ -31,6 +31,7 @@ from spheremix.errors import (
 from spheremix.io import (
     embed_feature_rows,
     embed_probability_rows,
+    iter_split,
     load_labels,
     load_model,
     load_model_file,
@@ -325,6 +326,19 @@ class TestEmbedding:
 
 
 class TestLoadSplit:
+    def test_iter_split_reads_each_table_when_asked(self, tmp_path):
+        a, b, missing = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "missing.csv"
+        a.write_text("0.25,0.75\n0.5,0.5\n")
+        b.write_text("1.0,0.0\n")
+        tables = iter_split([a, missing])
+        assert next(tables).values.tobytes() == np.sqrt([[0.25, 0.75], [0.5, 0.5]]).tobytes()
+        with pytest.raises(ParseError, match="missing.csv"):
+            next(tables)
+        tables = iter_split([a, b, missing])
+        next(tables)
+        with pytest.raises(RaggedEnsemble, match=f"^{b} has 1 rows, {a} has 2$"):
+            next(tables)
+
     @pytest.mark.parametrize("space, text, embed", [
         ("sphere", "0.25,0.75\n\n0.5,0.5\n1.0,0.0\n", embed_probability_rows),
         ("grassmann", "-2.0,0.0\n0.0,3.0\n\n1.0,-1.0\n", embed_feature_rows),
