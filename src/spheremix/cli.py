@@ -28,13 +28,13 @@ from .ensemble import (
     LabeledBatch,
     density_argmax_accuracies,
     ensemble_probability_batch,
-    evaluate,  # not called here; pipebench/tracing.py patches this name
+    evaluate,
     fit_densities,
     fit_weights,
-    pdf_grid,
     predict_batch,  # not called here; pipebench/tracing.py patches this name
     score_report,
     shift_to_pdf,
+    standalone_classes,
 )
 from .errors import (
     DimensionMismatch, EmptySampleSet, InvalidConfig, RaggedEnsemble, SpheremixError,
@@ -213,8 +213,9 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
                           densities=densities, weights=weights, fit_meta=meta)
     save_model_file(model, out_path)
 
-    network_classes = [np.argmax(f, axis=1) for f in batch.features] if space == SPHERE else None
-    train = score_report(P_train, batch.labels, weights, density_accuracies, network_classes)
+    # one network's classes at a time: the fit's peak is here, beside P_train
+    train = score_report(P_train, batch.labels, weights, density_accuracies,
+                         (standalone_classes(f, space) for f in batch.features))
     standalone = train["standalone_accuracy"]
     lines = [
         f"fitted {kind} ensemble: m={batch.m} networks, c={c} classes, space={space}",
@@ -285,27 +286,20 @@ def predict(model_file, tables, out_path):
 def evaluate_cmd(model_file, tables, labels_path, report_path):
     """Compare ensemble accuracy against the constituent networks.
 
-    The tables are read and scored one at a time, as in predict, keeping
-    each sphere table's own class per row for its standalone accuracy; the
-    labels are read after the last table.
+    The library evaluate reads and scores the tables one at a time, as
+    predict does, keeping each sphere table's own class per row for its
+    standalone accuracy, and reads the labels after the last table.
     """
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables),
                   ("--labels", labels_path)], [], report_path)
     model = load_model_file(model_file)
-    network_classes = []
 
-    def kept(features):  # each table's own classes outlive the table
-        network_classes.append(np.argmax(features, axis=1))
-        return features
+    def read_labels(n: int):  # after the last table, so a table's fault is named first
+        labels = load_labels(labels_path, model.c)
+        _check_label_count(labels_path, labels, tables, n)
+        return labels
 
-    L = pdf_grid(model.densities, map(kept, _scoring_tables(tables, model)))
-    # the labels are read after every table, so a table's fault is named first
-    labels = load_labels(labels_path, model.c)
-    _check_label_count(labels_path, labels, tables, L.shape[0])
-    density_accuracies = density_argmax_accuracies(L, labels)
-    shift_to_pdf(L)
-    result = score_report(L, labels, model.weights, density_accuracies,
-                          network_classes if model.space == SPHERE else None)
+    result = evaluate(model, _scoring_tables(tables, model), read_labels)
     standalone = result["standalone_accuracy"]
     average = float(np.mean(standalone))
     delta = result["accuracy"] - average

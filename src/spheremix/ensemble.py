@@ -27,9 +27,10 @@ of ``pdf_grid``/``fit_densities`` into exp(log p - max_k) in place, max_k
 being sample k's largest. Scores, probabilities, argmax and the loss ignore
 that alpha-free factor per sample, and no row underflows. ``_scores`` is the
 one scoring routine and raises DegenerateScores for a non-finite or all-zero
-row. ``predict_batch`` and ``ensemble_probability_batch``, the scoring API,
-take one (n, d_i) table per network, a list or any iterable that ``pdf_grid``
-reads once, one table at a time, checking their count, rows and widths.
+row. ``predict_batch``, ``ensemble_probability_batch`` and ``evaluate``, the
+scoring API, take one (n, d_i) table per network, a list or any iterable
+that ``pdf_grid`` reads once, one table at a time, checking their count,
+rows and widths.
 The tensor is stored sample x class x network, so its (n*c, m) matrix view
 is free and each weighted sum over the networks (the scores, and the
 gradient's sum over samples and classes) is one matrix-vector product.
@@ -464,7 +465,7 @@ def fit_weights_from_pdf(P: np.ndarray, labels: np.ndarray, *, eta: float = 0.1,
 
 def loss(model: EnsembleModel, batch: LabeledBatch) -> float:
     """Mean squared label distance of the ensemble over the batch."""
-    return evaluate(model, batch)["mean_loss"]
+    return evaluate(model, batch.features, batch.labels)["mean_loss"]
 
 
 # -- fitting and evaluation ------------------------------------------------------
@@ -540,29 +541,52 @@ def fit_ensemble(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, eta: fl
     )
 
 
-def evaluate(model: EnsembleModel, batch: LabeledBatch) -> dict:
-    """``score_report`` of the model on a batch, from one pdf tensor."""
-    if np.any(batch.labels >= model.c):
+def evaluate(model: EnsembleModel, features, labels) -> dict:
+    """``score_report`` of the model on one batch, from one pdf tensor.
+
+    ``features`` is one (n, d_i) table per network, a list or any iterable,
+    which ``pdf_grid`` reads once, one table at a time; each table's
+    ``standalone_classes`` are kept as it passes, so no table need outlive
+    its turn. ``labels`` is the (n,) label array, or a function of n that
+    returns it, called after the last table has been read.
+    """
+    classes = []
+
+    def noted():
+        for f in features:
+            classes.append(standalone_classes(f, model.space))
+            yield f
+            del f  # before the next table is asked for
+
+    L = pdf_grid(model.densities, noted())
+    n = L.shape[0]
+    labels = np.asarray(labels(n) if callable(labels) else labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise DimensionMismatch(f"{labels.size} labels for {n} samples")
+    if np.any(labels < 0) or np.any(labels >= model.c):
         raise LabelOutOfRange(f"labels must lie in [0, {model.c})")
-    L = pdf_grid(model.densities, batch.features)
-    density_accuracies = density_argmax_accuracies(L, batch.labels)
+    density_accuracies = density_argmax_accuracies(L, labels)
     shift_to_pdf(L)
-    network_classes = ([np.argmax(f, axis=1) for f in batch.features]
-                       if batch.space == SPHERE else None)
-    return score_report(L, batch.labels, model.weights, density_accuracies, network_classes)
+    return score_report(L, labels, model.weights, density_accuracies, classes)
+
+
+def standalone_classes(table: np.ndarray, space: str):
+    """A network's own class per sample, from its embedded (n, d) table: on
+    the sphere the argmax of each row (sqrt is monotone); None on the
+    Grassmannian, where no probabilities exist and the network's standalone
+    accuracy is its density classifier's."""
+    return np.argmax(table, axis=1) if space == SPHERE else None
 
 
 def score_report(P: np.ndarray, labels: np.ndarray, weights: MixtureWeights,
-                 density_accuracies: list, network_classes: list | None) -> dict:
+                 density_accuracies: list | None, classes) -> dict:
     """Accuracy, per-class accuracy and mean loss of ``weights`` on a batch
     and the uniform mixture's accuracy, read from the batch's shifted pdf
     tensor ``P``, with each network's density-classifier accuracy
-    (``density_accuracies``, read before the shift) and standalone accuracy.
-    On the sphere a network's standalone classes are its own argmax per
-    sample, the argmax of its embedded rows (sqrt is monotone), which
-    ``network_classes`` holds; on the Grassmannian no probabilities exist,
-    ``network_classes`` is None and the standalone accuracies are the
-    density classifiers'."""
+    (``density_accuracies``, read before the shift) and standalone accuracy,
+    read from its ``standalone_classes`` in ``classes`` (any iterable, one
+    entry per network, read once) or, where those are None, its density
+    classifier's."""
     objective = _Objective(P, labels)
     point = objective.at(weights.alpha_tilde)
     uniform = objective.at(MixtureWeights.uniform(P.shape[1]).alpha_tilde)
@@ -570,9 +594,8 @@ def score_report(P: np.ndarray, labels: np.ndarray, weights: MixtureWeights,
     counts = np.bincount(labels, minlength=P.shape[2])
     per_class = np.divide(np.bincount(labels, hits, P.shape[2]), counts,
                           out=np.full(P.shape[2], np.nan), where=counts > 0)
-    standalone = density_accuracies
-    if network_classes is not None:
-        standalone = [float(np.mean(k == labels)) for k in network_classes]
+    standalone = [density_accuracies[i] if k is None else float(np.mean(k == labels))
+                  for i, k in enumerate(classes)]
     return {
         "accuracy": float(np.mean(hits)),
         "per_class_accuracy": per_class,

@@ -143,9 +143,10 @@ def test_ensemble_boost(desk_suite, fitted_models):
     )
     average = float(np.mean(standalone))
 
+    test = desk_suite["test"]
     t0 = time.perf_counter()
-    param_acc = evaluate(fitted_models["parametric"]["model"], desk_suite["test"])["accuracy"]
-    kde_acc = evaluate(fitted_models["kde"]["model"], desk_suite["test"])["accuracy"]
+    param_acc, kde_acc = (evaluate(fitted_models[kind]["model"], test.features,
+                                   test.labels)["accuracy"] for kind in ("parametric", "kde"))
     eval_time = time.perf_counter() - t0
 
     total = (
@@ -224,7 +225,7 @@ def test_grassmann_path():
     model = fit_ensemble(train, 3)
     assert model.space == "grassmann"
     assert model.network_dims() == [6, 9, 12]
-    result = evaluate(model, test)
+    result = evaluate(model, test.features, test.labels)
     ensemble_acc = result["accuracy"]
     constituent = result["density_argmax_accuracy"]
     print(
@@ -243,7 +244,7 @@ def test_serialization_roundtrip(desk_suite, fitted_models):
     np.testing.assert_array_equal(
         predict_batch(model, test.features), predict_batch(clone, test.features)
     )
-    probs_a = evaluate(model, test)
-    probs_b = evaluate(clone, test)
+    probs_a = evaluate(model, test.features, test.labels)
+    probs_b = evaluate(clone, test.features, test.labels)
     assert probs_a["accuracy"] == probs_b["accuracy"]
     assert probs_a["mean_loss"] == probs_b["mean_loss"]

@@ -907,6 +907,28 @@ class TestInputErrors:
             f"error: DimensionMismatch: {bad} has 3 columns; the model expects 4\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("second", ["short", "unparseable"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scoring_checks_each_table_in_turn(self, runner, suite_dir, fitted, tmp_path,
+                                               command, second):
+        # each table's rows and width are checked as it is read, so a narrow
+        # first table is named before a faulty second one (every table was
+        # parsed and row-checked before any width: exit 3, naming the second)
+        narrow, bad = tmp_path / "narrow.csv", tmp_path / "bad.csv"
+        narrow.write_text("0.5,0.25,0.25\n" * 80)
+        lines = (suite_dir / "test_net01.csv").read_text().splitlines(keepends=True)
+        bad.write_text("".join(lines[:-1]) if second == "short" else "x,y\n" + "".join(lines))
+        tables = table_args("test", suite_dir, 3, "--table")
+        tables[1], tables[3] = str(narrow), str(bad)
+        out = tmp_path / "p.csv"
+        extra = (["--labels", str(suite_dir / "test_labels.txt")] if command == "evaluate"
+                 else ["--out", str(out)])
+        result = runner.invoke(main, [command, "--model-file", str(fitted), *tables, *extra])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == (
+            f"error: DimensionMismatch: {narrow} has 3 columns; the model expects 4\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_scoring_checks_the_table_count_first(self, runner, suite_dir, fitted, tmp_path,
                                                   command):

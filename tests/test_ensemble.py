@@ -249,7 +249,7 @@ class TestBatchShape:
         model = fitted_models["parametric"]["model"]
         batch = LabeledBatch(self.tables(desk_suite, case), desk_suite["test"].labels)
         with pytest.raises(DimensionMismatch, match=self.MESSAGES[case]):
-            evaluate(model, batch)
+            evaluate(model, batch.features, batch.labels)
 
     @pytest.mark.parametrize("case", ["extra", "missing", "short"])
     def test_streamed_tables(self, desk_suite, fitted_models, case):
@@ -281,6 +281,29 @@ class TestBatchShape:
                 == pdf_grid(model.densities, features).tobytes())
         assert (ensemble_probability_batch(model, (f for f in features)).tobytes()
                 == ensemble_probability_batch(model, features).tobytes())
+
+    def test_evaluate_reads_labels_after_the_tables(self, desk_suite, fitted_models):
+        model = fitted_models["kde"]["model"]
+        features = [f[:200] for f in desk_suite["test"].features]
+        labels = desk_suite["test"].labels[:200]
+        read = []
+
+        def tables():
+            for f in features:
+                assert not read
+                yield f
+
+        def read_labels(n):
+            read.append(n)
+            return labels
+
+        streamed = evaluate(model, tables(), read_labels)
+        assert read == [200]
+        assert repr(streamed) == repr(evaluate(model, features, labels))
+        with pytest.raises(DimensionMismatch, match="^199 labels for 200 samples$"):
+            evaluate(model, features, labels[:-1])
+        with pytest.raises(LabelOutOfRange):
+            evaluate(model, features, np.full(200, model.c))
 
 
 class TestLabelDistance:
@@ -491,7 +514,7 @@ class TestEvaluate:
             [np.asarray([s[i] for s in fx["inputs"]["samples"]]) for i in range(model.m)],
             np.asarray(fx["inputs"]["labels"]),
         )
-        result = evaluate(model, batch)
+        result = evaluate(model, batch.features, batch.labels)
         assert result["accuracy"] == pytest.approx(fx["expected"]["accuracy"], abs=1e-12)
         assert result["mean_loss"] == pytest.approx(fx["expected"]["loss"], abs=1e-12)
 
@@ -505,7 +528,7 @@ class TestEvaluate:
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
         labels = np.asarray([0, 1, 2, 2, 1, 0])
         batch = LabeledBatch([np.asarray([mus[j] for j in labels])], labels)
-        result = evaluate(model, batch)
+        result = evaluate(model, batch.features, batch.labels)
         assert result["accuracy"] == 1.0
         np.testing.assert_array_equal(result["per_class_accuracy"], [1.0, 1.0, 1.0])
 
@@ -516,7 +539,7 @@ class TestEvaluate:
         predicted = predict_batch(model, feats)
         wrong = (predicted + 1) % model.c
         batch = LabeledBatch(feats, wrong)
-        assert evaluate(model, batch)["accuracy"] == 0.0
+        assert evaluate(model, batch.features, batch.labels)["accuracy"] == 0.0
 
     def test_degenerate_mixture_equals_density_argmax(self):
         rng = np.random.default_rng(5)
@@ -534,7 +557,8 @@ class TestEvaluate:
         )
         np.testing.assert_array_equal(predicted, np.argmax(values, axis=1))
         agree = float(np.mean(predicted == batch.labels))
-        assert evaluate(model, batch)["density_argmax_accuracy"] == [agree]
+        result = evaluate(model, batch.features, batch.labels)
+        assert result["density_argmax_accuracy"] == [agree]
 
 
 class TestBatchValidation:
@@ -982,7 +1006,7 @@ class TestEvaluateDensityAccuracies:
         rng = np.random.default_rng(20)
         batch = grassmann_batch(rng, (4, 6), 3, 60)
         model = fit_ensemble(batch, 3, "kde")
-        result = evaluate(model, batch)
+        result = evaluate(model, batch.features, batch.labels)
         expected = []
         for i, row in enumerate(model.densities):
             log_p = np.column_stack([d.log_pdf_batch(batch.features[i]) for d in row])
@@ -1002,18 +1026,20 @@ class TestDeskWeightsPinned:
         assert model.fit_meta["iterations_run"] == 30
         assert model.fit_meta["effective_networks"] < 1.01
         assert int(np.argmax(model.weights.alpha)) == 2
-        accuracy = evaluate(model, desk_suite["test"])["accuracy"]
+        test = desk_suite["test"]
+        accuracy = evaluate(model, test.features, test.labels)["accuracy"]
         assert accuracy == 0.695
         assert abs(accuracy - desk_suite["standalone_test_accuracy"][2]) <= 0.002
         uniform = EnsembleModel(
             kind=model.kind, space=model.space, m=model.m, c=model.c,
             densities=model.densities, weights=MixtureWeights.uniform(model.m), fit_meta={},
         )
-        assert evaluate(uniform, desk_suite["test"])["accuracy"] == 1.0
+        assert evaluate(uniform, test.features, test.labels)["accuracy"] == 1.0
 
     def test_evaluate_reports_uniform_accuracy(self, desk_suite, fitted_models):
         # the collapse is visible in one evaluate: learned 0.695, uniform 1.000
-        result = evaluate(fitted_models["parametric"]["model"], desk_suite["test"])
+        test = desk_suite["test"]
+        result = evaluate(fitted_models["parametric"]["model"], test.features, test.labels)
         assert (result["accuracy"], result["uniform_accuracy"]) == (0.695, 1.0)
 
     def test_kde_keeps_many_networks(self, fitted_models):
