@@ -39,6 +39,7 @@ gradient's sum over samples and classes) is one matrix-vector product.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -150,40 +151,56 @@ class LabeledBatch:
         return len(self.features)
 
 
+def network_dim(row, i: int, kind: str, space: str, c: int) -> int:
+    """The dimension of network ``i``, after checking its row of cells: c
+    cells of one dimension, c itself on the sphere, and a parametric cell's
+    one support point."""
+    if len(row) != c:
+        raise ValueError("densities grid must be complete (m rows of c entries)")
+    if kind == PARAMETRIC and any(len(d.support) != 1 for d in row):
+        raise ValueError("a parametric model's cells must each hold one support point")
+    if len({d.dim for d in row}) != 1:
+        raise DimensionMismatch(f"network {i} densities disagree on dimension")
+    if space == SPHERE and row[0].dim != c:
+        raise DimensionMismatch(f"sphere density of dimension {row[0].dim} for {c} classes")
+    return row[0].dim
+
+
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Fitted ensemble: the m x c density grid plus mixture weights."""
+    """Fitted ensemble: the m x c density grid plus mixture weights.
+
+    ``densities`` is any sequence of m rows of c cells: a fit's lists, or a
+    loaded model's grid, which reads a row from the model file each time it
+    is indexed. Each row is checked here, one at a time; a grid with
+    ``dims`` checked its rows as it read them, and is not read again."""
 
     kind: str
     space: str
     m: int
     c: int
-    densities: list
+    densities: Sequence
     weights: MixtureWeights
     fit_meta: dict
+    _dims: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (PARAMETRIC, KDE):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.space not in (SPHERE, GRASSMANN):
             raise ValueError(f"unknown space {self.space!r}")
-        if len(self.densities) != self.m or any(len(row) != self.c for row in self.densities):
+        if len(self.densities) != self.m:
             raise ValueError("densities grid must be complete (m rows of c entries)")
-        if self.kind == PARAMETRIC and any(len(d.support) != 1 for r in self.densities for d in r):
-            raise ValueError("a parametric model's cells must each hold one support point")
         if self.weights.m != self.m:
             raise ValueError("weight count must match network count")
-        for i, row in enumerate(self.densities):
-            dims = {d.dim for d in row}
-            if len(dims) != 1:
-                raise DimensionMismatch(f"network {i} densities disagree on dimension")
-            if self.space == SPHERE and row[0].dim != self.c:
-                raise DimensionMismatch(
-                    f"sphere density of dimension {row[0].dim} for {self.c} classes"
-                )
+        dims = getattr(self.densities, "dims", None)
+        if dims is None:
+            dims = [network_dim(row, i, self.kind, self.space, self.c)
+                    for i, row in enumerate(self.densities)]
+        object.__setattr__(self, "_dims", tuple(dims))
 
     def network_dims(self) -> list:
-        return [row[0].dim for row in self.densities]
+        return list(self._dims)
 
 
 # -- the pdf tensor and its matrix view ------------------------------------------
@@ -249,30 +266,33 @@ def pdf_grid(densities, features) -> np.ndarray:
     ``features`` is any iterable of one (n, d_i) table per network, read
     once, in order: the tensor is allocated when the first table arrives and
     each table is dropped before the next is asked for, so a generator that
-    reads its tables one by one has one alive at a time. DimensionMismatch
-    names a table whose rows or width disagree as it arrives, and a missing
-    or extra table after the last."""
+    reads its tables one by one has one alive at a time. ``densities`` is
+    indexed once per network, when its table arrives, and each row of cells
+    is dropped with its table: a loaded model, which reads a row from its
+    file when it is indexed, has one network's cells alive at a time.
+    DimensionMismatch names a table whose rows or width disagree as it
+    arrives, and a missing or extra table after the last."""
     m = len(densities)
-    c = len(densities[0])
     tables = iter(features)
     out = None
     for i in range(m):
         fi = next(tables, None)
         if fi is None:
             raise DimensionMismatch(f"{i} tables for a model with m={m}")
+        row = densities[i]
         if out is None:
-            out = _empty_pdf_tensor(fi.shape[0], m, c)
+            out = _empty_pdf_tensor(fi.shape[0], m, len(row))
         if fi.shape[0] != out.shape[0]:
             raise DimensionMismatch(
                 f"network {i} table has {fi.shape[0]} rows, expected {out.shape[0]}")
-        if fi.shape[1] != densities[i][0].dim:
+        if fi.shape[1] != row[0].dim:
             raise DimensionMismatch(
                 f"network {i} features have dimension {fi.shape[1]}, "
-                f"model expects {densities[i][0].dim}"
+                f"model expects {row[0].dim}"
             )
-        for j in range(c):
-            out[:, i, j] = densities[i][j].log_pdf_batch(fi)
-        del fi  # before the next table is asked for
+        for j in range(len(row)):
+            out[:, i, j] = row[j].log_pdf_batch(fi)
+        del fi, row  # before the next table is asked for and the next row read
     extra = sum(1 for _ in tables)
     if extra:
         raise DimensionMismatch(f"{m + extra} tables for a model with m={m}")

@@ -14,16 +14,17 @@ round-trips bit for bit. The model's kind sets each cell's layout: {"mu",
 "sigma", "normalizer"} holds the one support point and width of a parametric
 cell's `KernelDensity`, and {"support", "bandwidth", "normalizer"} a KDE
 cell. A cell that fails the density's or a point's checks is a CorruptModel
-(exit 4) naming its network and class. Every output file is written through
-``output_file``, which replaces its target atomically.
+(exit 4) naming its network and class. ``_modelread`` reads model files:
+``load_model`` and ``load_model_file`` import it when called, and a loaded
+model reads each network's cells from its file when they are asked for.
+Every output file is written through ``output_file``, which replaces its
+target atomically.
 """
 
 from __future__ import annotations
 
-import base64
 import errno
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager, suppress
@@ -33,28 +34,21 @@ from pathlib import Path
 
 import numpy as np
 
-from ._points import GRASSMANN, SPHERE, make_point
-from .density import GaussianDensity, KernelDensity
-from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights
+from ._points import SPHERE
+from .ensemble import PARAMETRIC, EnsembleModel
 from .errors import (
-    CorruptModel,
-    DataError,
     EmptyBatch,
     InvalidConfig,
     LabelOutOfRange,
-    ModelFormatError,
     NegativeProbability,
     NotNormalized,
     ParseError,
     RaggedEnsemble,
     RaggedTable,
-    SchemaMismatch,
     ZeroFeature,
 )
-from .estimators import SampleSet
 
 SCHEMA_VERSION = 3
-_READABLE_SCHEMAS = (1, 2, 3)
 
 PROBABILITY = "probability"
 FEATURE = "feature"
@@ -303,19 +297,6 @@ def _document(model: EnsembleModel) -> dict:
     }
 
 
-def _density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_id: int):
-    # a schema-2 or -3 array is already an ndarray; a schema-1 array is a nested list
-    try:
-        if kind == PARAMETRIC:
-            mu = make_point(np.asarray(obj["mu"], dtype=np.float64), space)
-            return GaussianDensity(mu, float(obj["sigma"]), float(obj["normalizer"]))
-        support = SampleSet(np.asarray(obj["support"], dtype=np.float64), space, network_id,
-                            class_id)
-        return KernelDensity(support, float(obj["bandwidth"]), float(obj["normalizer"]))
-    except (KeyError, TypeError, ValueError, IndexError, DataError) as exc:
-        raise ValueError(f"network {network_id}, class {class_id}: {exc}") from None
-
-
 def _write_model(model: EnsembleModel, fh):
     # the header is streamed: json.dumps would hold it as small strings, 8x its size
     body = []
@@ -333,62 +314,11 @@ def save_model(model: EnsembleModel) -> bytes:
         return fh.getvalue()
 
 
-def _read_model(fh, size: int) -> EnsembleModel:
-    """The model in ``fh``, a binary file of ``size`` bytes."""
-    def array(obj: dict):  # the parser's object_hook: a blob becomes its array
-        if "shape" not in obj:
-            return obj
-        shape = obj["shape"]
-        if not all(type(k) is int and k >= 0 for k in shape):
-            raise CorruptModel(f"array shape {shape!r} is not a list of sizes")
-        if "f8" in obj:  # schema 2
-            return np.frombuffer(base64.b64decode(obj["f8"], validate=True), "<f8").reshape(shape)
-        if fh.tell() + 8 * math.prod(shape) > size:  # before anything is allocated or read
-            raise CorruptModel(
-                f"model body ends early: shape {shape} at byte {fh.tell()} of {size}")
-        a = np.empty(shape, dtype="<f8")
-        fh.readinto(a)
-        return a
-
-    try:
-        header = fh.readline()
-        if header.strip() == b"{":  # schema 1 was written indented, over many lines
-            header += fh.read()
-        doc = json.loads(header.decode("utf-8"), object_hook=array)
-        if fh.tell() != size:
-            raise CorruptModel(f"model body runs past its last array: byte {fh.tell()} of {size}")
-        if not isinstance(doc, dict):
-            raise CorruptModel("model file is not a JSON object")
-        if doc.get("schema_version") not in _READABLE_SCHEMAS:
-            raise SchemaMismatch(
-                f"model schema_version {doc.get('schema_version')!r}, "
-                f"supported: {_READABLE_SCHEMAS}"
-            )
-        kind = doc["kind"]
-        space = doc["space"]
-        if kind not in (PARAMETRIC, KDE) or space not in (SPHERE, GRASSMANN):
-            raise CorruptModel(f"unknown kind/space: {kind!r}/{space!r}")
-        weights = MixtureWeights(np.asarray(doc["alpha_tilde"], dtype=np.float64))
-        densities = [
-            [_density_from_dict(cell, kind, space, i, j) for j, cell in enumerate(row)]
-            for i, row in enumerate(doc["densities"])
-        ]
-        return EnsembleModel(
-            kind=kind, space=space, m=int(doc["m"]), c=int(doc["c"]),
-            densities=densities, weights=weights, fit_meta=dict(doc["fit_meta"]),
-        )
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModel(f"unreadable model file: {exc}") from None
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        # also a blob the parser could not decode, and a cell's error, which names the cell
-        raise CorruptModel(f"model file is missing or corrupts required fields: {exc}") from None
-
-
 def load_model(data) -> EnsembleModel:
-    """The model in a model file's bytes, or in a schema 1 or 2 document's text."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return _read_model(BytesIO(data), len(data))
+    """The model in a model file's bytes, or in a schema 1 or 2 document's
+    text (``_modelread.load_model``)."""
+    from . import _modelread  # here, not at the top: see _modelread
+    return _modelread.load_model(data)
 
 
 def save_model_file(model: EnsembleModel, path):
@@ -398,15 +328,6 @@ def save_model_file(model: EnsembleModel, path):
 
 
 def load_model_file(path) -> EnsembleModel:
-    """The model in the file at ``path``. A path that cannot be read (missing,
-    a directory, no permission) is a CorruptModel, and every model-format
-    error names the path."""
-    try:
-        with open(path, "rb") as fh:
-            if not fh.seekable():  # a pipe: its size is known once it is read
-                return load_model(fh.read())
-            return _read_model(fh, os.fstat(fh.fileno()).st_size)
-    except OSError as exc:
-        raise CorruptModel(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except ModelFormatError as exc:
-        raise type(exc)(f"{exc} (in {path})") from None
+    """The model in the file at ``path`` (``_modelread.load_model_file``)."""
+    from . import _modelread
+    return _modelread.load_model_file(path)

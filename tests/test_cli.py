@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import tracemalloc
 import weakref
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spheremix import cli, ensemble, io
+from spheremix import _modelread, cli, ensemble, io
 from spheremix.cli import main
 from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, parse_taus, write_suite
@@ -247,6 +248,21 @@ def fitted(runner, suite_dir, tmp_path_factory):
     result, model_path = run_fit(runner, suite_dir, tmp)
     assert result.exit_code == 0
     return model_path
+
+
+@pytest.fixture(scope="module")
+def kde_fitted(runner, suite_dir, tmp_path_factory):
+    result, model_path = run_fit(runner, suite_dir, tmp_path_factory.mktemp("kde"),
+                                 "--model", "kde")
+    assert result.exit_code == 0, result.output
+    return model_path
+
+
+def scoring_args(command, suite_dir, tmp_path) -> list:
+    """The --table options of the 3-network suite and the command's own output or labels."""
+    extra = (["--labels", str(suite_dir / "test_labels.txt")] if command == "evaluate"
+             else ["--out", str(tmp_path / "p.csv")])
+    return [*table_args("test", suite_dir, 3, "--table"), *extra]
 
 
 class TestPredictCommand:
@@ -606,6 +622,120 @@ class TestScoringMemory:
                 tracemalloc.stop()
             assert result.exit_code == 0, result.output
             assert peak <= arrays + 1.8 * tensor, (command, (peak - arrays) / tensor)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_one_network_alive(self, runner, suite_dir, kde_fitted, tmp_path, monkeypatch,
+                               command):
+        # a network's cells are read from the model file only once every
+        # earlier network's support arrays are gone, in the load's check and
+        # in pdf_grid
+        alive, reads = [], []
+        read_row = _modelread.LoadedGrid.read_row
+
+        def row(grid, i):
+            assert all(ref() is None for ref in alive), (reads, i)
+            cells = read_row(grid, i)
+            alive.extend(weakref.ref(d.support.points) for d in cells)
+            reads.append(i)
+            return cells
+
+        monkeypatch.setattr(_modelread.LoadedGrid, "read_row", row)
+        result = runner.invoke(main, [command, "--model-file", str(kde_fitted),
+                                      *scoring_args(command, suite_dir, tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert reads == [0, 1, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "inspect"])
+    def test_each_network_read_at_load_and_scoring(self, runner, suite_dir, kde_fitted,
+                                                   tmp_path, monkeypatch, command):
+        # the load reads each network's cells once to check them, and the
+        # scoring pass once more; network_dims, the table checks and inspect
+        # read none
+        reads = []
+        read_row = _modelread.LoadedGrid.read_row
+        monkeypatch.setattr(_modelread.LoadedGrid, "read_row",
+                            lambda grid, i: reads.append(i) or read_row(grid, i))
+        args = [] if command == "inspect" else scoring_args(command, suite_dir, tmp_path)
+        result = runner.invoke(main, [command, "--model-file", str(kde_fitted), *args])
+        assert result.exit_code == 0, result.output
+        assert reads == [0, 1, 2] * (1 if command == "inspect" else 2)
+
+    def test_desk_kde_peak_one_network(self, runner, fitted_models, tmp_path):
+        # the loaded model reads each network's cells when pdf_grid reaches
+        # it and drops them with its table, so a scoring command holds one
+        # network's support arrays, the (n, m, c) tensor and one table: its
+        # tracemalloc peak is the largest network's arrays plus about 1.5x
+        # the tensor (the model's 3.2 MB of arrays were all alive before)
+        model = fitted_models["kde"]["model"]
+        model_path = tmp_path / "kde.model"
+        io.save_model_file(model, model_path)
+        suite = make_suite(SUITE_SEED, SUITE_M, SUITE_C, SUITE_N_TRAIN, SUITE_N_TEST,
+                           parse_taus(SUITE_TAU, SUITE_M))
+        for i, table in enumerate(suite["test"]):
+            io.write_rows(tmp_path / f"test_net{i:02d}.csv", table.tolist())
+        io.write_rows(tmp_path / "labels.txt", suite["test_labels"][:, None].tolist())
+        network = max(sum(d.support.points.nbytes for d in row) for row in model.densities)
+        tensor = 8 * SUITE_N_TEST * SUITE_M * SUITE_C
+        tables = table_args("test", tmp_path, SUITE_M, "--table")
+        for command, extra in (("evaluate", ["--labels", str(tmp_path / "labels.txt")]),
+                               ("predict", ["--out", str(tmp_path / "p.csv")])):
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, [command, "--model-file", str(model_path),
+                                              *tables, *extra])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            assert peak <= network + 1.8 * tensor, (command, (peak - network) / tensor)
+
+
+class TestHeldModelFile:
+    """A scoring command reads each network's cells from the model file it
+    loaded and checked, which it holds open: not from whatever is at the
+    path by the time it scores."""
+
+    @staticmethod
+    def after_load(monkeypatch, action):
+        load = cli.load_model_file
+
+        def load_then(path):
+            model = load(path)
+            action(path)
+            return model
+
+        monkeypatch.setattr(cli, "load_model_file", load_then)
+
+    def test_replaced_after_load(self, runner, suite_dir, fitted, kde_fitted, tmp_path,
+                                 monkeypatch):
+        model = tmp_path / "m.json"
+        model.write_bytes(kde_fitted.read_bytes())
+        tables = table_args("test", suite_dir, 3, "--table")
+        result = runner.invoke(main, ["predict", "--model-file", str(model), *tables,
+                                      "--out", str(tmp_path / "expected.csv")])
+        assert result.exit_code == 0, result.output
+        other = tmp_path / "other.json"
+        other.write_bytes(fitted.read_bytes())
+        self.after_load(monkeypatch, lambda path: other.replace(path))
+        result = runner.invoke(main, ["predict", "--model-file", str(model), *tables,
+                                      "--out", str(tmp_path / "p.csv")])
+        assert result.exit_code == 0, result.output
+        assert model.read_bytes() == fitted.read_bytes()
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_cut_after_load(self, runner, suite_dir, kde_fitted, tmp_path, monkeypatch, command):
+        # a short read of the cut file is an error, never a short support
+        model = tmp_path / "m.json"
+        model.write_bytes(kde_fitted.read_bytes())
+        self.after_load(monkeypatch, lambda path: os.truncate(path, os.path.getsize(path) // 2))
+        report = ["--report", str(tmp_path / "r.txt")] if command == "evaluate" else []
+        result = runner.invoke(main, [command, "--model-file", str(model),
+                                      *scoring_args(command, suite_dir, tmp_path), *report])
+        assert result.exit_code == 4, result.output
+        assert "CorruptModel: model body ends early: shape [" in result.output
+        assert result.output.rstrip().endswith(f"(in {model})")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 class TestPathErrors:

@@ -1,19 +1,26 @@
 import base64
+import gc
 import gzip
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oracles
-from spheremix import io
+from spheremix import _modelread, io
 from spheremix.density import GaussianDensity, KernelDensity
-from spheremix.ensemble import EnsembleModel, LabeledBatch, MixtureWeights, fit_ensemble, predict_batch
+from spheremix.ensemble import (
+    EnsembleModel, LabeledBatch, MixtureWeights, ensemble_probability_batch, fit_ensemble,
+    pdf_grid, predict_batch,
+)
 from spheremix.errors import (
     CorruptModel,
     DimensionMismatch,
@@ -709,8 +716,9 @@ def traced_peak(fn) -> int:
 
 class TestModelFileMemory:
     """A save holds the header line and no copy of the arrays, and a load
-    holds the header line and the arrays it reads the body into: the body
-    is never held as bytes or text."""
+    holds the header line and one network's arrays, which it checks and
+    drops before it reads the next: the body is never held as bytes or
+    text, nor whole as arrays."""
 
     @pytest.fixture(scope="class")
     def kde_file(self, tmp_path_factory):
@@ -728,8 +736,112 @@ class TestModelFileMemory:
     def test_load_peak(self, kde_file):
         model, path = kde_file
         peak = traced_peak(lambda: load_model_file(path))
-        assert peak <= 1.2 * path.stat().st_size
+        # one network's supports are a tenth of this body; a load that kept
+        # every array measured 1.07x the file
+        assert peak <= 0.3 * path.stat().st_size
         assert_same_model(load_model_file(path), model)
+
+
+def open_fds():
+    """The number of this process's open file descriptors, or None where
+    the system does not list them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+class TestHeldModelFile:
+    """A loaded model keeps its file open and reads each network's cells
+    from it when its grid is indexed: the load reads and checks every row
+    once, and each later index reads its row again."""
+
+    @pytest.fixture
+    def kde_path(self, tmp_path):
+        model, batch = small_fitted_model(np.random.default_rng(12), m=3, kind="kde")
+        path = tmp_path / "model.json"
+        save_model_file(model, path)
+        return model, batch, path
+
+    def test_each_row_read_at_load_and_when_indexed(self, kde_path, monkeypatch):
+        model, batch, path = kde_path
+        reads = []
+        read_row = _modelread.LoadedGrid.read_row
+        monkeypatch.setattr(_modelread.LoadedGrid, "read_row",
+                            lambda grid, i: reads.append(i) or read_row(grid, i))
+        loaded = load_model_file(path)
+        assert reads == [0, 1, 2]
+        assert loaded.network_dims() == [3, 3, 3] and len(loaded.densities) == 3
+        assert reads == [0, 1, 2]
+        pdf_grid(loaded.densities, batch.features)
+        assert reads == [0, 1, 2, 0, 1, 2]
+        assert loaded.densities[-1][0].bandwidth == model.densities[2][0].bandwidth
+        assert reads == [0, 1, 2, 0, 1, 2, 2]
+        with pytest.raises(IndexError):
+            loaded.densities[3]
+        assert len(list(loaded.densities)) == 3
+
+    def test_replaced_file_is_not_read(self, kde_path):
+        model, batch, path = kde_path
+        loaded = load_model_file(path)
+        other, _ = small_fitted_model(np.random.default_rng(13), m=3, kind="kde")
+        save_model_file(other, path)  # output_file replaces the path
+        assert path.read_bytes() == save_model(other)
+        np.testing.assert_array_equal(ensemble_probability_batch(loaded, batch.features),
+                                      ensemble_probability_batch(model, batch.features))
+
+    def test_file_cut_after_load(self, kde_path):
+        # a short read is a CorruptModel naming the file, never a short support
+        model, batch, path = kde_path
+        loaded = load_model_file(path)
+        os.truncate(path, path.stat().st_size - 8)
+        last = model.densities[2][2].support.points.nbytes  # the body's last array
+        with pytest.raises(CorruptModel, match=r"^model body ends early: shape \[") as info:
+            predict_batch(loaded, batch.features)
+        assert str(info.value).endswith(f", {last - 8} of its {last} bytes read (in {path})")
+
+    def test_cell_damaged_after_load(self, kde_path):
+        # each row is checked again as it is read: here the last support's last value
+        _, batch, path = kde_path
+        loaded = load_model_file(path)
+        with open(path, "r+b") as fh:
+            fh.seek(-8, os.SEEK_END)
+            fh.write(np.array([np.nan], "<f8").tobytes())
+        with pytest.raises(CorruptModel) as info:
+            predict_batch(loaded, batch.features)
+        assert str(info.value) == (
+            "model file is missing or corrupts required fields: network 2, class 2: "
+            f"non-finite sample: network 2, class 2 (in {path})")
+
+    def test_reader_imported_when_a_model_is_read(self, kde_path):
+        # fit reads no model, so the CLI's import compiles no model reader
+        code = ("import sys, spheremix.cli, spheremix.io as io; "
+                "print('spheremix._modelread' in sys.modules); "
+                f"io.load_model_file({str(kde_path[2])!r}); "
+                "print('spheremix._modelread' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == ["False", "True"]
+
+    def test_dropped_models_close_their_files(self, kde_path):
+        _, batch, path = kde_path
+        short = path.with_name("short.json")
+        short.write_bytes(path.read_bytes()[:-8])
+        gc.collect()  # what earlier tests left
+        before = open_fds()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(20):
+                loaded = load_model_file(path)
+                if before is not None:
+                    assert open_fds() == before + 1
+                predict_batch(loaded, batch.features)
+                del loaded
+                with pytest.raises(CorruptModel) as info:
+                    load_model_file(short)
+                if before is not None:  # closed at once, though its error is held
+                    assert open_fds() == before, info.value
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert open_fds() == before
 
 
 class TestSchema2:
