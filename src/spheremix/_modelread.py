@@ -1,14 +1,17 @@
 """Reading model files, whose format ``io`` describes and writes.
 
-A load checks every array's shape and the body's length against the JSON
-header before it reads any array, then reads alpha_tilde and reads and
-checks every cell, one network at a time, and keeps none. The model's
-density grid, a ``LoadedGrid``, reads network i's c cells again, and checks
-them, each time it is indexed, so a consumer that drops each row before it
-indexes the next, as ``ensemble.pdf_grid`` does, holds one network's cells
-at a time. The grid reads from the file, which the model holds open for its
-life (a raw descriptor read with os.pread and closed by a finalizer), or
-from the bytes of a pipe or of ``load_model``, which it keeps.
+Only schema ``io.SCHEMA_VERSION`` is read; a file of any other version is a
+SchemaMismatch, and one of an older version must be refit. A load checks
+every array's shape and the body's length against the JSON header before it
+reads any array, then reads alpha_tilde. The model's density grid, a
+``LoadedGrid``, reads network i's c cells from the file, and checks them,
+each time it is indexed, and keeps none: ``EnsembleModel`` indexes each row
+once as the load's check, and ``ensemble.pdf_grid`` once per scoring pass,
+each dropping a row before it indexes the next, so each holds one network's
+cells at a time. The grid reads from the file, which the model holds open
+for its life (a raw descriptor read with os.pread and closed by a
+finalizer), or from the bytes of a pipe or of ``load_model``, which it
+keeps.
 
 Only a command that reads a model imports this module: ``io.load_model``
 and ``io.load_model_file`` import it when called. Without a bytecode cache
@@ -17,7 +20,6 @@ every command compiles the modules it imports, and ``fit`` reads no model.
 
 from __future__ import annotations
 
-import base64
 import functools
 import json
 import math
@@ -31,11 +33,10 @@ import numpy as np
 
 from ._points import GRASSMANN, SPHERE, make_point
 from .density import GaussianDensity, KernelDensity
-from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights, network_dim
+from .ensemble import KDE, PARAMETRIC, EnsembleModel, MixtureWeights
 from .errors import CorruptModel, DataError, ModelFormatError, SchemaMismatch
 from .estimators import SampleSet
-
-READABLE_SCHEMAS = (1, 2, 3)
+from .io import SCHEMA_VERSION
 
 
 @contextmanager
@@ -50,7 +51,7 @@ def model_errors(name=None):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"unreadable model file: {exc}{where}") from None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        # also a blob the parser could not decode, and a cell's error, which names the cell
+        # also a cell's error, which names the cell
         raise CorruptModel(f"model file is missing or corrupts required fields: {exc}{where}") \
             from None
     except ModelFormatError as exc:
@@ -58,13 +59,9 @@ def model_errors(name=None):
 
 
 def read_array(value, read) -> np.ndarray:
-    """A header value as an array. A schema-3 array is an (offset, shape)
-    tuple, which JSON never gives, read through ``read`` without a copy; a
-    schema-2 array is already an ndarray and a schema-1 array a nested list.
-    A short read (a file cut after its load) is a CorruptModel, never a
-    short array."""
-    if not isinstance(value, tuple):
-        return np.asarray(value, dtype=np.float64)
+    """A header array, which the parser left as its (offset, shape) in the
+    body, read through ``read`` without a copy. A short read (a file cut
+    after its load) is a CorruptModel, never a short array."""
     offset, shape = value
     n = 8 * math.prod(shape)
     data = read(n, offset)
@@ -89,15 +86,15 @@ def density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_i
 
 class LoadedGrid:
     """A loaded model's m x c density grid. Row i, network i's c cells, is
-    read and checked each time it is indexed, and is not kept. Construction
-    is the load's check: it reads every row once, in turn, and records each
-    network's dimension in ``dims``, which ``EnsembleModel`` takes in place
-    of reading the rows again. A fault found by a later read is a
-    ModelFormatError naming the file ``name``."""
+    read and checked each time it is indexed, and is not kept. A fault is a
+    ModelFormatError, naming the file ``name`` once the load has set it: the
+    load's own check, ``EnsembleModel`` indexing each row, is named by the
+    load's caller."""
 
-    def __init__(self, rows: list, kind: str, space: str, c: int, read, name):
-        self._rows, self._kind, self._space, self._read, self._name = rows, kind, space, read, name
-        self.dims = [network_dim(self.read_row(i), i, kind, space, c) for i in range(len(rows))]
+    name = None
+
+    def __init__(self, rows: list, kind: str, space: str, read):
+        self._rows, self._kind, self._space, self._read = rows, kind, space, read
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -105,7 +102,7 @@ class LoadedGrid:
     def __getitem__(self, i) -> list:
         if not -len(self) <= i < len(self):
             raise IndexError(f"network {i} of a model with m={len(self)}")  # ends an iteration
-        with model_errors(self._name):
+        with model_errors(self.name):
             return self.read_row(i % len(self))
 
     def read_row(self, i: int) -> list:
@@ -118,47 +115,42 @@ def read_model(fh, size: int, read, name=None) -> EnsembleModel:
     """The model in ``fh``, a binary file of ``size`` bytes read from its
     start, whose bytes ``read(nbytes, offset)`` returns, as ``os.pread``
     does; ``name`` is the file that the grid's later faults name."""
-    end = 0  # where the next schema-3 array starts
+    header = fh.readline()
+    end = len(header)  # where the next array starts
 
-    def array(obj: dict):  # the parser's object_hook: a blob becomes its array, or where it is
+    def array(obj: dict):  # the parser's object_hook: an array becomes where it is
         nonlocal end
-        if "shape" not in obj:
+        if obj.keys() != {"shape"}:
             return obj
         shape = obj["shape"]
         if not all(type(k) is int and k >= 0 for k in shape):
             raise CorruptModel(f"array shape {shape!r} is not a list of sizes")
-        if "f8" in obj:  # schema 2
-            return np.frombuffer(base64.b64decode(obj["f8"], validate=True), "<f8").reshape(shape)
         n = 8 * math.prod(shape)
         if end + n > size:  # before anything is allocated or read
             raise CorruptModel(f"model body ends early: shape {shape} at byte {end} of {size}")
         end += n
         return end - n, shape
 
-    header = fh.readline()
-    if header.strip() == b"{":  # schema 1 was written indented, over many lines
-        header += fh.read()
-    end = fh.tell()
     doc = json.loads(header.decode("utf-8"), object_hook=array)
-    if end != size:
-        raise CorruptModel(f"model body runs past its last array: byte {end} of {size}")
     if not isinstance(doc, dict):
         raise CorruptModel("model file is not a JSON object")
-    if doc.get("schema_version") not in READABLE_SCHEMAS:
-        raise SchemaMismatch(
-            f"model schema_version {doc.get('schema_version')!r}, "
-            f"supported: {READABLE_SCHEMAS}"
-        )
+    if doc.get("schema_version") != SCHEMA_VERSION:  # before the body, which others lack
+        raise SchemaMismatch(f"model schema_version {doc.get('schema_version')!r}, "
+                             f"supported: {SCHEMA_VERSION}; refit the model")
+    if end != size:
+        raise CorruptModel(f"model body runs past its last array: byte {end} of {size}")
     kind = doc["kind"]
     space = doc["space"]
     if kind not in (PARAMETRIC, KDE) or space not in (SPHERE, GRASSMANN):
         raise CorruptModel(f"unknown kind/space: {kind!r}/{space!r}")
     weights = MixtureWeights(read_array(doc["alpha_tilde"], read))
-    densities = LoadedGrid(doc["densities"], kind, space, int(doc["c"]), read, name)
-    return EnsembleModel(
+    grid = LoadedGrid(doc["densities"], kind, space, read)
+    model = EnsembleModel(
         kind=kind, space=space, m=int(doc["m"]), c=int(doc["c"]),
-        densities=densities, weights=weights, fit_meta=dict(doc["fit_meta"]),
+        densities=grid, weights=weights, fit_meta=dict(doc["fit_meta"]),
     )
+    grid.name = name  # checked: from now on the grid names its faults' file itself
+    return model
 
 
 def _bytes_model(data: bytes, name=None) -> EnsembleModel:
@@ -167,11 +159,11 @@ def _bytes_model(data: bytes, name=None) -> EnsembleModel:
     return read_model(BytesIO(data), len(data), lambda n, offset: view[offset:offset + n], name)
 
 
-def load_model(data) -> EnsembleModel:
-    """The model in a model file's bytes, or in a schema 1 or 2 document's
-    text. The model keeps the bytes: its grid reads each row from them."""
+def load_model(data: bytes) -> EnsembleModel:
+    """The model in a model file's bytes. The model keeps the bytes: its
+    grid reads each row from them."""
     with model_errors():
-        return _bytes_model(data.encode("utf-8") if isinstance(data, str) else bytes(data))
+        return _bytes_model(bytes(data))
 
 
 def load_model_file(path) -> EnsembleModel:

@@ -151,29 +151,16 @@ class LabeledBatch:
         return len(self.features)
 
 
-def network_dim(row, i: int, kind: str, space: str, c: int) -> int:
-    """The dimension of network ``i``, after checking its row of cells: c
-    cells of one dimension, c itself on the sphere, and a parametric cell's
-    one support point."""
-    if len(row) != c:
-        raise ValueError("densities grid must be complete (m rows of c entries)")
-    if kind == PARAMETRIC and any(len(d.support) != 1 for d in row):
-        raise ValueError("a parametric model's cells must each hold one support point")
-    if len({d.dim for d in row}) != 1:
-        raise DimensionMismatch(f"network {i} densities disagree on dimension")
-    if space == SPHERE and row[0].dim != c:
-        raise DimensionMismatch(f"sphere density of dimension {row[0].dim} for {c} classes")
-    return row[0].dim
-
-
 @dataclass(frozen=True)
 class EnsembleModel:
     """Fitted ensemble: the m x c density grid plus mixture weights.
 
     ``densities`` is any sequence of m rows of c cells: a fit's lists, or a
     loaded model's grid, which reads a row from the model file each time it
-    is indexed. Each row is checked here, one at a time; a grid with
-    ``dims`` checked its rows as it read them, and is not read again."""
+    is indexed. Construction indexes each row once and checks it: c cells
+    of one dimension, c itself on the sphere, and a parametric cell's one
+    support point. It records each network's dimension and keeps no row, so
+    it holds one network's cells at a time."""
 
     kind: str
     space: str
@@ -193,10 +180,20 @@ class EnsembleModel:
             raise ValueError("densities grid must be complete (m rows of c entries)")
         if self.weights.m != self.m:
             raise ValueError("weight count must match network count")
-        dims = getattr(self.densities, "dims", None)
-        if dims is None:
-            dims = [network_dim(row, i, self.kind, self.space, self.c)
-                    for i, row in enumerate(self.densities)]
+        dims = []
+        for i in range(self.m):
+            row = self.densities[i]
+            if len(row) != self.c:
+                raise ValueError("densities grid must be complete (m rows of c entries)")
+            if self.kind == PARAMETRIC and any(len(d.support) != 1 for d in row):
+                raise ValueError("a parametric model's cells must each hold one support point")
+            if len({d.dim for d in row}) != 1:
+                raise DimensionMismatch(f"network {i} densities disagree on dimension")
+            if self.space == SPHERE and row[0].dim != self.c:
+                raise DimensionMismatch(
+                    f"sphere density of dimension {row[0].dim} for {self.c} classes")
+            dims.append(row[0].dim)
+            del row  # before the next row is read
         object.__setattr__(self, "_dims", tuple(dims))
 
     def network_dims(self) -> list:

@@ -7,16 +7,17 @@ probabilities (d = c columns) in probability mode, raw feature vectors
 it refuses, in one Python pass with float() syntax. Labels are one base-10
 integer per line. Tables, labels and predictions are all written by
 ``write_rows``: each cell is the repr of its Python number, for a float the
-shortest text float() reads back. A model file (schema_version 3; 1 and 2
-are still read) is a JSON line in which each float array is {"shape": [...]},
-then the arrays' little-endian float64 bytes in C order, so every value
-round-trips bit for bit. The model's kind sets each cell's layout: {"mu",
+shortest text float() reads back. A model file (schema_version 3, the only
+one read or written) is a JSON line in which each float array is {"shape":
+[...]}, then the arrays' little-endian float64 bytes in C order, so every
+value round-trips bit for bit. The model's kind sets each cell's layout: {"mu",
 "sigma", "normalizer"} holds the one support point and width of a parametric
 cell's `KernelDensity`, and {"support", "bandwidth", "normalizer"} a KDE
 cell. A cell that fails the density's or a point's checks is a CorruptModel
 (exit 4) naming its network and class. ``_modelread`` reads model files:
 ``load_model`` and ``load_model_file`` import it when called, and a loaded
-model reads each network's cells from its file when they are asked for.
+model reads each network's cells from its file when they are asked for, once
+for the load's check and once per scoring pass.
 Every output file is written through ``output_file``, which replaces its
 target atomically.
 """
@@ -314,9 +315,8 @@ def save_model(model: EnsembleModel) -> bytes:
         return fh.getvalue()
 
 
-def load_model(data) -> EnsembleModel:
-    """The model in a model file's bytes, or in a schema 1 or 2 document's
-    text (``_modelread.load_model``)."""
+def load_model(data: bytes) -> EnsembleModel:
+    """The model in a model file's bytes (``_modelread.load_model``)."""
     from . import _modelread  # here, not at the top: see _modelread
     return _modelread.load_model(data)
 

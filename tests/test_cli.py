@@ -17,8 +17,8 @@ from spheremix.io import load_labels, load_output_table
 from spheremix.synth import make_suite, parse_taus, write_suite
 from conftest import SUITE_C, SUITE_M, SUITE_N_TEST, SUITE_N_TRAIN, SUITE_SEED, SUITE_TAU
 from test_io import (
-    BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, model_file, model_header, parse_model,
-    poison_blob,
+    BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, model_file, model_header, old_document,
+    parse_model, poison_blob,
 )
 
 
@@ -361,6 +361,19 @@ class TestPredictCommand:
         assert result.exit_code == 4, result.output
         assert "CorruptModel: model body ends early" in result.output
         assert f"(in {short})" in result.output
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_old_schema_is_refused(self, runner, suite_dir, kde_fitted, tmp_path, command):
+        # a schema-2 model, which this version no longer reads, must be refit
+        old = tmp_path / "v2.json"
+        old.write_bytes(old_document(io.load_model_file(kde_fitted), 2))
+        report = ["--report", str(tmp_path / "r.txt")] if command == "evaluate" else []
+        result = runner.invoke(main, [command, "--model-file", str(old),
+                                      *scoring_args(command, suite_dir, tmp_path), *report])
+        assert result.exit_code == 4, result.output
+        assert "SchemaMismatch: model schema_version 2" in result.output
+        assert result.output.rstrip().endswith(f"(in {old})")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v2.json"]
 
     @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
     def test_non_finite_model_array(self, runner, suite_dir, tmp_path, field):

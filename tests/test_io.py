@@ -27,6 +27,7 @@ from spheremix.errors import (
     EmptyBatch,
     InvalidConfig,
     LabelOutOfRange,
+    ModelFormatError,
     NegativeProbability,
     NotNormalized,
     ParseError,
@@ -379,39 +380,15 @@ def small_fitted_model(rng, m=2, c=3, n=60, kind="parametric", space="sphere"):
     return fit_ensemble(batch, c, kind), batch
 
 
-def blob(a) -> dict:
-    """A schema-2 array: its shape and the base64 of its little-endian float64 bytes."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a).decode("ascii")}
-
-
-def text_document(model, schema: int, array) -> dict:
-    """The model's document as schema 1 or 2 wrote it, each float array as ``array(a)``."""
-    def cell(d):
-        if model.kind == "parametric":
-            return {"mu": array(d.support.points[0]), "sigma": d.bandwidth,
-                    "normalizer": d.normalizer}
-        return {"support": array(d.support.points), "bandwidth": d.bandwidth,
-                "normalizer": d.normalizer}
-    return {
-        "schema_version": schema, "kind": model.kind, "space": model.space,
-        "m": model.m, "c": model.c,
-        "alpha": model.weights.alpha.tolist(),
-        "alpha_tilde": array(model.weights.alpha_tilde),
-        "fit_meta": model.fit_meta,
-        "densities": [[cell(d) for d in row] for row in model.densities],
-    }
-
-
-def v1_document(model) -> bytes:
-    """The model as schema 1 wrote it: every array a nested decimal list."""
-    doc = text_document(model, 1, np.ndarray.tolist)
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
-
-
-def v2_document(model) -> bytes:
-    """The model as schema 2 wrote it: one line, every array a base64 blob."""
-    return (json.dumps(text_document(model, 2, blob)) + "\n").encode("utf-8")
+def old_document(model, schema: int) -> bytes:
+    """The model as schema 1 (indented JSON, each array a nested decimal list)
+    or schema 2 (one JSON line, each array a base64 blob) wrote it."""
+    def array(a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        return a.tolist() if schema == 1 else {
+            "shape": list(a.shape), "f8": base64.b64encode(a).decode("ascii")}
+    doc = dict(io._document(model), schema_version=schema)
+    return (json.dumps(doc, default=array, indent=1 if schema == 1 else None) + "\n").encode()
 
 
 @dataclass
@@ -479,10 +456,8 @@ def assert_same_model(a, b):
             assert da.normalizer == db.normalizer
 
 
-# how an array blob is damaged -> what the loader says. Base64 is in schema 2
-# alone, so "invalid base64" damages a schema-2 document, the others schema 3.
+# how an array blob is damaged -> what the loader says
 BLOB_DAMAGE = {
-    "invalid base64": "Only base64 data is allowed",
     "truncated": "model body ends early",
     "wrong shape": "model body runs past its last array",
 }
@@ -491,10 +466,6 @@ BLOB_DAMAGE = {
 def corrupt_blob(model, locate, how: str) -> bytes:
     """The model file of ``model`` with the array blob that ``locate(doc)``
     picks damaged ``how`` (a key of BLOB_DAMAGE)."""
-    if how == "invalid base64":  # a lenient decoder would skip the stray byte and load
-        doc = json.loads(v2_document(model))
-        locate(doc)["f8"] = "!" + locate(doc)["f8"]
-        return json.dumps(doc).encode("utf-8")
     doc = parse_model(save_model(model))
     if how == "truncated":  # the body ends 4 bytes before the header's arrays do
         locate(doc).body = locate(doc).body[:-4]
@@ -628,9 +599,8 @@ class TestModelRoundTrip:
             load_model_file(tmp_path / "m.json")
 
     def test_missing_fields(self):
-        for version in (1, 2, 3):
-            with pytest.raises(CorruptModel):
-                load_model(b'{"schema_version": %d, "kind": "parametric"}' % version)
+        with pytest.raises(CorruptModel):
+            load_model(b'{"schema_version": 3, "kind": "parametric"}')
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptModel):
@@ -650,11 +620,6 @@ class TestModelRoundTrip:
             assert_same_model(load_model_file(f"/dev/fd/{r}"), model)
         finally:
             os.close(r)
-
-    def test_text_document_loads(self):
-        # a schema 1 or 2 document is text; a schema-3 body is not
-        model, _ = small_fitted_model(np.random.default_rng(4), kind="kde")
-        assert_same_model(load_model(v2_document(model).decode("utf-8")), model)
 
 
 class TestModelFileWrite:
@@ -844,9 +809,9 @@ class TestHeldModelFile:
         assert open_fds() == before
 
 
-class TestSchema2:
-    """Array storage: the schema-3 header and body, and the schema 1 and 2
-    documents, which are read but no longer written."""
+class TestArrayStorage:
+    """Array storage: the schema-3 header holds each array's shape and the
+    body its bytes, and a damaged or non-finite array is a CorruptModel."""
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_arrays_are_blobs(self, kind):
@@ -864,27 +829,19 @@ class TestSchema2:
 
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
-    def test_v1_document_still_loads(self, kind, space):
-        model, batch = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
-        clone = load_model(v1_document(model))
-        assert_same_model(clone, model)
-        assert_same_model(clone, load_model(save_model(model)))
-        np.testing.assert_array_equal(
-            predict_batch(clone, batch.features), predict_batch(model, batch.features)
-        )
-
-    @pytest.mark.parametrize("space", ["sphere", "grassmann"])
-    @pytest.mark.parametrize("kind", ["parametric", "kde"])
-    def test_v2_document_still_loads(self, kind, space, tmp_path):
-        model, batch = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
-        path = tmp_path / "v2.json"
-        path.write_bytes(v2_document(model))
-        clone = load_model_file(path)
-        assert_same_model(clone, model)
-        assert_same_model(clone, load_model(save_model(model)))
-        np.testing.assert_array_equal(
-            predict_batch(clone, batch.features), predict_batch(model, batch.features)
-        )
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_old_schema_is_refused(self, schema, kind, space, tmp_path):
+        # a schema-1 header spans many lines, so it is not JSON on its own;
+        # a schema-2 header is, and names its version
+        model, _ = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
+        path = tmp_path / f"v{schema}.json"
+        path.write_bytes(old_document(model, schema))
+        with pytest.raises(ModelFormatError) as info:
+            load_model_file(path)
+        assert str(info.value).endswith(f" (in {path})")
+        if schema == 2:
+            assert type(info.value) is SchemaMismatch
+            assert str(info.value).startswith("model schema_version 2, supported: 3; refit")
 
     @pytest.mark.parametrize("field", ["alpha_tilde", "mu"])
     @pytest.mark.parametrize("how", BLOB_DAMAGE)
