@@ -6,12 +6,12 @@ every array's shape and the body's length against the JSON header before it
 reads any array, then reads alpha_tilde. The model's density grid, a
 ``LoadedGrid``, reads network i's c cells from the file, and checks them,
 each time it is indexed, and keeps none: ``EnsembleModel`` indexes each row
-once as the load's check, and ``ensemble.pdf_grid`` once per scoring pass,
-each dropping a row before it indexes the next, so each holds one network's
-cells at a time. The grid reads from the file, which the model holds open
-for its life (a raw descriptor read with os.pread and closed by a
-finalizer), or from the bytes of a pipe or of ``load_model``, which it
-keeps.
+once as the load's check, and ``ensemble.network_log_densities`` once per
+scoring pass, each dropping a row before it indexes the next, so each holds
+one network's cells at a time. The grid reads from the file, which the
+model holds open for its life (a raw descriptor read with os.pread and
+closed by a finalizer), or from the bytes of a pipe or of ``load_model``,
+which it keeps.
 
 Only a command that reads a model imports this module: ``io.load_model``
 and ``io.load_model_file`` import it when called. Without a bytecode cache
@@ -131,7 +131,8 @@ def read_model(fh, size: int, read, name=None) -> EnsembleModel:
         end += n
         return end - n, shape
 
-    doc = json.loads(header.decode("utf-8"), object_hook=array)
+    doc = ({"schema_version": 1} if header.strip() == b"{"  # only schema 1 was indented
+           else json.loads(header.decode("utf-8"), object_hook=array))
     if not isinstance(doc, dict):
         raise CorruptModel("model file is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:  # before the body, which others lack

@@ -26,7 +26,8 @@ from .ensemble import (
     PARAMETRIC,
     EnsembleModel,
     LabeledBatch,
-    density_argmax_accuracies,
+    MixtureWeights,
+    argmax_classes,
     ensemble_probability_batch,
     evaluate,
     fit_densities,
@@ -35,6 +36,7 @@ from .ensemble import (
     score_report,
     shift_to_pdf,
     standalone_classes,
+    tensor_scores,
 )
 from .errors import (
     DimensionMismatch, EmptySampleSet, InvalidConfig, RaggedEnsemble, SpheremixError,
@@ -132,9 +134,9 @@ def _load_batch(tables, labels_path, space: str, c: int | None):
 
 def _scoring_tables(tables, model: EnsembleModel):
     """The embedded points of each ``--table`` in turn, each table read only
-    when ``pdf_grid`` asks for it. DimensionMismatch for a table count that
-    is not the model's m, before any table is read, and for a table whose
-    width is not the model's for its network."""
+    when ``network_log_densities`` asks for it. DimensionMismatch for a
+    table count that is not the model's m, before any table is read, and
+    for a table whose width is not the model's for its network."""
     if len(tables) != model.m:
         raise DimensionMismatch(f"{len(tables)} --table files for a model with m={model.m}")
     split = iter_split(tables, model.space)
@@ -200,8 +202,8 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
     t0 = time.perf_counter()
     densities, P_train = fit_densities(batch, c, kind, threads=threads)
     # only the Grassmannian's standalone accuracies read the density classifier
-    density_accuracies = (
-        density_argmax_accuracies(P_train, batch.labels) if space == GRASSMANN else None)
+    density_classes = ([argmax_classes(P_train[:, i, :]) for i in range(batch.m)]
+                       if space == GRASSMANN else None)
     shift_to_pdf(P_train)
     t_densities = time.perf_counter() - t0
 
@@ -214,7 +216,9 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
     save_model_file(model, out_path)
 
     # one network's classes at a time: the fit's peak is here, beside P_train
-    train = score_report(P_train, batch.labels, weights, density_accuracies,
+    train = score_report(tensor_scores(P_train, weights.alpha),
+                         tensor_scores(P_train, MixtureWeights.uniform(batch.m).alpha),
+                         batch.labels, density_classes,
                          (standalone_classes(f, space) for f in batch.features))
     standalone = train["standalone_accuracy"]
     lines = [
@@ -264,8 +268,8 @@ def predict(model_file, tables, out_path):
     """Predict classes for new samples under a fitted model.
 
     The --table count is checked against the model's before any table is
-    read; each table is then read, checked and scored in turn, so the
-    command holds the model, the (n, m, c) density tensor and one table.
+    read; each table is then read, checked and folded into the running
+    class scores in turn, so the command holds no (n, m, c) tensor.
     """
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables)],
                  [("--out", out_path)])
@@ -286,9 +290,9 @@ def predict(model_file, tables, out_path):
 def evaluate_cmd(model_file, tables, labels_path, report_path):
     """Compare ensemble accuracy against the constituent networks.
 
-    The library evaluate reads and scores the tables one at a time, as
-    predict does, keeping each sphere table's own class per row for its
-    standalone accuracy, and reads the labels after the last table.
+    The library evaluate reads, scores and folds the tables one at a time,
+    as predict does, keeping each network's own classes for its standalone
+    accuracy, and reads the labels after the last table.
     """
     _check_paths([("--model-file", model_file), *(("--table", t) for t in tables),
                   ("--labels", labels_path)], [], report_path)

@@ -22,25 +22,22 @@ changes in alpha_tilde and in the gradient (Barzilai & Borwein 1988; Iannazzo
 trial length is halved while it would raise the loss. Density parameters are
 estimated beforehand and held fixed throughout.
 
-Scoring is in log space: ``shift_to_pdf`` turns the (n, m, c) log densities
-of ``pdf_grid``/``fit_densities`` into exp(log p - max_k) in place, max_k
-being sample k's largest. Scores, probabilities, argmax and the loss ignore
-that alpha-free factor per sample, and no row underflows. ``_scores`` is the
-one scoring routine and raises DegenerateScores for a non-finite or all-zero
-row. ``predict_batch``, ``ensemble_probability_batch`` and ``evaluate``, the
-scoring API, take one (n, d_i) table per network, a list or any iterable
-that ``pdf_grid`` reads once, one table at a time, checking their count,
-rows and widths.
-The tensor is stored sample x class x network, so its (n*c, m) matrix view
-is free and each weighted sum over the networks (the scores, and the
-gradient's sum over samples and classes) is one matrix-vector product.
+Scoring is in log space, each sample divided by its largest density: the
+scores, probabilities, argmax and loss ignore that alpha-free factor, and
+no row underflows. Scoring folds each network's ``network_log_densities``
+into running class scores (``_fold``) and builds no (n, m, c) tensor; the
+fit builds one, which ``shift_to_pdf`` shifts in place and
+``tensor_scores`` reads. ``_checked`` raises DegenerateScores for a
+non-finite or all-zero score row. The tensor is stored sample x class x
+network, so its (n*c, m) matrix view is free and each weighted sum over
+the networks (the scores, and the gradient's sum over samples and
+classes) is one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -227,15 +224,27 @@ def shift_to_pdf(L: np.ndarray) -> np.ndarray:
     return shift
 
 
-def _scores(Pm: np.ndarray, alpha: np.ndarray, c: int) -> np.ndarray:
-    """(n, c) ensemble scores sum_i alpha_i p_ij(x_k): one pass over ``Pm``.
-    DegenerateScores names the first non-finite or all-zero row."""
-    scores = (Pm @ alpha).reshape(-1, c)
-    totals = scores @ np.ones(c)  # a BLAS pass: a row sum over c costs 5x as much
+def tensor_scores(P: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """(n, c) scores sum_i alpha_i p_ij(x_k) of an (n, m, c) pdf tensor: one pass."""
+    return _checked((_pdf_matrix(P) @ alpha).reshape(-1, P.shape[2]))
+
+
+def _checked(scores: np.ndarray) -> np.ndarray:
+    """``scores``, after DegenerateScores names its first non-finite or all-zero row."""
+    totals = scores @ np.ones(scores.shape[1])  # a BLAS pass: a row sum costs 5x as much
     bad = ~((totals > 0.0) & (totals < math.inf))
     if bad.any():
         raise DegenerateScores(f"all-zero or non-finite class scores for sample {bad.argmax()}")
     return scores
+
+
+def _arcs(scores: np.ndarray, label_rows: np.ndarray) -> tuple:
+    """Row norms, label cosines in [0, 1], arc distances and the loss of a
+    score matrix, given the flat index k*c + y_k of each sample's label."""
+    norms = _row_norms(scores)
+    u = np.clip(scores.ravel()[label_rows] / norms, 0.0, 1.0)
+    d = np.arccos(u)
+    return norms, u, d, float(np.mean(d * d))
 
 
 def _row_norms(scores: np.ndarray) -> np.ndarray:
@@ -256,52 +265,73 @@ def _row_norms(scores: np.ndarray) -> np.ndarray:
 # -- scoring and prediction ----------------------------------------------------
 
 
-def pdf_grid(densities, features) -> np.ndarray:
-    """(n, m, c) tensor of log p_ij(x_i) values for a batch of features,
-    stored sample x class x network (see ``_empty_pdf_tensor``).
-
-    ``features`` is any iterable of one (n, d_i) table per network, read
-    once, in order: the tensor is allocated when the first table arrives and
-    each table is dropped before the next is asked for, so a generator that
-    reads its tables one by one has one alive at a time. ``densities`` is
-    indexed once per network, when its table arrives, and each row of cells
-    is dropped with its table: a loaded model, which reads a row from its
-    file when it is indexed, has one network's cells alive at a time.
-    DimensionMismatch names a table whose rows or width disagree as it
-    arrives, and a missing or extra table after the last."""
+def network_log_densities(densities, features):
+    """Each network's (n, c) log densities log p_ij(x_k) of a batch, in turn.
+    ``features``, any iterable of one (n, d_i) table per network, is read
+    once, each table dropped before the next is asked for, with its row of
+    ``densities``, indexed as it arrives. DimensionMismatch names a table
+    whose rows or width disagree, and a missing or extra table."""
     m = len(densities)
     tables = iter(features)
-    out = None
+    n = None
     for i in range(m):
         fi = next(tables, None)
         if fi is None:
             raise DimensionMismatch(f"{i} tables for a model with m={m}")
         row = densities[i]
-        if out is None:
-            out = _empty_pdf_tensor(fi.shape[0], m, len(row))
-        if fi.shape[0] != out.shape[0]:
-            raise DimensionMismatch(
-                f"network {i} table has {fi.shape[0]} rows, expected {out.shape[0]}")
+        n = fi.shape[0] if n is None else n
+        if fi.shape[0] != n:
+            raise DimensionMismatch(f"network {i} table has {fi.shape[0]} rows, expected {n}")
         if fi.shape[1] != row[0].dim:
-            raise DimensionMismatch(
-                f"network {i} features have dimension {fi.shape[1]}, "
-                f"model expects {row[0].dim}"
-            )
-        for j in range(len(row)):
-            out[:, i, j] = row[j].log_pdf_batch(fi)
+            raise DimensionMismatch(f"network {i} features have dimension {fi.shape[1]}, "
+                                    f"model expects {row[0].dim}")
+        L = np.column_stack([d.log_pdf_batch(fi) for d in row])
         del fi, row  # before the next table is asked for and the next row read
+        yield L
     extra = sum(1 for _ in tables)
     if extra:
         raise DimensionMismatch(f"{m + extra} tables for a model with m={m}")
+
+
+def pdf_grid(densities, features) -> np.ndarray:
+    """(n, m, c) tensor of ``network_log_densities``, laid out by ``_empty_pdf_tensor``."""
+    out = None
+    for i, L in enumerate(network_log_densities(densities, features)):
+        if out is None:
+            out = _empty_pdf_tensor(L.shape[0], len(densities), L.shape[1])
+        out[:, i, :] = L
     return out
+
+
+def _fold(logs, alphas) -> tuple:
+    """Unchecked (n, c) scores sum_i alpha_i exp(L_i - M) per weight vector in
+    ``alphas`` from the log densities L_i in ``logs`` (overwritten), and M,
+    each sample's largest L. Where network i raises the running M, the
+    scores so far are rescaled by exp(M_old - M_new) (Milakov & Gimelshein 2018)."""
+    scores = shift = None
+    for i, L in enumerate(logs):
+        top = L.max(axis=1)
+        if scores is None:
+            scores, shift = [np.zeros_like(L) for _ in alphas], top
+        rise = top > shift
+        if rise.any():
+            scale = np.exp(shift[rise] - top[rise])[:, None]
+            for s in scores:
+                s[rise] *= scale
+        shift = np.maximum(shift, top)
+        L -= shift[:, None]
+        np.exp(L, out=L)
+        for s, alpha in zip(scores, alphas):
+            s += alpha[i] * L
+    return scores, shift
 
 
 def _shifted_scores(model: EnsembleModel, features):
     """(n, c) scores of a batch, each sample divided by its largest density,
     and the log of that density."""
-    P = pdf_grid(model.densities, features)
-    shift = shift_to_pdf(P)
-    return _scores(_pdf_matrix(P), model.weights.alpha, model.c), shift
+    (scores,), shift = _fold(network_log_densities(model.densities, features),
+                             [model.weights.alpha])
+    return _checked(scores), shift
 
 
 def ensemble_probability_batch(model: EnsembleModel, features) -> np.ndarray:
@@ -353,11 +383,8 @@ class _Objective:
 
     def at(self, at: np.ndarray) -> _Point:
         """Scores, norms, cosines and loss at ``at``: one scores pass."""
-        scores = _scores(self.Pm, at * at, self.c)
-        norms = _row_norms(scores)
-        u = np.clip(scores.ravel()[self.label_rows] / norms, 0.0, 1.0)
-        d = np.arccos(u)
-        return _Point(at, scores, norms, u, d, float(np.mean(d * d)))
+        scores = _checked((self.Pm @ (at * at)).reshape(-1, self.c))
+        return _Point(at, scores, *_arcs(scores, self.label_rows))
 
     def gradient(self, point: _Point) -> np.ndarray:
         """Tangent-space gradient at ``point``: one gradient pass over the pdf
@@ -539,9 +566,12 @@ def fit_densities(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, thread
                 batch.features[i], batch.labels, [d.inv_two_bw_sq for d in cells[i]],
                 absolute=batch.space == GRASSMANN)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # the pool starts no thread until it is given a task
-            list((pool.map if threads > 1 else map)(network_sums, range(batch.m)))
+        if threads == 1:
+            list(map(network_sums, range(batch.m)))
+        else:  # imported here: the pool's modules would add to every command's peak
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(network_sums, range(batch.m)))
     return [[normalized(d, L_train[:, i, j]) for j, d in enumerate(row)]
             for i, row in enumerate(cells)], L_train
 
@@ -559,15 +589,11 @@ def fit_ensemble(batch: LabeledBatch, c: int, kind: str = PARAMETRIC, *, eta: fl
 
 
 def evaluate(model: EnsembleModel, features, labels) -> dict:
-    """``score_report`` of the model on one batch, from one pdf tensor.
-
-    ``features`` is one (n, d_i) table per network, a list or any iterable,
-    which ``pdf_grid`` reads once, one table at a time; each table's
-    ``standalone_classes`` are kept as it passes, so no table need outlive
-    its turn. ``labels`` is the (n,) label array, or a function of n that
-    returns it, called after the last table has been read.
-    """
-    classes = []
+    """``score_report`` of the model and the uniform mixture, folded in one
+    pass over the tables, keeping each table's ``standalone_classes`` and
+    its network's density classes as they pass. ``labels`` is the (n,)
+    label array, or a function of n called after the last table."""
+    classes, density_classes = [], []
 
     def noted():
         for f in features:
@@ -575,57 +601,55 @@ def evaluate(model: EnsembleModel, features, labels) -> dict:
             yield f
             del f  # before the next table is asked for
 
-    L = pdf_grid(model.densities, noted())
-    n = L.shape[0]
+    def logs():  # argmax_j p_ij(x), read before the fold shifts the log densities
+        for L in network_log_densities(model.densities, noted()):
+            density_classes.append(argmax_classes(L))
+            yield L
+
+    (scores, uniform), _ = _fold(logs(), [model.weights.alpha,
+                                          MixtureWeights.uniform(model.m).alpha])
+    n = scores.shape[0]
     labels = np.asarray(labels(n) if callable(labels) else labels, dtype=np.int64)
     if labels.shape != (n,):
         raise DimensionMismatch(f"{labels.size} labels for {n} samples")
     if np.any(labels < 0) or np.any(labels >= model.c):
         raise LabelOutOfRange(f"labels must lie in [0, {model.c})")
-    density_accuracies = density_argmax_accuracies(L, labels)
-    shift_to_pdf(L)
-    return score_report(L, labels, model.weights, density_accuracies, classes)
+    return score_report(_checked(scores), _checked(uniform), labels, density_classes, classes)
+
+
+def argmax_classes(values: np.ndarray) -> np.ndarray:
+    """Row argmax (ties to the smallest j) of an (n, c) array, in the narrowest uint for c - 1."""
+    return np.argmax(values, axis=1).astype(np.min_scalar_type(values.shape[1] - 1))
 
 
 def standalone_classes(table: np.ndarray, space: str):
-    """A network's own class per sample, from its embedded (n, d) table: on
-    the sphere the argmax of each row (sqrt is monotone); None on the
-    Grassmannian, where no probabilities exist and the network's standalone
-    accuracy is its density classifier's."""
-    return np.argmax(table, axis=1) if space == SPHERE else None
+    """A network's own class per sample: the argmax of each row of its (n, c)
+    table on the sphere (sqrt is monotone); None on the Grassmannian, which
+    has no probabilities."""
+    return argmax_classes(table) if space == SPHERE else None
 
 
-def score_report(P: np.ndarray, labels: np.ndarray, weights: MixtureWeights,
-                 density_accuracies: list | None, classes) -> dict:
-    """Accuracy, per-class accuracy and mean loss of ``weights`` on a batch
-    and the uniform mixture's accuracy, read from the batch's shifted pdf
-    tensor ``P``, with each network's density-classifier accuracy
-    (``density_accuracies``, read before the shift) and standalone accuracy,
-    read from its ``standalone_classes`` in ``classes`` (any iterable, one
-    entry per network, read once) or, where those are None, its density
-    classifier's."""
-    objective = _Objective(P, labels)
-    point = objective.at(weights.alpha_tilde)
-    uniform = objective.at(MixtureWeights.uniform(P.shape[1]).alpha_tilde)
-    hits = np.argmax(point.scores, axis=1) == labels
-    counts = np.bincount(labels, minlength=P.shape[2])
-    per_class = np.divide(np.bincount(labels, hits, P.shape[2]), counts,
-                          out=np.full(P.shape[2], np.nan), where=counts > 0)
-    standalone = [density_accuracies[i] if k is None else float(np.mean(k == labels))
+def score_report(scores: np.ndarray, uniform: np.ndarray, labels: np.ndarray,
+                 density_classes: list | None, classes) -> dict:
+    """Accuracy, per-class accuracy and mean loss of a batch's (n, c) class
+    ``scores``, the accuracy of its ``uniform`` mixture scores, and each
+    network's density-classifier accuracy (from the ``argmax_classes`` of
+    its log densities in ``density_classes``, or None) and standalone one
+    (from ``classes``, any iterable, or where None its density classifier's)."""
+    n, c = scores.shape
+    hits = np.argmax(scores, axis=1) == labels
+    counts = np.bincount(labels, minlength=c)
+    per_class = np.divide(np.bincount(labels, hits, c), counts,
+                          out=np.full(c, np.nan), where=counts > 0)
+    density = (None if density_classes is None
+               else [float(np.mean(k == labels)) for k in density_classes])
+    standalone = [density[i] if k is None else float(np.mean(k == labels))
                   for i, k in enumerate(classes)]
     return {
         "accuracy": float(np.mean(hits)),
         "per_class_accuracy": per_class,
-        "mean_loss": point.loss,
-        "uniform_accuracy": float(np.mean(np.argmax(uniform.scores, axis=1) == labels)),
-        "density_argmax_accuracy": density_accuracies,
+        "mean_loss": _arcs(scores, np.arange(n) * c + labels)[3],
+        "uniform_accuracy": float(np.mean(np.argmax(uniform, axis=1) == labels)),
+        "density_argmax_accuracy": density,
         "standalone_accuracy": standalone,
     }
-
-
-def density_argmax_accuracies(L: np.ndarray, labels: np.ndarray) -> list:
-    """Accuracy of each network's density classifier argmax_j p_ij(x_i),
-    read from the batch's (n, m, c) log-density tensor one network at a time
-    (an argmax over the strided class axis copies what it reduces). After
-    ``shift_to_pdf`` a network far below the sample's maximum would tie at 0."""
-    return [float(np.mean(np.argmax(L[:, i, :], axis=1) == labels)) for i in range(L.shape[1])]

@@ -282,16 +282,24 @@ class TestPredictCommand:
 
     def test_scores_once_and_class_is_argmax(self, runner, suite_dir, fitted, tmp_path,
                                              monkeypatch):
-        calls = []
-        real = ensemble.pdf_grid
-        monkeypatch.setattr(ensemble, "pdf_grid", lambda *a: calls.append(1) or real(*a))
+        # one pass of the per-network generator, which scores each network once
+        calls, networks = [], []
+        real = ensemble.network_log_densities
+
+        def spy(*args):
+            calls.append(1)
+            for L in real(*args):
+                networks.append(L.shape)
+                yield L
+
+        monkeypatch.setattr(ensemble, "network_log_densities", spy)
         out = tmp_path / "pred.csv"
         result = runner.invoke(main, [
             "predict", "--model-file", str(fitted),
             *table_args("test", suite_dir, 3, "--table"), "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 1
+        assert len(calls) == 1 and networks == [(80, 4)] * 3
         for line in out.read_text().strip().splitlines():
             cells = line.split(",")
             assert int(cells[0]) == int(np.argmax([float(v) for v in cells[1:]]))
@@ -609,9 +617,8 @@ class TestScoringMemory:
 
     def test_desk_kde_peak(self, runner, fitted_models, tmp_path):
         # evaluate and predict read their tables one at a time, so a scoring
-        # command holds the model, the (n, m, c) tensor and one table: its
-        # tracemalloc peak is the model's arrays plus about 1.5x the tensor
-        # (2.4x when every table was loaded before scoring began)
+        # command's tracemalloc peak stays below the model's arrays plus 1.8x
+        # the (n, m, c) tensor
         model = fitted_models["kde"]["model"]
         model_path = tmp_path / "kde.model"
         io.save_model_file(model, model_path)
@@ -641,7 +648,7 @@ class TestScoringMemory:
                                command):
         # a network's cells are read from the model file only once every
         # earlier network's support arrays are gone, in the load's check and
-        # in pdf_grid
+        # in network_log_densities
         alive, reads = [], []
         read_row = _modelread.LoadedGrid.read_row
 
@@ -674,11 +681,13 @@ class TestScoringMemory:
         assert reads == [0, 1, 2] * (1 if command == "inspect" else 2)
 
     def test_desk_kde_peak_one_network(self, runner, fitted_models, tmp_path):
-        # the loaded model reads each network's cells when pdf_grid reaches
-        # it and drops them with its table, so a scoring command holds one
-        # network's support arrays, the (n, m, c) tensor and one table: its
-        # tracemalloc peak is the largest network's arrays plus about 1.5x
-        # the tensor (the model's 3.2 MB of arrays were all alive before)
+        # the loaded model reads each network's cells when
+        # network_log_densities reaches it and drops them with its table, and
+        # each network is folded into the running class scores, so a scoring
+        # command holds one network's support arrays, one table, its (n, c)
+        # densities and the scores: its tracemalloc peak is the largest
+        # network's arrays plus about 0.7x the 1.6 MB (n, m, c) tensor, which
+        # it never builds
         model = fitted_models["kde"]["model"]
         model_path = tmp_path / "kde.model"
         io.save_model_file(model, model_path)
@@ -700,7 +709,7 @@ class TestScoringMemory:
             finally:
                 tracemalloc.stop()
             assert result.exit_code == 0, result.output
-            assert peak <= network + 1.8 * tensor, (command, (peak - network) / tensor)
+            assert peak <= network + tensor, (command, (peak - network) / tensor)
 
 
 class TestHeldModelFile:
@@ -1090,9 +1099,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_scoring_names_a_short_last_table(self, runner, suite_dir, fitted, tmp_path,
                                               command):
-        # the tables reach pdf_grid one at a time, each checked against the
-        # first as it is read: a short last one is a data error naming both
-        # files, not pdf_grid's DimensionMismatch, and nothing is written
+        # the tables reach network_log_densities one at a time, each checked
+        # against the first as it is read: a short last one is a data error
+        # naming both files, not its DimensionMismatch, and nothing is written
         short = tmp_path / "test_net02.csv"
         short.write_text("".join((suite_dir / "test_net02.csv").read_text()
                                  .splitlines(keepends=True)[:-1]))

@@ -27,6 +27,10 @@ from spheremix.ensemble import (
     _loss_from_pdf,
     _Objective,
     _shifted_scores,
+    argmax_classes,
+    score_report,
+    standalone_classes,
+    tensor_scores,
 )
 from spheremix import _kernels, density, ensemble
 from spheremix.errors import (
@@ -216,9 +220,10 @@ class TestScoring:
 
 
 class TestBatchShape:
-    """Every scoring path reaches ``pdf_grid``, which checks that a batch has
-    one table per network and that the tables agree on their rows: an extra
-    table is not dropped, a missing or short one fails by name."""
+    """Every scoring path, through ``pdf_grid`` or the fold, reaches
+    ``network_log_densities``, which checks that a batch has one table per
+    network and that the tables agree on their rows: an extra table is not
+    dropped, a missing or short one fails by name."""
 
     @staticmethod
     def tables(desk_suite, case):
@@ -304,6 +309,117 @@ class TestBatchShape:
             evaluate(model, features, labels[:-1])
         with pytest.raises(LabelOutOfRange):
             evaluate(model, features, np.full(200, model.c))
+
+
+def by_tensor(model, features, *alphas):
+    """The scores of each weight vector by the tensor formula, pdf_grid then
+    shift_to_pdf then tensor_scores, with the shift and the density classes."""
+    P = pdf_grid(model.densities, features)
+    density_classes = [argmax_classes(P[:, i, :]) for i in range(model.m)]
+    shift = shift_to_pdf(P)
+    return [tensor_scores(P, a) for a in alphas], shift, density_classes
+
+
+class TestFold:
+    """Scoring folds each network's log densities into running class scores
+    under a running per-sample maximum, and gives the tensor formula's
+    numbers to rounding without building the (n, m, c) tensor."""
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_probabilities_match_the_tensor(self, desk_suite, fitted_models, kind):
+        model = fitted_models[kind]["model"]
+        features = desk_suite["test"].features
+        (scores,), _, _ = by_tensor(model, features, model.weights.alpha)
+        probs = ensemble_probability_batch(model, features)
+        np.testing.assert_allclose(probs, scores / scores.sum(axis=1)[:, None],
+                                   rtol=4e-15, atol=0)
+        np.testing.assert_array_equal(predict_batch(model, features), np.argmax(scores, axis=1))
+        # the fold's shift is the tensor's per-sample maximum, bit for bit
+        folded, folded_shift = _shifted_scores(model, features)
+        np.testing.assert_allclose(folded, scores, rtol=4e-15, atol=0)
+        L = pdf_grid(model.densities, features)
+        assert folded_shift.tobytes() == L.max(axis=(1, 2)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["parametric", "kde"])
+    def test_evaluate_matches_the_tensor(self, desk_suite, fitted_models, kind):
+        model = fitted_models[kind]["model"]
+        test = desk_suite["test"]
+        (scores, uniform), _, density_classes = by_tensor(
+            model, test.features, model.weights.alpha, MixtureWeights.uniform(model.m).alpha)
+        expected = score_report(scores, uniform, test.labels, density_classes,
+                                [standalone_classes(f, model.space) for f in test.features])
+        result = evaluate(model, test.features, test.labels)
+        assert result.pop("mean_loss") == pytest.approx(expected.pop("mean_loss"), rel=1e-14)
+        np.testing.assert_array_equal(result.pop("per_class_accuracy"),
+                                      expected.pop("per_class_accuracy"))
+        assert result == expected
+        assert result["density_argmax_accuracy"] == [
+            float(np.mean(np.argmax(np.column_stack([d.log_pdf_batch(f) for d in row]), axis=1)
+                          == test.labels))
+            for row, f in zip(model.densities, test.features)]
+
+    def test_a_later_network_far_above_the_earlier_ones(self):
+        # network 0 is sharp about (1, 0), network 1 broad about (0, 1): at
+        # (0, 1) network 1's top lies about 12,000 nats above network 0's, so
+        # the running scores of network 0 are rescaled by an exp that
+        # underflows to 0, as exp(log p - max) does in the tensor
+        grid = gaussian_grid([
+            [([1.0, 0.0], 0.01, 1.0), ([0.8, 0.6], 0.02, 1.0)],
+            [([0.0, 1.0], 0.5, 1.0), ([0.6, 0.8], 0.7, 2.0)],
+        ])
+        model = EnsembleModel(kind="parametric", space="sphere", m=2, c=2, densities=grid,
+                              weights=MixtureWeights.from_alpha([0.7, 0.3]), fit_meta={})
+        points = np.asarray([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6], [0.99, 0.141]])
+        features = [points / np.linalg.norm(points, axis=1)[:, None]] * 2
+        L = pdf_grid(grid, features)
+        rise = L[:, 1].max(axis=1) - L[:, 0].max(axis=1)
+        assert rise[1] > 745 and rise[0] < 0 and np.any((0 < rise) & (rise < 745))
+        (scores,), shift, _ = by_tensor(model, features, model.weights.alpha)
+        np.testing.assert_allclose(ensemble_probability_batch(model, features),
+                                   scores / scores.sum(axis=1)[:, None], rtol=4e-15, atol=0)
+        folded, folded_shift = _shifted_scores(model, features)
+        np.testing.assert_array_equal(folded_shift, shift)
+        # network 0's share of sample 1 is gone, as in the tensor
+        np.testing.assert_array_equal(folded[1],
+                                      model.weights.alpha[1] * np.exp(L[1, 1] - shift[1]))
+
+    def test_density_classes_read_before_the_shift(self):
+        # at (0, 1) the sharp later network lies over 745 nats below the
+        # broad earlier one, so its shifted densities all underflow to 0; its
+        # density class is still the argmax of its log densities, class 1
+        grid = gaussian_grid([
+            [([0.0, 1.0], 0.5, 1.0), ([0.6, 0.8], 0.7, 2.0)],
+            [([1.0, 0.0], 0.01, 1.0), ([0.8, 0.6], 0.02, 1.0)],
+        ])
+        model = EnsembleModel(kind="parametric", space="sphere", m=2, c=2, densities=grid,
+                              weights=MixtureWeights.from_alpha([0.5, 0.5]), fit_meta={})
+        features = [np.asarray([[0.0, 1.0]])] * 2
+        L = pdf_grid(grid, features)
+        assert L[0, 1].max() < L[0].max() - 745 and L[0, 1].argmax() == 1
+        assert evaluate(model, features, [1])["density_argmax_accuracy"] == [1.0, 1.0]
+
+    def test_peak_below_the_tensor(self, desk_suite, fitted_models):
+        # no (n, m, c) tensor: scoring the desk test split holds one network's
+        # densities and the running scores, below the 1.6 MB tensor alone
+        model = fitted_models["kde"]["model"]
+        test = desk_suite["test"]
+        tensor = 8 * test.n * model.m * model.c
+        for score in (lambda: ensemble_probability_batch(model, test.features),
+                      lambda: evaluate(model, test.features, test.labels)):
+            tracemalloc.start()
+            try:
+                score()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tensor, peak / tensor
+
+    def test_narrow_classes(self):
+        values = np.asarray([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]])
+        assert argmax_classes(values).dtype == np.uint8
+        assert argmax_classes(values).tolist() == [1, 0]
+        assert argmax_classes(np.zeros((2, 257))).dtype == np.uint16
+        assert standalone_classes(values, "grassmann") is None
 
 
 class TestLabelDistance:

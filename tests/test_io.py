@@ -27,7 +27,6 @@ from spheremix.errors import (
     EmptyBatch,
     InvalidConfig,
     LabelOutOfRange,
-    ModelFormatError,
     NegativeProbability,
     NotNormalized,
     ParseError,
@@ -831,17 +830,16 @@ class TestArrayStorage:
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     @pytest.mark.parametrize("schema", [1, 2])
     def test_old_schema_is_refused(self, schema, kind, space, tmp_path):
-        # a schema-1 header spans many lines, so it is not JSON on its own;
-        # a schema-2 header is, and names its version
+        # a schema-1 header spans many lines, its first a brace alone, so it
+        # is not JSON on its own; a schema-2 header is, and names its version.
+        # Either must be refit
         model, _ = small_fitted_model(np.random.default_rng(7), kind=kind, space=space)
         path = tmp_path / f"v{schema}.json"
         path.write_bytes(old_document(model, schema))
-        with pytest.raises(ModelFormatError) as info:
+        with pytest.raises(SchemaMismatch) as info:
             load_model_file(path)
         assert str(info.value).endswith(f" (in {path})")
-        if schema == 2:
-            assert type(info.value) is SchemaMismatch
-            assert str(info.value).startswith("model schema_version 2, supported: 3; refit")
+        assert str(info.value).startswith(f"model schema_version {schema}, supported: 3; refit")
 
     @pytest.mark.parametrize("field", ["alpha_tilde", "mu"])
     @pytest.mark.parametrize("how", BLOB_DAMAGE)
