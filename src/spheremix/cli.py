@@ -1,14 +1,16 @@
 """Command-line front end: fit, predict, evaluate, synth, inspect.
 
-Every error family maps to a stable exit code: 2 configuration/usage,
-3 data, 4 model format or dimension agreement, 5 numerics. When ``--report``
-is given, a machine-readable JSON document is written beside the human
-report (same stem, .json suffix).
+``main(argv)`` parses ``argv`` with the standard library's ``argparse``, one
+subparser per command, and runs the command it names. Every error family
+maps to a stable exit code: 2 configuration/usage, 3 data, 4 model format or
+dimension agreement, 5 numerics. When ``--report`` is given, a
+machine-readable JSON document is written beside the human report (same
+stem, .json suffix).
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import os
@@ -16,27 +18,14 @@ import sys
 import time
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__, _kernels
 from ._points import GRASSMANN, SPHERE
 from .ensemble import (
-    KDE,
-    PARAMETRIC,
-    EnsembleModel,
-    LabeledBatch,
-    MixtureWeights,
-    argmax_classes,
-    ensemble_probability_batch,
-    evaluate,
-    fit_densities,
-    fit_weights,
-    predict_batch,  # not called here; pipebench/tracing.py patches this name
-    score_report,
-    shift_to_pdf,
-    standalone_classes,
-    tensor_scores,
+    KDE, PARAMETRIC, EnsembleModel, LabeledBatch, MixtureWeights, argmax_classes,
+    ensemble_probability_batch, evaluate, fit_densities, fit_weights, score_report, shift_to_pdf,
+    standalone_classes, tensor_scores, predict_batch,  # predict_batch: for pipebench/tracing.py
 )
 from .errors import (
     DimensionMismatch, EmptySampleSet, InvalidConfig, RaggedEnsemble, SpheremixError,
@@ -46,18 +35,6 @@ from .io import (
     save_model_file, write_rows,
 )
 from .synth import make_suite, parse_taus, write_suite
-
-
-def _exit_on_error(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SpheremixError as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(exc.exit_code)
-
-    return wrapper
 
 
 def _report_paths(report_path) -> tuple:
@@ -147,36 +124,6 @@ def _scoring_tables(tables, model: EnsembleModel):
         del table  # before the next table is parsed
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Aggregate pre-trained weak classifiers into a boosted ensemble."""
-
-
-@main.command()
-@click.option("--train-table", "tables", type=click.Path(), multiple=True, required=True,
-              help="Per-network training CSV; repeat once per network, in order.")
-@click.option("--labels", "labels_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Model file to write.")
-@click.option("--report", "report_path", type=click.Path(), default=None,
-              help="Write the text report here (+ JSON metrics beside it).")
-@click.option("--model", "kind", type=click.Choice([PARAMETRIC, KDE]), default=PARAMETRIC,
-              show_default=True, help="Density family.")
-@click.option("--space", type=click.Choice([SPHERE, GRASSMANN]), default=SPHERE,
-              show_default=True,
-              help="sphere: tables are class probabilities; grassmann: raw features.")
-@click.option("--classes", type=int, default=None,
-              help="Class count (required for --space grassmann).")
-@click.option("--eta", type=float, default=0.1, show_default=True,
-              help="First step size; later steps are Barzilai-Borwein lengths, "
-                   "halved while they would raise the loss.")
-@click.option("--max-iters", type=int, default=5000, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Stop when |dL| <= tol * max(1, L).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for a kde fit's kernel sums, one network each; "
-                   "a parametric fit is one pass.")
-@_exit_on_error
 def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, max_iters,
         tol, threads):
     """Fit densities and mixture weights on training tables."""
@@ -243,7 +190,7 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         f"mean {float(np.mean(standalone)):.4f}  max {max(standalone):.4f}"
     )
     text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    print(text, end="")
     if report_path:
         _write_report(report_path, text, {
             "command": "fit", "kind": kind, "space": space, "m": batch.m, "c": c,
@@ -257,13 +204,6 @@ def fit(tables, labels_path, out_path, report_path, kind, space, classes, eta, m
         })
 
 
-@main.command()
-@click.option("--model-file", type=click.Path(), required=True)
-@click.option("--table", "tables", type=click.Path(), multiple=True, required=True,
-              help="Per-network test CSV; repeat once per network, in model order.")
-@click.option("--out", "out_path", type=click.Path(), required=True,
-              help="Predictions CSV: class id, then c ensemble probabilities.")
-@_exit_on_error
 def predict(model_file, tables, out_path):
     """Predict classes for new samples under a fitted model.
 
@@ -278,15 +218,9 @@ def predict(model_file, tables, out_path):
     probs = ensemble_probability_batch(model, _scoring_tables(tables, model))
     classes = np.argmax(probs, axis=1)
     write_rows(out_path, ([k, *row] for k, row in zip(classes.tolist(), probs.tolist())))
-    click.echo(f"wrote {classes.shape[0]} predictions to {out_path}")
+    print(f"wrote {classes.shape[0]} predictions to {out_path}")
 
 
-@main.command(name="evaluate")
-@click.option("--model-file", type=click.Path(), required=True)
-@click.option("--table", "tables", type=click.Path(), multiple=True, required=True)
-@click.option("--labels", "labels_path", type=click.Path(), required=True)
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@_exit_on_error
 def evaluate_cmd(model_file, tables, labels_path, report_path):
     """Compare ensemble accuracy against the constituent networks.
 
@@ -320,7 +254,7 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
         f"delta (ensemble - avg):  {delta:+.4f}",
     ]
     text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    print(text, end="")
     if report_path:
         _write_report(report_path, text, {
             "command": "evaluate",
@@ -335,54 +269,131 @@ def evaluate_cmd(model_file, tables, labels_path, report_path):
         })
 
 
-@main.command()
-@click.option("--outdir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--m", "m", type=int, default=20, show_default=True)
-@click.option("--c", "c", type=int, default=10, show_default=True)
-@click.option("--n-train", type=int, default=2000, show_default=True)
-@click.option("--n-test", type=int, default=1000, show_default=True)
-@click.option("--tau", default="0.696:0.739", show_default=True,
-              help="Noise level: single value, lo:hi spread, or m comma-separated values.")
-@_exit_on_error
 def synth(outdir, seed, m, c, n_train, n_test, tau):
     """Generate a deterministic synthetic weak-classifier suite."""
     taus = parse_taus(tau, m)
     suite = make_suite(seed, m, c, n_train, n_test, taus)
     paths = write_suite(suite, outdir)
-    click.echo(
+    print(
         f"wrote {m} train tables ({n_train} rows), {m} test tables ({n_test} rows) "
         f"and labels under {outdir}"
     )
-    click.echo(f"train labels: {paths['train_labels']}")
-    click.echo(f"test labels:  {paths['test_labels']}")
+    print(f"train labels: {paths['train_labels']}")
+    print(f"test labels:  {paths['test_labels']}")
 
 
-@main.command()
-@click.option("--model-file", type=click.Path(), required=True)
-@_exit_on_error
 def inspect(model_file):
     """Dump model metadata and the learned weights."""
     model = load_model_file(model_file)
-    click.echo(f"kind:  {model.kind}")
-    click.echo(f"space: {model.space}")
-    click.echo(f"m:     {model.m} networks")
-    click.echo(f"c:     {model.c} classes")
-    click.echo(f"dims:  {model.network_dims()}")
+    print(f"kind:  {model.kind}")
+    print(f"space: {model.space}")
+    print(f"m:     {model.m} networks")
+    print(f"c:     {model.c} classes")
+    print(f"dims:  {model.network_dims()}")
     meta = model.fit_meta
-    click.echo(
+    print(
         f"fit:   eta={meta.get('eta')}  iterations={meta.get('iterations_run')}  "
         f"loss_evaluations={meta.get('loss_evaluations')}  "
         f"final_loss={meta.get('final_loss')}"
     )
-    click.echo(
+    print(
         f"       stop_reason={meta.get('stop_reason')}  grad_norm={meta.get('grad_norm')}  "
         f"uniform_loss={meta.get('uniform_loss')}  "
         f"effective_networks={meta.get('effective_networks')}"
     )
-    click.echo("alpha (sorted):")
+    print("alpha (sorted):")
     for line in _weight_lines(model.weights.alpha):
-        click.echo(line)
+        print(line)
+
+
+def _parser() -> tuple:
+    """The CLI's parser, one subparser per command, and the option strings
+    that take a value. No option may be abbreviated."""
+    parser = argparse.ArgumentParser(
+        prog="spheremix", allow_abbrev=False,
+        description="Aggregate pre-trained weak classifiers into a boosted ensemble.")
+    parser.add_argument("--version", action="version", version=f"spheremix, version {__version__}")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    value_options = set()
+
+    def command(fn, name: str):
+        sub = commands.add_parser(name, allow_abbrev=False, description=fn.__doc__,
+                                  help=(fn.__doc__ or "").partition("\n")[0])
+        sub.set_defaults(command=fn)
+
+        def option(flag, **kwargs):
+            if "default" in kwargs:
+                kwargs["help"] = f"{kwargs.get('help', '')} (default: %(default)s)".lstrip()
+            value_options.add(flag)
+            sub.add_argument(flag, **kwargs)
+
+        return option
+
+    option = command(fit, "fit")
+    option("--train-table", dest="tables", metavar="PATH", action="append", required=True,
+           help="Per-network training CSV; repeat once per network, in order.")
+    option("--labels", dest="labels_path", metavar="PATH", required=True)
+    option("--out", dest="out_path", metavar="PATH", required=True, help="Model file to write.")
+    option("--report", dest="report_path", metavar="PATH",
+           help="Write the text report here (+ JSON metrics beside it).")
+    option("--model", dest="kind", choices=[PARAMETRIC, KDE], default=PARAMETRIC,
+           help="Density family.")
+    option("--space", choices=[SPHERE, GRASSMANN], default=SPHERE,
+           help="sphere: tables are class probabilities; grassmann: raw features.")
+    option("--classes", type=int, help="Class count (required for --space grassmann).")
+    option("--eta", type=float, default=0.1, help="First step size; later steps are "
+           "Barzilai-Borwein lengths, halved while they would raise the loss.")
+    option("--max-iters", type=int, default=5000)
+    option("--tol", type=float, default=1e-8, help="Stop when |dL| <= tol * max(1, L).")
+    option("--threads", type=int, default=1, help="Worker threads for a kde fit's kernel "
+           "sums, one network each; a parametric fit is one pass.")
+
+    option = command(predict, "predict")
+    option("--model-file", metavar="PATH", required=True)
+    option("--table", dest="tables", metavar="PATH", action="append", required=True,
+           help="Per-network test CSV; repeat once per network, in model order.")
+    option("--out", dest="out_path", metavar="PATH", required=True,
+           help="Predictions CSV: class id, then c ensemble probabilities.")
+
+    option = command(evaluate_cmd, "evaluate")
+    option("--model-file", metavar="PATH", required=True)
+    option("--table", dest="tables", metavar="PATH", action="append", required=True)
+    option("--labels", dest="labels_path", metavar="PATH", required=True)
+    option("--report", dest="report_path", metavar="PATH")
+
+    option = command(synth, "synth")
+    option("--outdir", metavar="PATH", required=True)
+    for flag, default in [("--seed", 42), ("--m", 20), ("--c", 10), ("--n-train", 2000),
+                          ("--n-test", 1000)]:
+        option(flag, type=int, default=default)
+    option("--tau", default="0.696:0.739",
+           help="Noise level: single value, lo:hi spread, or m comma-separated values.")
+
+    option = command(inspect, "inspect")
+    option("--model-file", metavar="PATH", required=True)
+    return parser, value_options
+
+
+def main(argv=None) -> None:
+    """Run the command that ``argv`` names (default: the process's arguments)."""
+    parser, value_options = _parser()
+    # an option's value may begin with "-" (--eta -inf); argparse reads it only joined
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in value_options and word.startswith("-"):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = vars(parser.parse_args(words))
+    try:
+        args.pop("command")(**args)
+    except SpheremixError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+
+
+# pipebench/run.py runs each command as main.main(args, prog_name=..., standalone_mode=False)
+main.main = lambda args, prog_name, standalone_mode: main(args)
 
 
 if __name__ == "__main__":

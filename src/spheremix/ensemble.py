@@ -401,17 +401,6 @@ class _Objective:
         return g - (g @ at) * at
 
 
-def _loss_from_pdf(P: np.ndarray, labels: np.ndarray, alpha_tilde: np.ndarray) -> float:
-    return _Objective(P, labels).at(np.asarray(alpha_tilde, dtype=np.float64)).loss
-
-
-def riemannian_gradient(P, labels, alpha_tilde) -> np.ndarray:
-    """Tangent-space gradient of the batch loss at alpha_tilde on S^{m-1}."""
-    objective = _Objective(P, labels)
-    point = objective.at(np.asarray(alpha_tilde, dtype=np.float64))
-    return objective.gradient(point)
-
-
 def _sphere_step(at: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     """Exponential-map step from ``at`` along -eta * grad, folded back into
     the positive quadrant. A step whose length overflows is NonFiniteLoss."""

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,53 @@ SUITE_M = 20
 SUITE_C = 10
 SUITE_N_TRAIN = 2000
 SUITE_N_TEST = 1000
+
+
+@dataclass
+class Result:
+    """One in-process CLI run. ``output`` is stdout and stderr in the order
+    they were written; an uncaught exception is kept, not printed, and exits 1."""
+
+    exit_code: int
+    output: str
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+
+class _Stream(io.StringIO):
+    """A captured stream that also writes into the shared ``output``."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.shared = output
+
+    def write(self, s: str) -> int:
+        self.shared.write(s)
+        return super().write(s)
+
+
+class Runner:
+    def invoke(self, main, args) -> Result:
+        """Run ``main(args)`` with stdout and stderr captured."""
+        output = io.StringIO()
+        stdout, stderr = _Stream(output), _Stream(output)
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            except Exception as exc:  # kept for the test to inspect
+                exit_code, exception = 1, exc
+        return Result(exit_code, output.getvalue(), stdout.getvalue(), stderr.getvalue(),
+                      exception)
+
+
+@pytest.fixture(scope="session")
+def runner():
+    """Runs spheremix.cli.main in this process, as a test's ``runner.invoke(main, args)``."""
+    return Runner()
 
 
 def load_fixture(name: str) -> dict:

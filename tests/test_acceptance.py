@@ -21,8 +21,7 @@ from spheremix.ensemble import (
     evaluate,
     fit_weights_from_pdf,
     predict_batch,
-    riemannian_gradient,
-    _loss_from_pdf,
+    _Objective,
 )
 from spheremix.estimators import SampleSet, incremental_frechet_mean
 from spheremix.grassmann import gr_distance, gr_embed
@@ -106,8 +105,9 @@ def test_gradient_correctness():
         labels = rng.integers(0, c, n)
         at = np.abs(rng.standard_normal(m)) + 0.05
         at /= np.linalg.norm(at)
-        analytic = riemannian_gradient(P, labels, at)
-        fd = oracles.oracle_fd_gradient(lambda a: _loss_from_pdf(P, labels, a), at)
+        objective = _Objective(P, labels)
+        analytic = objective.gradient(objective.at(at))
+        fd = oracles.oracle_fd_gradient(lambda a: objective.at(a).loss, at)
         rel = float(np.linalg.norm(analytic - fd)) / max(float(np.linalg.norm(analytic)), 1e-12)
         assert rel <= 1e-5
 
@@ -121,7 +121,7 @@ def test_simplex_invariants(fitted_models):
         c = int(rng.integers(2, 6))
         P = rng.uniform(0.01, 2.0, (n, m, c))
         labels = rng.integers(0, c, n)
-        initial = _loss_from_pdf(P, labels, np.full(m, 1.0 / math.sqrt(m)))
+        initial = _Objective(P, labels).at(np.full(m, 1.0 / math.sqrt(m))).loss
         for eta in (1e-2, 1e-3):
             weights, meta = fit_weights_from_pdf(P, labels, eta=eta, max_iters=400)
             assert np.all(weights.alpha >= 0.0)

@@ -1,15 +1,17 @@
+import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from spheremix import _modelread, cli, ensemble, io
 from spheremix.cli import main
@@ -20,11 +22,6 @@ from test_io import (
     BLOB_DAMAGE, CELL_DAMAGE, corrupt_blob, damage_cell, model_file, model_header, old_document,
     parse_model, poison_blob,
 )
-
-
-@pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture(scope="module")
@@ -108,19 +105,19 @@ class TestFitCommand:
         assert "learned weights" in result.output
 
     @pytest.mark.parametrize("flag", [["--sigma-floor", "1"], ["--kde-max-support", "1"],
-                                      ["--seed", "1"]],
-                             ids=["sigma-floor", "kde-max-support", "seed"])
+                                      ["--seed", "1"], ["--thread", "2"]],
+                             ids=["sigma-floor", "kde-max-support", "seed", "abbreviated"])
     def test_removed_fit_options(self, runner, suite_dir, tmp_path, flag):
         result, model_path = run_fit(runner, suite_dir, tmp_path, *flag)
         assert result.exit_code == 2
-        assert "No such option" in result.output and not model_path.exists()
+        assert "unrecognized arguments" in result.output and not model_path.exists()
 
     @pytest.mark.parametrize("flag", [["--backtrack"], ["--grad-mode", "analytic"]],
                              ids=["backtrack", "grad-mode"])
     def test_removed_descent_options(self, runner, suite_dir, tmp_path, flag):
         result, model_path = run_fit(runner, suite_dir, tmp_path, *flag)
         assert result.exit_code == 2
-        assert "No such option" in result.output and not model_path.exists()
+        assert "unrecognized arguments" in result.output and not model_path.exists()
 
     def test_missing_labels_file(self, runner, suite_dir, tmp_path):
         result = runner.invoke(main, [
@@ -150,6 +147,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--eta", "nan"), ("--eta", "inf"), ("--tol", "inf"),
+        ("--eta", "-inf"), ("--tol", "-1e-3"),  # a value that begins with "-"
     ])
     def test_non_finite_option(self, runner, suite_dir, tmp_path, option, value):
         result, model_path = run_fit(runner, suite_dir, tmp_path, option, value)
@@ -1235,9 +1233,44 @@ class TestReadmeOptions:
         """Every --option named in README.md is an option of some spheremix
         command; git's --exit-code is the one exemption."""
         known = {"--exit-code"}
-        for command in [main, *main.commands.values()]:
-            for param in command.get_params(click.Context(command)):
-                known.update(param.opts + param.secondary_opts)
+        parser, _ = cli._parser()
+        commands, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in [parser, *commands.choices.values()]:
+            for action in command._actions:
+                known.update(action.option_strings)
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
         named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
         assert named and not named - known, sorted(named - known)
+
+
+class TestEntryPoint:
+    def test_import_loads_no_click_and_no_pool(self):
+        # fit imports the thread pool only for --threads above 1
+        code = ("import sys, spheremix.cli; "
+                "print({'click', 'concurrent.futures'} & set(sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "set()\n"
+
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0 and result.stdout == "spheremix, version 0.1.0\n"
+
+    def test_help_shows_defaults(self, runner):
+        result = runner.invoke(main, ["fit", "--help"])
+        assert result.exit_code == 0 and "(default: 5000)" in result.stdout
+
+    def test_in_process_call(self, suite_dir, fitted, tmp_path):
+        # pipebench/run.py --trace 1 runs each command this way: a success
+        # returns, every failure raises SystemExit with the command's exit code
+        call = functools.partial(main.main, prog_name="spheremix", standalone_mode=False)
+        assert call(["inspect", "--model-file", str(fitted)]) is None
+        one_table = ["--table", str(suite_dir / "test_net00.csv"), "--out", str(tmp_path / "p.csv")]
+        for args, code in [(["inspect", "--model-file", str(fitted), "--seed", "1"], 2),
+                           (["inspect", "--model", str(fitted)], 2),
+                           (["predict", "--model-file", str(fitted), *one_table], 4)]:
+            with pytest.raises(SystemExit) as info:
+                call(args)
+            assert info.value.code == code, args
+        assert not (tmp_path / "p.csv").exists()

@@ -22,9 +22,7 @@ from spheremix.ensemble import (
     loss,
     pdf_grid,
     predict_batch,
-    riemannian_gradient,
     shift_to_pdf,
-    _loss_from_pdf,
     _Objective,
     _shifted_scores,
     argmax_classes,
@@ -460,7 +458,7 @@ class TestLoss:
         # scores proportional to uniform give distance pi/3 at c = 4
         P = np.full((1, 1, 4), 0.7)
         at = np.ones(1)
-        assert _loss_from_pdf(P, np.asarray([2]), at) == pytest.approx(
+        assert _Objective(P, np.asarray([2])).at(at).loss == pytest.approx(
             (math.pi / 3) ** 2, abs=1e-14
         )
 
@@ -470,7 +468,7 @@ class TestLoss:
         P[np.arange(4), 0, labels] = 5.0
         P[P == 0.0] = 1e-300
         at = np.ones(1)
-        assert _loss_from_pdf(P, labels, at) <= 1e-12
+        assert _Objective(P, labels).at(at).loss <= 1e-12
 
     @pytest.mark.parametrize("tiny", [1e-170, 1e-295])
     @pytest.mark.parametrize("pattern", [
@@ -484,16 +482,19 @@ class TestLoss:
         P = np.random.default_rng(21).uniform(0.05, 1.0, (n, 2, c))
         uniform = np.full(2, math.sqrt(0.5))
         P[0] = pattern
-        reference = _loss_from_pdf(P, labels, uniform)
-        reference_gradient = riemannian_gradient(P, labels, uniform)
+        objective = _Objective(P, labels)
+        point = objective.at(uniform)
+        reference, reference_gradient = point.loss, objective.gradient(point)
         P[0] = tiny * pattern
-        assert _loss_from_pdf(P, labels, uniform) == pytest.approx(reference, abs=1e-15)
-        gradient = riemannian_gradient(P, labels, uniform)
+        objective = _Objective(P, labels)
+        point = objective.at(uniform)
+        assert point.loss == pytest.approx(reference, abs=1e-15)
+        gradient = objective.gradient(point)
         assert np.all(np.isfinite(gradient))
         np.testing.assert_allclose(gradient, reference_gradient, rtol=0, atol=1e-14)
         P[0] = 0.0
         with pytest.raises(DegenerateScores, match="for sample 0$"):
-            _loss_from_pdf(P, labels, uniform)
+            _Objective(P, labels).at(uniform)
 
     def test_fixture_vs_summation_oracle(self):
         fx = load_fixture("ensemble_eval")
@@ -520,8 +521,9 @@ class TestGradient:
             labels = rng.integers(0, c, n)
             at = np.abs(rng.standard_normal(m)) + 0.05
             at /= np.linalg.norm(at)
-            analytic = riemannian_gradient(P, labels, at)
-            fd = oracles.oracle_fd_gradient(lambda a: _loss_from_pdf(P, labels, a), at)
+            objective = _Objective(P, labels)
+            analytic = objective.gradient(objective.at(at))
+            fd = oracles.oracle_fd_gradient(lambda a: objective.at(a).loss, at)
             denom = max(float(np.linalg.norm(analytic)), 1e-12)
             assert float(np.linalg.norm(analytic - fd)) / denom <= 1e-5
 
@@ -532,9 +534,8 @@ class TestGradient:
         labels = rng.integers(0, 4, 20)
         at = np.abs(rng.standard_normal(3))
         at /= np.linalg.norm(at)
-        assert _loss_from_pdf(P, labels, 2.0 * at) == pytest.approx(
-            _loss_from_pdf(P, labels, at), rel=1e-12
-        )
+        objective = _Objective(P, labels)
+        assert objective.at(2.0 * at).loss == pytest.approx(objective.at(at).loss, rel=1e-12)
 
 
 class TestFitWeights:
@@ -554,7 +555,7 @@ class TestFitWeights:
         np.testing.assert_allclose(w.alpha, [0.5, 0.5], rtol=0, atol=1e-12)
         assert abs(w.alpha.sum() - 1.0) <= 1e-12
         assert meta["final_loss"] == pytest.approx(
-            _loss_from_pdf(half, labels, np.ones(1)), rel=1e-12
+            _Objective(half, labels).at(np.ones(1)).loss, rel=1e-12
         )
 
     def test_accurate_plus_random_vs_grid_oracle(self):
@@ -577,7 +578,7 @@ class TestFitWeights:
             n, m, c = 30, 4, 3
             P = rng.uniform(0.01, 1.5, (n, m, c))
             labels = rng.integers(0, c, n)
-            initial = _loss_from_pdf(P, labels, np.full(m, 1 / math.sqrt(m)))
+            initial = _Objective(P, labels).at(np.full(m, 1 / math.sqrt(m))).loss
             w, meta = fit_weights_from_pdf(P, labels, eta=eta, max_iters=500)
             assert np.all(w.alpha >= 0.0)
             assert abs(w.alpha.sum() - 1.0) <= 1e-12
@@ -618,7 +619,7 @@ class TestFitWeights:
         P = rng.uniform(0.01, 1.5, (25, 3, 4))
         labels = rng.integers(0, 4, 25)
         w, meta = fit_weights_from_pdf(P, labels, eta=2.0, max_iters=200)
-        initial = _loss_from_pdf(P, labels, np.full(3, 1 / math.sqrt(3)))
+        initial = _Objective(P, labels).at(np.full(3, 1 / math.sqrt(3))).loss
         assert meta["final_loss"] <= initial + 1e-12
 
 
@@ -1012,10 +1013,11 @@ class TestDescentMatchesReference:
         P, labels = random_pdf_problem(13)
         at = np.abs(np.random.default_rng(14).standard_normal(P.shape[1]))
         at /= np.linalg.norm(at)
-        assert _loss_from_pdf(P, labels, at) == pytest.approx(
-            oracles.ref_descent_loss(P, labels, at), rel=1e-14)
+        objective = _Objective(P, labels)
+        point = objective.at(at)
+        assert point.loss == pytest.approx(oracles.ref_descent_loss(P, labels, at), rel=1e-14)
         np.testing.assert_allclose(
-            riemannian_gradient(P, labels, at),
+            objective.gradient(point),
             oracles.ref_descent_gradient(P, labels, at), rtol=0, atol=1e-14)
 
 
@@ -1060,7 +1062,8 @@ class TestPdfLayout:
         # a first step of arc length pi/4 lands next to the vertex of network 0
         # (alpha_1 ~ 5e-32): sample 7's scores are ~5e-32, where unshifted
         # they were ~5e-322 and aborted the descent as underflowed
-        eta = (math.pi / 4) / np.linalg.norm(riemannian_gradient(L, labels, uniform))
+        objective = _Objective(L, labels)
+        eta = (math.pi / 4) / np.linalg.norm(objective.gradient(objective.at(uniform)))
         w, meta = fit_weights_from_pdf(L, labels, eta=eta, max_iters=1)
         assert 0.0 < w.alpha[1] < 1e-30
         assert np.isfinite(meta["final_loss"]) and meta["final_loss"] < meta["uniform_loss"]
@@ -1072,11 +1075,11 @@ class TestDescentDiagnostics:
         w, meta = fit_weights_from_pdf(P, labels)
         assert meta["stop_reason"] == "tol"
         assert meta["iterations_run"] < 5000
-        uniform = np.full(4, 0.5)
-        assert meta["uniform_loss"] == _loss_from_pdf(P, labels, uniform)
+        objective = _Objective(P, labels)
+        assert meta["uniform_loss"] == objective.at(np.full(4, 0.5)).loss
         assert meta["final_loss"] <= meta["uniform_loss"]
         assert meta["grad_norm"] == pytest.approx(
-            float(np.linalg.norm(riemannian_gradient(P, labels, w.alpha_tilde))), rel=1e-12)
+            float(np.linalg.norm(objective.gradient(objective.at(w.alpha_tilde)))), rel=1e-12)
         assert meta["effective_networks"] == pytest.approx(1.0 / np.sum(w.alpha ** 2), rel=1e-15)
         assert 1.0 <= meta["effective_networks"] <= 4.0
 

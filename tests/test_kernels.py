@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import oracles
 import spheremix
@@ -334,7 +333,7 @@ class TestCellMeans:
 
 
 class TestBackendSelection:
-    def test_active_backend_reported(self, tmp_path):
+    def test_active_backend_reported(self, runner, tmp_path):
         assert _kernels.backend() == "numpy"
         assert spheremix.kernel_backend() == "numpy"
         suite = make_suite(5, 2, 3, 40, 1, [0.7, 0.8])
@@ -344,7 +343,7 @@ class TestBackendSelection:
                 "--report", str(tmp_path / "fit.txt"), "--max-iters", "5"]
         for table in paths["train"]:
             args += ["--train-table", str(table)]
-        result = CliRunner().invoke(main, args)
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "fit.json").read_text())
         assert report["kernel_backend"] == "numpy"
