@@ -22,16 +22,16 @@ changes in alpha_tilde and in the gradient (Barzilai & Borwein 1988; Iannazzo
 trial length is halved while it would raise the loss. Density parameters are
 estimated beforehand and held fixed throughout.
 
-Scoring is in log space, each sample divided by its largest density: the
-scores, probabilities, argmax and loss ignore that alpha-free factor, and
-no row underflows. Scoring folds each network's ``network_log_densities``
-into running class scores (``_fold``) and builds no (n, m, c) tensor; the
-fit builds one, which ``shift_to_pdf`` shifts in place and
-``tensor_scores`` reads. ``_checked`` raises DegenerateScores for a
-non-finite or all-zero score row. The tensor is stored sample x class x
-network, so its (n*c, m) matrix view is free and each weighted sum over
-the networks (the scores, and the gradient's sum over samples and
-classes) is one matrix-vector product.
+Scoring is in log space, each sample divided by its largest density under
+a network of nonzero weight: the scores, probabilities, argmax and loss
+ignore that positive factor, and no row underflows. Scoring folds each
+network's ``network_log_densities`` into running class scores (``_fold``)
+and builds no (n, m, c) tensor; the fit builds one, which ``shift_to_pdf``
+shifts in place and ``tensor_scores`` reads. ``_checked`` raises
+DegenerateScores for a non-finite or all-zero score row. The tensor is
+stored sample x class x network, so its (n*c, m) matrix view is free and
+each weighted sum over the networks (the scores, and the gradient's sum
+over samples and classes) is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -303,46 +303,46 @@ def pdf_grid(densities, features) -> np.ndarray:
     return out
 
 
-def _fold(logs, alphas) -> tuple:
+def _fold(logs, alphas) -> list:
     """Unchecked (n, c) scores sum_i alpha_i exp(L_i - M) per weight vector in
-    ``alphas`` from the log densities L_i in ``logs`` (overwritten), and M,
-    each sample's largest L. Where network i raises the running M, the
-    scores so far are rescaled by exp(M_old - M_new) (Milakov & Gimelshein 2018)."""
-    scores = shift = None
+    ``alphas`` from the log densities L_i in ``logs``, M each sample's
+    largest L_i over the networks that the vector weights: a network of
+    weight 0 sets no M, so it cannot underflow the weighted ones to an
+    all-zero row. Where network i raises a running M, the scores so far are
+    rescaled by exp(M_old - M_new) (Milakov & Gimelshein 2018)."""
+    folds = None
     for i, L in enumerate(logs):
         top = L.max(axis=1)
-        if scores is None:
-            scores, shift = [np.zeros_like(L) for _ in alphas], top
-        rise = top > shift
-        if rise.any():
-            scale = np.exp(shift[rise] - top[rise])[:, None]
-            for s in scores:
-                s[rise] *= scale
-        shift = np.maximum(shift, top)
-        L -= shift[:, None]
-        np.exp(L, out=L)
-        for s, alpha in zip(scores, alphas):
-            s += alpha[i] * L
-    return scores, shift
+        if folds is None:
+            folds = [(np.zeros_like(L), np.full_like(top, -math.inf)) for _ in alphas]
+        for (s, shift), alpha in zip(folds, alphas):
+            if alpha[i] > 0.0:
+                rise = top > shift
+                if rise.any():
+                    s[rise] *= np.exp(shift[rise] - top[rise])[:, None]
+                    shift[rise] = top[rise]
+                e = L - shift[:, None]
+                np.exp(e, out=e)
+                e *= alpha[i]
+                s += e
+    return [s for s, _ in folds]
 
 
-def _shifted_scores(model: EnsembleModel, features):
-    """(n, c) scores of a batch, each sample divided by its largest density,
-    and the log of that density."""
-    (scores,), shift = _fold(network_log_densities(model.densities, features),
-                             [model.weights.alpha])
-    return _checked(scores), shift
+def _shifted_scores(model: EnsembleModel, features) -> np.ndarray:
+    """(n, c) scores of a batch, each sample divided by its largest weighted density."""
+    (scores,) = _fold(network_log_densities(model.densities, features), [model.weights.alpha])
+    return _checked(scores)
 
 
 def ensemble_probability_batch(model: EnsembleModel, features) -> np.ndarray:
     """Each sample's class scores normalized to a probability vector."""
-    scores, _ = _shifted_scores(model, features)
+    scores = _shifted_scores(model, features)
     return scores / scores.sum(axis=1)[:, None]
 
 
 def predict_batch(model: EnsembleModel, features) -> np.ndarray:
     """argmax_j of each sample's class scores; ties go to the smallest j."""
-    return np.argmax(_shifted_scores(model, features)[0], axis=1)
+    return np.argmax(_shifted_scores(model, features), axis=1)
 
 
 def label_distance(y: int, p) -> float:
@@ -590,13 +590,12 @@ def evaluate(model: EnsembleModel, features, labels) -> dict:
             yield f
             del f  # before the next table is asked for
 
-    def logs():  # argmax_j p_ij(x), read before the fold shifts the log densities
+    def logs():  # and each network's density classes, argmax_j p_ij(x)
         for L in network_log_densities(model.densities, noted()):
             density_classes.append(argmax_classes(L))
             yield L
 
-    (scores, uniform), _ = _fold(logs(), [model.weights.alpha,
-                                          MixtureWeights.uniform(model.m).alpha])
+    scores, uniform = _fold(logs(), [model.weights.alpha, MixtureWeights.uniform(model.m).alpha])
     n = scores.shape[0]
     labels = np.asarray(labels(n) if callable(labels) else labels, dtype=np.int64)
     if labels.shape != (n,):

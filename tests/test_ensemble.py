@@ -58,6 +58,14 @@ def one_row(sample):
     return [SpherePoint(v).coords[None, :] for v in sample]
 
 
+def unshifted_scores(model, features):
+    """The scores sum_i alpha_i p_ij(x) of a batch: ``_shifted_scores``, each
+    row times exp of its largest log density under a network of nonzero weight."""
+    L = pdf_grid(model.densities, features)
+    shift = L[:, model.weights.alpha > 0.0].max(axis=(1, 2))
+    return _shifted_scores(model, features) * np.exp(shift)[:, None]
+
+
 def model_from_fixture(fx, alpha=None):
     grid = gaussian_grid(fx["inputs"]["gaussians"])
     alpha = fx["inputs"]["alpha"] if alpha is None else alpha
@@ -93,9 +101,8 @@ class TestScoring:
             densities=grid, weights=MixtureWeights.uniform(1), fit_meta={},
         )
         features = one_row(fx["inputs"]["sample"][:1])
-        s, h = _shifted_scores(model, features)
         expected = [grid[0][j].pdf(features[0][0]) for j in range(2)]
-        np.testing.assert_allclose(s[0] * np.exp(h[0]), expected, rtol=1e-15)
+        np.testing.assert_allclose(unshifted_scores(model, features)[0], expected, rtol=1e-15)
 
     def test_zero_weight_annihilates(self):
         fx = load_fixture("class_scores")
@@ -103,15 +110,13 @@ class TestScoring:
         features = one_row(fx["inputs"]["sample"])
         x = features[0][0]
         scores = model.densities[0][0].pdf(x), model.densities[0][1].pdf(x)
-        s, h = _shifted_scores(model, features)
-        np.testing.assert_allclose(s[0] * np.exp(h[0]), scores, rtol=1e-15)
+        np.testing.assert_allclose(unshifted_scores(model, features)[0], scores, rtol=1e-15)
 
     def test_manual_weighted_sum_fixture(self):
         fx = load_fixture("class_scores")
         model = model_from_fixture(fx)
-        s, h = _shifted_scores(model, one_row(fx["inputs"]["sample"]))
         np.testing.assert_allclose(
-            s[0] * np.exp(h[0]), fx["expected"]["scores"],
+            unshifted_scores(model, one_row(fx["inputs"]["sample"]))[0], fx["expected"]["scores"],
             rtol=0, atol=fx["tolerance"],
         )
 
@@ -127,8 +132,7 @@ class TestScoring:
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
         features = one_row(fx["inputs"]["samples"][0])
-        s, h = _shifted_scores(model, features)
-        s = s[0] * np.exp(h[0])
+        s = unshifted_scores(model, features)[0]
         p = ensemble_probability_batch(model, features)[0]
         np.testing.assert_allclose(p, s / s.sum(), rtol=0, atol=1e-15)
 
@@ -140,7 +144,7 @@ class TestScoring:
                               densities=grid, weights=MixtureWeights.uniform(1), fit_meta={})
         s = 1.0 / math.sqrt(2.0)
         diagonal = one_row([[s, s]])
-        scores, _ = _shifted_scores(model, diagonal)
+        scores = _shifted_scores(model, diagonal)
         assert scores[0, 0] == scores[0, 1]
         assert predict_batch(model, diagonal)[0] == 0
 
@@ -159,8 +163,7 @@ class TestScoring:
     def test_scaling_argmax_invariance(self):
         fx = load_fixture("ensemble_eval")
         model = model_from_fixture(fx)
-        s, h = _shifted_scores(model, one_row(fx["inputs"]["samples"][1]))
-        s = s[0] * np.exp(h[0])
+        s = unshifted_scores(model, one_row(fx["inputs"]["samples"][1]))[0]
         assert int(np.argmax(s)) == int(np.argmax(1234.5 * s))
 
     def test_degenerate_scores(self):
@@ -179,17 +182,38 @@ class TestScoring:
         np.testing.assert_array_equal(probs, np.full((4, 2), 0.5))
         np.testing.assert_array_equal(predict_batch(model, features), [0, 0, 0, 0])
 
-    def test_all_zero_row_is_degenerate(self):
-        # sample 1 lies at network 1's mean and nowhere near network 0's, so
-        # after the shift only network 1 carries it, and alpha_1 = 0 exactly
-        grid = [[GaussianDensity(mu=SpherePoint([1.0, 0.0]), sigma=1e-3, normalizer=1.0)] * 2,
-                [GaussianDensity(mu=SpherePoint([0.0, 1.0]), sigma=1e-3, normalizer=1.0)] * 2]
+    @pytest.mark.parametrize("grid", [
+        # sample 1 lies at network 1's mean, over a million nats above
+        # network 0's densities there
+        gaussian_grid([[([1.0, 0.0], 1e-3, 1.0)] * 2, [([0.0, 1.0], 1e-3, 1.0)] * 2]),
+        # network 1's densities lie 1,381 nats above network 0's at every point
+        gaussian_grid([[([1.0, 0.0], 0.5, 1e-300), ([0.6, 0.8], 0.5, 1e-300)],
+                       [([1.0, 0.0], 0.5, 1e300), ([0.6, 0.8], 0.5, 1e300)]]),
+    ], ids=["distance", "normalizer"])
+    def test_zero_weight_network_sets_no_shift(self, grid):
+        # alpha_1 = 0 exactly: were network 1 to set the samples' shift,
+        # network 0's shifted scores would underflow to all-zero rows and
+        # abort the batch; the mixture scores as network 0 alone does
         model = EnsembleModel(kind="parametric", space="sphere", m=2, c=2, densities=grid,
                               weights=MixtureWeights.from_alpha([1.0, 0.0]), fit_meta={})
+        alone = EnsembleModel(kind="parametric", space="sphere", m=1, c=2, densities=grid[:1],
+                              weights=MixtureWeights.uniform(1), fit_meta={})
         features = [np.asarray([[1.0, 0.0], [0.0, 1.0]])] * 2
-        for score in (ensemble_probability_batch, predict_batch):
-            with pytest.raises(DegenerateScores, match="for sample 1$"):
-                score(model, features)
+        probs = ensemble_probability_batch(model, features)
+        np.testing.assert_array_equal(probs, ensemble_probability_batch(alone, features[:1]))
+        np.testing.assert_array_equal(predict_batch(model, features),
+                                      predict_batch(alone, features[:1]))
+        report = evaluate(model, features, [0, 1])
+        expected = evaluate(alone, features[:1], [0, 1])
+        assert report["accuracy"] == expected["accuracy"]
+        assert report["mean_loss"] == expected["mean_loss"]
+        # network 0's cells share a width and a normalizer: its probabilities
+        # are the softmax of -arc^2 / (2 sigma^2), (0.5, 0.5) where the means agree
+        mus = np.asarray([d.support.points[0] for d in grid[0]])
+        arcs = np.arccos(np.clip(features[0] @ mus.T, -1.0, 1.0))
+        own = -arcs ** 2 / (2 * grid[0][0].bandwidth ** 2)
+        own = np.exp(own - own.max(axis=1)[:, None])
+        np.testing.assert_allclose(probs, own / own.sum(axis=1)[:, None], rtol=1e-12)
 
     def test_non_finite_row_is_degenerate(self):
         fx = load_fixture("ensemble_eval")
@@ -332,11 +356,10 @@ class TestFold:
         np.testing.assert_allclose(probs, scores / scores.sum(axis=1)[:, None],
                                    rtol=4e-15, atol=0)
         np.testing.assert_array_equal(predict_batch(model, features), np.argmax(scores, axis=1))
-        # the fold's shift is the tensor's per-sample maximum, bit for bit
-        folded, folded_shift = _shifted_scores(model, features)
-        np.testing.assert_allclose(folded, scores, rtol=4e-15, atol=0)
-        L = pdf_grid(model.densities, features)
-        assert folded_shift.tobytes() == L.max(axis=(1, 2)).tobytes()
+        # every desk weight is nonzero, so the fold's shift is the tensor's
+        # per-sample maximum and the scores agree unnormalized
+        assert np.all(model.weights.alpha > 0.0)
+        np.testing.assert_allclose(_shifted_scores(model, features), scores, rtol=4e-15, atol=0)
 
     @pytest.mark.parametrize("kind", ["parametric", "kde"])
     def test_evaluate_matches_the_tensor(self, desk_suite, fitted_models, kind):
@@ -375,8 +398,7 @@ class TestFold:
         (scores,), shift, _ = by_tensor(model, features, model.weights.alpha)
         np.testing.assert_allclose(ensemble_probability_batch(model, features),
                                    scores / scores.sum(axis=1)[:, None], rtol=4e-15, atol=0)
-        folded, folded_shift = _shifted_scores(model, features)
-        np.testing.assert_array_equal(folded_shift, shift)
+        folded = _shifted_scores(model, features)
         # network 0's share of sample 1 is gone, as in the tensor
         np.testing.assert_array_equal(folded[1],
                                       model.weights.alpha[1] * np.exp(L[1, 1] - shift[1]))

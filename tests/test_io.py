@@ -5,8 +5,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spheremix import _modelread, io
+from spheremix import io
 from spheremix.density import GaussianDensity, KernelDensity
 from spheremix.ensemble import (
     EnsembleModel, LabeledBatch, MixtureWeights, ensemble_probability_batch, fit_ensemble,
@@ -727,8 +725,8 @@ class TestHeldModelFile:
     def test_each_row_read_at_load_and_when_indexed(self, kde_path, monkeypatch):
         model, batch, path = kde_path
         reads = []
-        read_row = _modelread.LoadedGrid.read_row
-        monkeypatch.setattr(_modelread.LoadedGrid, "read_row",
+        read_row = io.LoadedGrid.read_row
+        monkeypatch.setattr(io.LoadedGrid, "read_row",
                             lambda grid, i: reads.append(i) or read_row(grid, i))
         loaded = load_model_file(path)
         assert reads == [0, 1, 2]
@@ -773,17 +771,6 @@ class TestHeldModelFile:
         assert str(info.value) == (
             "model file is missing or corrupts required fields: network 2, class 2: "
             f"non-finite sample: network 2, class 2 (in {path})")
-
-    def test_reader_imported_when_a_model_is_read(self, kde_path):
-        # fit reads no model, so the CLI's import compiles no model reader
-        code = ("import sys, spheremix.cli, spheremix.io as io; "
-                "print('spheremix._modelread' in sys.modules); "
-                f"io.load_model_file({str(kde_path[2])!r}); "
-                "print('spheremix._modelread' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.split() == ["False", "True"]
 
     def test_dropped_models_close_their_files(self, kde_path):
         _, batch, path = kde_path
