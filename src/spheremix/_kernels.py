@@ -1,35 +1,39 @@
 """Hot numeric kernels: squared arc distances, Gaussian kernel sums, and the
 incremental mean recursion, in numpy.
 
-``squared_arcs`` turns dot products into squared arc distances;
+``squared_arcs`` turns dot products into squared arc distances, in place;
 ``absolute=True`` switches the distance from the sphere arc length
 arccos(<x,y>) to the subspace angle arccos(|<x,y>|) used on Gr(1, d).
-``_log_row_sums`` is the one reduction of kernel terms: it forms
-exp(-d^2 * inv_two_sigma_sq) from a few rows of squared distances at a time,
-at most ``_CHUNK_BYTES`` of terms, and reduces each row with numpy's pairwise
-summation over contiguous memory. Support sets can reach 1e4-1e5 terms of
-wildly varying magnitude; all terms are positive, so there is no
-cancellation, and the relative error of the pairwise sum is
-O(log2(n) * eps) (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., ch. 4): about 1.6e-15 at 1e4 terms. Only a row so small that
-underflowed terms could move its sum by an ulp is shifted, as
-top + log(sum(exp(a - top))) over its kept distances (Blanchard, Higham &
-Higham, IMA J. Numer. Anal. 2021).
 
 ``kernel_sums`` returns the log of each evaluation row's kernel sum against a
 support set; the one-centre ``kernel_values`` and ``kernel_total`` are linear
-adapters over it. It forms the dot products of ``_CHUNK_BYTES`` of rows at a
-time and reduces them through ``_log_row_sums``. The split changes no row's
-summation order, but BLAS may round a dot product differently in the last
-bit for another chunk shape.
+adapters over it. One scratch buffer per call takes ``_CHUNK_BYTES`` of rows
+at a time, in place, from the dot products through the squared arcs and the
+terms to their exp. BLAS may round a dot product differently in the last bit
+for another chunk shape, so a chunk is always that many rows.
+
+``_log_row_sums`` is the one reduction of kernel terms: it forms
+exp(-d^2 * inv_two_bw_sq) for a chunk of rows in one C-ordered buffer and
+reduces each row with numpy's pairwise summation over contiguous memory. All
+terms are positive, so there is no cancellation, and the relative error is
+O(log2(n) * eps) (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., ch. 4): about 1.6e-15 at 1e4 terms. A row whose top term is below
+|support| * 2^-1022 / eps is low: terms lost to underflow could move its sum
+by an ulp. A chunk's low rows are shifted by their top log terms before its
+one exp, as top + log(sum(exp(a - top))) (Blanchard, Higham & Higham, IMA J.
+Numer. Anal. 2021); a NaN row stays NaN. A cell in which even a term at
+the largest arc, pi (pi/2 on Gr(1, d)), is above that cut, pi^2 *
+inv_two_bw_sq < -log(|support| * 2^-1022 / eps), has no low row and skips
+the top terms and the shift.
 
 ``class_log_sums`` is the kernel work of a KDE fit: each network's training
 rows against each class's own rows as support. It computes the squared arc
 distances of every class pair once, as one block that serves both cells of
-the pair, in one buffer that every pair reuses, and reduces it through
-``_log_row_sums`` in both directions. A pair whose block would exceed
-``_BLOCK_BYTES`` goes through ``kernel_sums`` in both directions. Its sums
-equal ``kernel_sums``' to within the rounding of the dot products, which
+the pair, and reduces it through ``_log_row_sums`` in both directions. Every
+pair reuses one block buffer and one terms buffer, allocated per call, not
+per module, since a fit runs it on worker threads. A pair whose block would
+exceed ``_BLOCK_BYTES`` goes through ``kernel_sums`` in both directions. Its
+sums equal ``kernel_sums``' to within the rounding of the dot products, which
 BLAS forms in other shapes. ``class_selectors`` picks each class's rows: a
 slice, so a view, when the rows are grouped by class, else an index array.
 
@@ -49,7 +53,7 @@ _BLOCK_BYTES = 8 << 20
 # Dot products kernel_sums forms, and kernel terms _log_row_sums forms, at a time.
 _CHUNK_BYTES = 256 << 10
 
-# a row sum below |support| * 2^-1022 / eps may have lost an ulp to underflow
+# a row whose top term is below |support| * 2^-1022 / eps may have lost an ulp to underflow
 _LOW_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
@@ -86,37 +90,43 @@ def kernel_sums(eval_pts, support, inv_two_bw_sq: float, *, absolute: bool = Fal
     """Log of the per-row kernel sums of ``eval_pts`` against ``support``."""
     eval_pts = _as_matrix(eval_pts)
     support = _as_matrix(support)
-    rows = max(1, _CHUNK_BYTES // (8 * max(1, support.shape[0])))
+    s = support.shape[0]
+    rows = max(1, _CHUNK_BYTES // (8 * max(1, s)))
     out = np.empty(eval_pts.shape[0])
+    buf = np.empty(min(rows, len(out)) * s)
     for start in range(0, len(out), rows):
-        d2 = squared_arcs(eval_pts[start:start + rows] @ support.T, absolute)
-        out[start:start + rows] = _log_row_sums(d2, inv_two_bw_sq)
+        chunk = eval_pts[start:start + rows]
+        d2 = np.matmul(chunk, support.T, out=buf[:len(chunk) * s].reshape(len(chunk), s))
+        squared_arcs(d2, absolute)
+        out[start:start + rows] = _log_row_sums(d2, inv_two_bw_sq, absolute, buf)
     return out
 
 
-def _log_row_sums(d2, inv_two_bw_sq: float) -> np.ndarray:
+def _log_row_sums(d2, inv_two_bw_sq: float, absolute: bool, buf) -> np.ndarray:
     """Log of sum_y exp(-d2[r, y] * inv_two_bw_sq) for each row r of the
-    squared distances ``d2``, which may be a transposed view. The terms of a
-    few rows at a time go into one C-ordered buffer, so every row is one
-    pairwise sum over contiguous memory; a low row is shifted by its largest
-    log term, from its kept distances."""
+    squared distances ``d2``, which may be a transposed view, or the front of
+    the flat scratch ``buf`` itself. The terms of a few rows at a time go into
+    ``buf`` as one C-ordered block, so every row is one pairwise sum over
+    contiguous memory; a low row is shifted by its largest log term."""
     n, s = d2.shape
     rows = max(1, _CHUNK_BYTES // (8 * max(1, s)))
-    buf = np.empty((min(rows, n), s))
     neg = -float(inv_two_bw_sq)
+    log_low = np.log(max(1, s) * _LOW_SUM)
+    # no row is low when a term at the largest arc, pi (pi/2 on Gr(1, d)), is not
+    low_free = (np.pi / 2 if absolute else np.pi) ** 2 * neg > log_low
     out = np.empty(n)
     for start in range(0, n, rows):
         block = d2[start:start + rows]
-        terms = np.multiply(block, neg, out=buf[:len(block)])
-        sums = np.exp(terms, out=terms).sum(axis=1)
-        low = sums < s * _LOW_SUM
-        part = out[start:start + rows]
-        np.log(sums, out=part, where=~low)
-        if low.any():
-            terms = np.multiply(block[low], neg, out=buf[:np.count_nonzero(low)])
+        terms = np.multiply(block, neg, out=buf[:block.size].reshape(block.shape))
+        shift = 0.0
+        if not low_free:
             top = terms.max(axis=1)
-            terms -= top[:, None]
-            part[low] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+            low = top < log_low  # False on a NaN row, which stays NaN
+            if low.any():
+                shift = np.where(low, top, 0.0)
+                terms -= shift[:, None]
+        part = np.log(np.exp(terms, out=terms).sum(axis=1), out=out[start:start + rows])
+        part += shift
     return out
 
 
@@ -151,8 +161,10 @@ def class_log_sums(points, labels, inv_two_bw_sq, *, absolute: bool = False) -> 
     rows = class_selectors(labels, len(inv))
     classes = [points[r] for r in rows]
     out = np.empty((points.shape[0], len(inv)))
-    # every shared block in turn, so one block is alive at a time
-    blocks = np.empty(min(_BLOCK_BYTES // 8, max(map(len, classes)) ** 2))
+    # one block alive at a time, and one chunk of terms for either direction
+    big = max(map(len, classes))
+    blocks = np.empty(min(_BLOCK_BYTES // 8, big ** 2))
+    terms = np.empty(min(max(_CHUNK_BYTES // 8, big), big ** 2))
     for k, (rows_k, x_k) in enumerate(zip(rows, classes)):
         for j in range(k, len(inv)):
             x_j = classes[j]
@@ -163,9 +175,9 @@ def class_log_sums(points, labels, inv_two_bw_sq, *, absolute: bool = False) -> 
                 continue
             d2 = blocks[:len(x_k) * len(x_j)].reshape(len(x_k), len(x_j))
             squared_arcs(np.matmul(x_k, x_j.T, out=d2), absolute)
-            out[rows_k, j] = _log_row_sums(d2, inv[j])
+            out[rows_k, j] = _log_row_sums(d2, inv[j], absolute, terms)
             if j != k:
-                out[rows[j], k] = _log_row_sums(d2.T, inv[k])
+                out[rows[j], k] = _log_row_sums(d2.T, inv[k], absolute, terms)
     return out
 
 

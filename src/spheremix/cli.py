@@ -217,7 +217,8 @@ def predict(model_file, tables, out_path):
     # one scoring pass; each written class is the argmax of its written row
     probs = ensemble_probability_batch(model, _scoring_tables(tables, model))
     classes = np.argmax(probs, axis=1)
-    write_rows(out_path, ([k, *row] for k, row in zip(classes.tolist(), probs.tolist())))
+    # row by row, so no list of every row's Python floats is held at once
+    write_rows(out_path, ([int(k), *p.tolist()] for k, p in zip(classes, probs)))
     print(f"wrote {classes.shape[0]} predictions to {out_path}")
 
 

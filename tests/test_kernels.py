@@ -6,6 +6,7 @@ relative tolerance."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,67 @@ def shifted_log_sum(row, support, inv, absolute):
             for s in support]
     top = max(logs)
     return top + math.log(math.fsum(math.exp(a - top) for a in logs))
+
+
+class TestShiftedRows:
+    """The top-term shift of low rows, taken in the one exp of their chunk,
+    and the per-cell bound under which no row can be low."""
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_low_and_ordinary_rows_in_one_chunk(self, data, absolute):
+        # at this width the rows' sums range from about 1e-44 to 1e-522: in
+        # one chunk, some top terms lie below |support| * _LOW_SUM and some above
+        eval_pts = data["eval"]
+        inv = 1.0 / (2 * 0.02**2)
+        got = _kernels.kernel_sums(eval_pts, data["support"], inv, absolute=absolute)
+        expected = [shifted_log_sum(row, data["support"], inv, absolute) for row in eval_pts]
+        low = np.array(expected) < math.log(len(data["support"]) * _kernels._LOW_SUM)
+        assert 10 < low.sum() < len(eval_pts) - 10
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("inv", [0.5, 5000.0])
+    def test_nan_row_stays_nan(self, data, absolute, inv):
+        # a RuntimeWarning (from the max, the mask or the log) is an error here
+        eval_pts = data["eval"][:6].copy()
+        eval_pts[2, 3] = np.nan
+        got = _kernels.kernel_sums(eval_pts, data["support"], inv, absolute=absolute)
+        assert np.isnan(got[2])
+        assert np.isfinite(np.delete(got, 2)).all()
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_cell_without_low_rows_is_the_plain_sum(self, absolute):
+        # at a width just inside the bound the farthest row, antipodal (or, on
+        # Gr(1, d), orthogonal) to the one support point, has a top term just
+        # above |support| * _LOW_SUM; the signed basis rows make every dot
+        # product exact
+        support = np.eye(4)[:1]
+        eval_pts = np.concatenate([np.eye(4), -np.eye(4)])
+        far = (math.pi / 2 if absolute else math.pi) ** 2
+        inv = -math.log(_kernels._LOW_SUM) / far * (1 - 1e-12)
+        got = _kernels.kernel_sums(eval_pts, support, inv, absolute=absolute)
+        d2 = _kernels.squared_arcs(eval_pts @ support.T, absolute)
+        np.testing.assert_array_equal(got, np.log(np.exp(-d2 * inv).sum(axis=1)))
+        expected = [shifted_log_sum(row, support, inv, absolute) for row in eval_pts]
+        assert min(expected) < math.log(2 * _kernels._LOW_SUM)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    def test_one_scratch_buffer(self):
+        # a 1000 x 200 cell goes through chunks of 163 rows, each taken from its
+        # dot products to its exp in one buffer: a separate product array and
+        # terms buffer per chunk would hold two such chunks at once
+        rng = np.random.default_rng(13)
+        eval_pts = random_unit_rows(rng, 1000, 10)
+        support = random_unit_rows(rng, 200, 10)
+        chunk = 8 * 163 * 200
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _kernels.kernel_sums(eval_pts, support, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * chunk + 8 * 1000
 
 
 def exact_unit_rows(rng, n, d):
