@@ -286,11 +286,12 @@ def synth(outdir, seed, m, c, n_train, n_test, tau):
 def inspect(model_file):
     """Dump model metadata and the learned weights."""
     model = load_model_file(model_file)
+    dims = [model.densities[i][0].dim for i in range(model.m)]  # reads and checks every cell
     print(f"kind:  {model.kind}")
     print(f"space: {model.space}")
     print(f"m:     {model.m} networks")
     print(f"c:     {model.c} classes")
-    print(f"dims:  {model.network_dims()}")
+    print(f"dims:  {dims}")
     meta = model.fit_meta
     print(
         f"fit:   eta={meta.get('eta')}  iterations={meta.get('iterations_run')}  "

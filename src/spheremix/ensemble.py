@@ -154,10 +154,10 @@ class EnsembleModel:
 
     ``densities`` is any sequence of m rows of c cells: a fit's lists, or a
     loaded model's grid, which reads a row from the model file each time it
-    is indexed. Construction indexes each row once and checks it: c cells
-    of one dimension, c itself on the sphere, and a parametric cell's one
-    support point. It records each network's dimension and keeps no row, so
-    it holds one network's cells at a time."""
+    is indexed. Construction checks each cell's (support size, dimension),
+    from the grid's ``shapes`` (a loaded grid's header: no cell is read) or
+    else from its cells: c cells of one dimension per row, c itself on the
+    sphere, and a parametric cell's one support point."""
 
     kind: str
     space: str
@@ -173,25 +173,21 @@ class EnsembleModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.space not in (SPHERE, GRASSMANN):
             raise ValueError(f"unknown space {self.space!r}")
-        if len(self.densities) != self.m:
-            raise ValueError("densities grid must be complete (m rows of c entries)")
         if self.weights.m != self.m:
             raise ValueError("weight count must match network count")
-        dims = []
-        for i in range(self.m):
-            row = self.densities[i]
-            if len(row) != self.c:
-                raise ValueError("densities grid must be complete (m rows of c entries)")
-            if self.kind == PARAMETRIC and any(len(d.support) != 1 for d in row):
+        shapes = getattr(self.densities, "shapes", None) or [
+            [(len(d.support), d.dim) for d in row] for row in self.densities]
+        if len(shapes) != self.m or any(len(row) != self.c for row in shapes):
+            raise ValueError("densities grid must be complete (m rows of c entries)")
+        for i, row in enumerate(shapes):
+            if self.kind == PARAMETRIC and any(k != 1 for k, _ in row):
                 raise ValueError("a parametric model's cells must each hold one support point")
-            if len({d.dim for d in row}) != 1:
+            if len({d for _, d in row}) != 1:
                 raise DimensionMismatch(f"network {i} densities disagree on dimension")
-            if self.space == SPHERE and row[0].dim != self.c:
+            if self.space == SPHERE and row[0][1] != self.c:
                 raise DimensionMismatch(
-                    f"sphere density of dimension {row[0].dim} for {self.c} classes")
-            dims.append(row[0].dim)
-            del row  # before the next row is read
-        object.__setattr__(self, "_dims", tuple(dims))
+                    f"sphere density of dimension {row[0][1]} for {self.c} classes")
+        object.__setattr__(self, "_dims", tuple(row[0][1] for row in shapes))
 
     def network_dims(self) -> list:
         return list(self._dims)

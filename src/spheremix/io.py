@@ -17,18 +17,16 @@ model must be refit) is a JSON line in which each float array is {"shape":
 value round-trips bit for bit. The model's kind sets each cell's layout:
 {"mu", "sigma", "normalizer"} holds the one support point and width of a
 parametric cell's `KernelDensity`, and {"support", "bandwidth",
-"normalizer"} a KDE cell. A load checks every array's shape and the body's
-length against the header before it reads any array, then reads
-alpha_tilde. The model's density grid, a ``LoadedGrid``, reads network i's
-c cells from the file, and checks them, each time it is indexed, and keeps
-none: ``EnsembleModel`` indexes each row once as the load's check, and
-``ensemble.network_log_densities`` once per scoring pass, each dropping a
-row before it indexes the next, so each holds one network's cells at a
-time. A cell that fails the density's or a point's checks is a CorruptModel
-(exit 4) naming its network and class. The grid reads from the file, which
-the model holds open for its life (a raw descriptor read with os.pread and
-closed by a finalizer), or from the bytes of a pipe or of ``load_model``,
-which it keeps.
+"normalizer"} a KDE cell. A load checks structure from the header alone
+(every array's shape, the body's length and, through ``EnsembleModel``, each
+row's c cells and their dimensions) and reads no array but alpha_tilde. The
+grid, a ``LoadedGrid``, reads network i's cells and checks their values each
+time it is indexed, keeping none: once per scoring pass, and once in
+``inspect``, which so checks every cell. A cell that fails the density's or
+a point's checks is a CorruptModel (exit 4) naming its network and class.
+The grid reads from the file, held open for the model's life (a raw
+descriptor read with os.pread, closed by a finalizer), or from the bytes of
+a pipe or of ``load_model``, which it keeps.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from io import BytesIO
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -386,16 +385,15 @@ def density_from_dict(obj: dict, kind: str, space: str, network_id: int, class_i
 
 
 class LoadedGrid:
-    """A loaded model's m x c density grid. Row i, network i's c cells, is
-    read and checked each time it is indexed, and is not kept. A fault is a
-    ModelFormatError, naming the file ``name`` once the load has set it: the
-    load's own check, ``EnsembleModel`` indexing each row, is named by the
-    load's caller."""
+    """A loaded model's m x c density grid. ``shapes`` holds each cell's
+    (support size, dimension), a mu's (d,) as (1, d), from the header alone.
+    Row i, network i's c cells, is read and checked each time it is indexed
+    and not kept; a fault is a ModelFormatError naming the file ``name``."""
 
-    name = None
-
-    def __init__(self, rows: list, kind: str, space: str, read):
-        self._rows, self._kind, self._space, self._read = rows, kind, space, read
+    def __init__(self, rows: list, kind: str, space: str, read, name=None):
+        self._rows, self._kind, self._space, self._read, self._name = rows, kind, space, read, name
+        self.shapes = [[_cell_shape(cell, kind, i, j) for j, cell in enumerate(row)]
+                       for i, row in enumerate(rows)]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -403,13 +401,21 @@ class LoadedGrid:
     def __getitem__(self, i) -> list:
         if not -len(self) <= i < len(self):
             raise IndexError(f"network {i} of a model with m={len(self)}")  # ends an iteration
-        with model_errors(self.name):
+        with model_errors(self._name):
             return self.read_row(i % len(self))
 
     def read_row(self, i: int) -> list:
         """Network i's cells, read and checked; a fault raises as the cell's ValueError."""
         return [density_from_dict(cell, self._kind, self._space, i, j, self._read)
                 for j, cell in enumerate(self._rows[i])]
+
+
+def _cell_shape(cell: dict, kind: str, network_id: int, class_id: int) -> tuple:
+    try:
+        k, d = map(index, [1, *cell["mu"][1]] if kind == PARAMETRIC else cell["support"][1])
+        return k, d
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"network {network_id}, class {class_id}: {exc}") from None
 
 
 def read_model(fh, size: int, read, name=None) -> EnsembleModel:
@@ -445,14 +451,11 @@ def read_model(fh, size: int, read, name=None) -> EnsembleModel:
     space = doc["space"]
     if kind not in (PARAMETRIC, KDE) or space not in (SPHERE, GRASSMANN):
         raise CorruptModel(f"unknown kind/space: {kind!r}/{space!r}")
-    weights = MixtureWeights(read_array(doc["alpha_tilde"], read))
-    grid = LoadedGrid(doc["densities"], kind, space, read)
-    model = EnsembleModel(
-        kind=kind, space=space, m=int(doc["m"]), c=int(doc["c"]),
-        densities=grid, weights=weights, fit_meta=dict(doc["fit_meta"]),
+    return EnsembleModel(
+        kind=kind, space=space, m=int(doc["m"]), c=int(doc["c"]), fit_meta=dict(doc["fit_meta"]),
+        weights=MixtureWeights(read_array(doc["alpha_tilde"], read)),
+        densities=LoadedGrid(doc["densities"], kind, space, read, name),
     )
-    grid.name = name  # checked: from now on the grid names its faults' file itself
-    return model
 
 
 def _bytes_model(data: bytes, name=None) -> EnsembleModel:

@@ -28,6 +28,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _outputs(onehot: np.ndarray, tau: float, rng) -> np.ndarray:
+    """One network's softmax rows for its ``onehot`` labels at noise level ``tau``."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _softmax(onehot / tau + tau * rng.standard_normal(onehot.shape))
+        except FloatingPointError:  # 1/tau or tau * noise is not finite
+            raise InvalidConfig(f"tau {float(tau)!r} overflows the synthetic logits") from None
+
+
 def parse_taus(text: str, m: int) -> np.ndarray:
     """Per-network noise levels from 'x', 'lo:hi' (linear spread), or a
     comma-separated list of exactly m values."""
@@ -65,18 +74,14 @@ def make_suite(seed: int, m: int, c: int, n_train: int, n_test: int, taus) -> di
     taus = np.asarray(taus, dtype=np.float64)
     if taus.shape != (m,):
         raise InvalidConfig(f"expected {m} tau values, got shape {taus.shape}")
+    if seed < 0:
+        raise InvalidConfig(f"seed {seed} must be >= 0")
     rng = np.random.default_rng(seed)
     train_labels = rng.integers(0, c, n_train)
     test_labels = rng.integers(0, c, n_test)
     eye = np.eye(c)
-    train = [
-        _softmax(eye[train_labels] / t + t * rng.standard_normal((n_train, c)))
-        for t in taus
-    ]
-    test = [
-        _softmax(eye[test_labels] / t + t * rng.standard_normal((n_test, c)))
-        for t in taus
-    ]
+    train = [_outputs(eye[train_labels], t, rng) for t in taus]
+    test = [_outputs(eye[test_labels], t, rng) for t in taus]
     return {
         "train_labels": train_labels,
         "test_labels": test_labels,

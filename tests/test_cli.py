@@ -83,6 +83,22 @@ class TestSynthCommand:
         assert "InvalidConfig: tau values must be positive and finite" in result.output
         assert not (tmp_path / "s").exists()
 
+    def test_negative_seed(self, runner, tmp_path):
+        # exited 1 with numpy's ValueError traceback
+        result = runner.invoke(main, ["synth", "--outdir", str(tmp_path / "s"), "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "InvalidConfig: seed -1 must be >= 0" in result.output
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("tau", ["1e-320", "1e308"])
+    def test_overflowing_tau(self, runner, tmp_path, tau):
+        # wrote NaN tables and exited 0: every row at 1e-320, 650 of the 2000
+        # rows of train_net00.csv at 1e308
+        result = runner.invoke(main, ["synth", "--outdir", str(tmp_path / "s"), "--tau", tau])
+        assert result.exit_code == 2, result.output
+        assert f"InvalidConfig: tau {float(tau)!r} overflows the synthetic logits" in result.output
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_network_count_below_one(self, runner, tmp_path, m):
         # --m -1 used to reach np.linspace and exit 1 with a ValueError
@@ -645,9 +661,9 @@ class TestScoringMemory:
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_one_network_alive(self, runner, suite_dir, kde_fitted, tmp_path, monkeypatch,
                                command):
-        # a network's cells are read from the model file only once every
-        # earlier network's support arrays are gone, in the load's check and
-        # in network_log_densities
+        # a network's cells are read from the model file, once, only when
+        # every earlier network's support arrays are gone: the load reads
+        # none, and network_log_densities reads each in turn
         alive, reads = [], []
         read_row = io.LoadedGrid.read_row
 
@@ -662,14 +678,14 @@ class TestScoringMemory:
         result = runner.invoke(main, [command, "--model-file", str(kde_fitted),
                                       *scoring_args(command, suite_dir, tmp_path)])
         assert result.exit_code == 0, result.output
-        assert reads == [0, 1, 2, 0, 1, 2]
+        assert reads == [0, 1, 2]
 
     @pytest.mark.parametrize("command", ["evaluate", "predict", "inspect"])
-    def test_each_network_read_at_load_and_scoring(self, runner, suite_dir, kde_fitted,
-                                                   tmp_path, monkeypatch, command):
-        # the load reads each network's cells once to check them, and the
-        # scoring pass once more; network_dims, the table checks and inspect
-        # read none
+    def test_each_network_read_once(self, runner, suite_dir, kde_fitted, tmp_path,
+                                    monkeypatch, command):
+        # the load checks the grid from the header's shapes and reads no
+        # network's cells, nor do network_dims and the table checks; the
+        # scoring pass reads each once, and inspect reads each once to check it
         reads = []
         read_row = io.LoadedGrid.read_row
         monkeypatch.setattr(io.LoadedGrid, "read_row",
@@ -677,7 +693,7 @@ class TestScoringMemory:
         args = [] if command == "inspect" else scoring_args(command, suite_dir, tmp_path)
         result = runner.invoke(main, [command, "--model-file", str(kde_fitted), *args])
         assert result.exit_code == 0, result.output
-        assert reads == [0, 1, 2] * (1 if command == "inspect" else 2)
+        assert reads == [0, 1, 2]
 
     def test_desk_kde_peak_one_network(self, runner, fitted_models, tmp_path):
         # the loaded model reads each network's cells when
@@ -713,8 +729,8 @@ class TestScoringMemory:
 
 class TestHeldModelFile:
     """A scoring command reads each network's cells from the model file it
-    loaded and checked, which it holds open: not from whatever is at the
-    path by the time it scores."""
+    loaded, which it holds open: not from whatever is at the path by the
+    time it scores."""
 
     @staticmethod
     def after_load(monkeypatch, action):

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from spheremix import io
+from spheremix.cli import main
 from spheremix.density import GaussianDensity, KernelDensity
 from spheremix.ensemble import (
     EnsembleModel, LabeledBatch, MixtureWeights, ensemble_probability_batch, fit_ensemble,
@@ -678,9 +679,9 @@ def traced_peak(fn) -> int:
 
 class TestModelFileMemory:
     """A save holds the header line and no copy of the arrays, and a load
-    holds the header line and one network's arrays, which it checks and
-    drops before it reads the next: the body is never held as bytes or
-    text, nor whole as arrays."""
+    holds the header line and alpha_tilde: it checks the grid from the
+    header's shapes and reads no cell, so the body is never held as bytes or
+    text, nor as arrays."""
 
     @pytest.fixture(scope="class")
     def kde_file(self, tmp_path_factory):
@@ -698,9 +699,9 @@ class TestModelFileMemory:
     def test_load_peak(self, kde_file):
         model, path = kde_file
         peak = traced_peak(lambda: load_model_file(path))
-        # one network's supports are a tenth of this body; a load that kept
-        # every array measured 1.07x the file
-        assert peak <= 0.3 * path.stat().st_size
+        # a load that read and checked each network's supports in turn
+        # measured 0.155x the file, and one that kept every array 1.07x
+        assert peak <= 0.1 * path.stat().st_size
         assert_same_model(load_model_file(path), model)
 
 
@@ -712,8 +713,8 @@ def open_fds():
 
 class TestHeldModelFile:
     """A loaded model keeps its file open and reads each network's cells
-    from it when its grid is indexed: the load reads and checks every row
-    once, and each later index reads its row again."""
+    from it when its grid is indexed: the load reads no row, and each index
+    reads and checks its row again."""
 
     @pytest.fixture
     def kde_path(self, tmp_path):
@@ -722,20 +723,19 @@ class TestHeldModelFile:
         save_model_file(model, path)
         return model, batch, path
 
-    def test_each_row_read_at_load_and_when_indexed(self, kde_path, monkeypatch):
+    def test_each_row_read_when_indexed(self, kde_path, monkeypatch):
         model, batch, path = kde_path
         reads = []
         read_row = io.LoadedGrid.read_row
         monkeypatch.setattr(io.LoadedGrid, "read_row",
                             lambda grid, i: reads.append(i) or read_row(grid, i))
         loaded = load_model_file(path)
-        assert reads == [0, 1, 2]
         assert loaded.network_dims() == [3, 3, 3] and len(loaded.densities) == 3
-        assert reads == [0, 1, 2]
+        assert reads == []
         pdf_grid(loaded.densities, batch.features)
-        assert reads == [0, 1, 2, 0, 1, 2]
+        assert reads == [0, 1, 2]
         assert loaded.densities[-1][0].bandwidth == model.densities[2][0].bandwidth
-        assert reads == [0, 1, 2, 0, 1, 2, 2]
+        assert reads == [0, 1, 2, 2]
         with pytest.raises(IndexError):
             loaded.densities[3]
         assert len(list(loaded.densities)) == 3
@@ -840,13 +840,19 @@ class TestArrayStorage:
     @pytest.mark.parametrize("space", ["sphere", "grassmann"])
     @pytest.mark.parametrize("field", ["alpha_tilde", "support", "mu"])
     def test_non_finite_array_is_corrupt(self, field, space):
-        # a NaN norm passed the unit-vector check, and a NaN support row loaded
+        # a NaN norm passed the unit-vector check, and a NaN support row loaded.
+        # alpha_tilde is read at load; a cell's array when its network is first read
         kind = "kde" if field == "support" else "parametric"
-        model, _ = small_fitted_model(np.random.default_rng(9), kind=kind, space=space)
+        model, batch = small_fitted_model(np.random.default_rng(9), kind=kind, space=space)
         doc = parse_model(save_model(model))
         poison_blob(doc[field] if field == "alpha_tilde" else doc["densities"][1][0][field])
-        with pytest.raises(CorruptModel, match="finite"):
-            load_model(model_file(doc))
+        if field == "alpha_tilde":
+            with pytest.raises(CorruptModel, match="finite"):
+                load_model(model_file(doc))
+            return
+        loaded = load_model(model_file(doc))
+        with pytest.raises(CorruptModel, match="^model file .*: network 1, class 0: .*finite"):
+            predict_batch(loaded, batch.features)
 
     def test_desk_kde_model_round_trips_bit_exact(self, desk_suite, fitted_models):
         model = fitted_models["kde"]["model"]
@@ -898,33 +904,87 @@ class TestModelBody:
         assert str(info.value).endswith(f" (in {path})")
 
 
+def on_cell_12(damage):
+    """A damage to a KDE model's header document: ``damage(cell)`` on its cell (1, 2)."""
+    return lambda doc: damage(doc["densities"][1][2])
+
+
+def support_shape(shape):
+    """A damage that sets the header shape of cell (1, 2)'s (k, d) support
+    to ``shape(k, d)``, as many values, and leaves the body as it is."""
+    return on_cell_12(lambda cell: setattr(cell["support"], "shape",
+                                           shape(*cell["support"].shape)))
+
+
+# damage to a KDE model's header grid -> (error, what the load says)
+GRID_DAMAGE = {
+    "disagreeing dimension": (support_shape(lambda k, d: [k * d, 1]), DimensionMismatch,
+                              "network 1 densities disagree on dimension"),
+    "support of rank 1": (support_shape(lambda k, d: [k * d]), CorruptModel,
+                          "network 1, class 2: not enough values to unpack"),
+    # in these two the cell's rows leave the body with its array
+    "no support": (on_cell_12(lambda cell: cell.pop("support")), CorruptModel,
+                   "network 1, class 2: 'support'"),
+    "support not an array": (on_cell_12(lambda cell: cell.update(support="a7")), CorruptModel,
+                             "network 1, class 2: 'str' object cannot be interpreted"),
+    "a row one cell short": (lambda doc: doc["densities"][1].pop(), CorruptModel,
+                             re.escape("densities grid must be complete")),
+}
+
+
+class TestHeaderGrid:
+    """The load checks the grid's structure from the header's shapes: a
+    fault raises at load, naming the file, before any network's cells are
+    read."""
+
+    @pytest.mark.parametrize("damage, error, message", GRID_DAMAGE.values(),
+                             ids=GRID_DAMAGE.keys())
+    def test_fault_raises_at_load_reading_no_row(self, tmp_path, monkeypatch, damage, error,
+                                                 message):
+        model, _ = small_fitted_model(np.random.default_rng(11), kind="kde")
+        doc = parse_model(save_model(model))
+        damage(doc)
+        path = tmp_path / "model.json"
+        path.write_bytes(model_file(doc))
+        reads = []
+        monkeypatch.setattr(io.LoadedGrid, "read_row", lambda grid, i: reads.append(i))
+        with pytest.raises(error, match=message) as info:
+            load_model_file(path)
+        assert str(info.value).endswith(f" (in {path})")
+        assert reads == []
+
+
 class TestDamagedCells:
-    """Each damaged cell is a CorruptModel. Before, a width that JSON read as
-    inf loaded and scored, 1e-320 loaded and divided by zero on scoring, and
-    an empty support and a zero Grassmann mu raised data errors (exit 3)."""
+    """Each damaged cell is a CorruptModel, raised when its network is first
+    read: the load checks structure from the header alone. Before, a width
+    that JSON read as inf loaded and scored, 1e-320 loaded and divided by
+    zero on scoring, and an empty support and a zero Grassmann mu raised
+    data errors (exit 3)."""
 
     @pytest.mark.parametrize("damage", CELL_DAMAGE.values(), ids=CELL_DAMAGE.keys())
     def test_damaged_cell_is_corrupt(self, damage):
         kind, space, field, damage = damage
-        model, _ = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
-                                      space=space)
+        model, batch = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
+                                          space=space)
+        loaded = load_model(damage_cell(save_model(model), field, damage))
         with pytest.raises(CorruptModel, match="^model file is missing or corrupts"):
-            load_model(damage_cell(save_model(model), field, damage))
+            predict_batch(loaded, batch.features)
 
     @pytest.mark.parametrize("damage, message", [
         ("sigma-1e400", "width inf must be positive, and 2 width^2 and its inverse finite"),
         ("zero-grassmann-mu", "cannot span a line with a (near-)zero vector"),
     ])
-    def test_error_names_file_network_and_class(self, tmp_path, damage, message):
+    def test_error_names_file_network_and_class(self, runner, tmp_path, damage, message):
+        # inspect reads every cell, so it finds the damage, before it prints
         kind, space, field, damage = CELL_DAMAGE[damage]
         model, _ = small_fitted_model(np.random.default_rng(10), m=2, c=3, kind=kind,
                                       space=space)
         path = tmp_path / "model.json"
         path.write_bytes(damage_cell(save_model(model), field, damage))
-        with pytest.raises(CorruptModel) as info:
-            load_model_file(path)
-        assert str(info.value) == ("model file is missing or corrupts required fields: "
-                                   f"network 1, class 2: {message} (in {path})")
+        result = runner.invoke(main, ["inspect", "--model-file", str(path)])
+        assert result.exit_code == 4 and result.stdout == "", result.output
+        assert result.stderr == ("error: CorruptModel: model file is missing or corrupts required "
+                                 f"fields: network 1, class 2: {message} (in {path})\n")
 
     @pytest.mark.parametrize("width", [0.0, -0.1, math.inf, math.nan, 1e-320, 1e-160, 1e200])
     def test_width_must_have_a_finite_kernel(self, width):

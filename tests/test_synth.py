@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,35 @@ class TestMakeSuite:
             make_suite(0, 0, 3, 10, 10, [])
         with pytest.raises(InvalidConfig):
             make_suite(0, 2, 1, 10, 10, [0.7, 0.8])
+
+    def test_negative_seed(self):
+        # numpy's default_rng raised a ValueError, which the CLI did not catch
+        with pytest.raises(InvalidConfig, match=r"^seed -1 must be >= 0$"):
+            make_suite(-1, 2, 3, 10, 10, [0.7, 0.8])
+
+    @pytest.mark.parametrize("taus, named", [([0.7, 1e-320], "1e-320"), ([1e308, 0.7], "1e+308")])
+    def test_overflowing_tau(self, taus, named):
+        # 1/tau overflowed to inf and every row was NaN; tau * noise overflowed
+        # in some rows. Either raised a RuntimeWarning and returned NaN tables
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidConfig, match=f"^tau {re.escape(named)} overflows"):
+                make_suite(0, 2, 3, 30, 10, taus)
+
+    def test_ordinary_taus_keep_their_values(self):
+        # the overflow check changes no value: each table is, bit for bit, the
+        # softmax of onehot/tau + tau*noise drawn in the generator's order
+        taus = [0.1, 0.7, 60.0]
+        suite = make_suite(18, 3, 4, 40, 10, taus)
+        rng = np.random.default_rng(18)
+        labels = {"train": rng.integers(0, 4, 40), "test": rng.integers(0, 4, 10)}
+        for split in ("train", "test"):
+            onehot = np.eye(4)[labels[split]]
+            np.testing.assert_array_equal(suite[f"{split}_labels"], labels[split])
+            for table, t in zip(suite[split], taus):
+                z = onehot / t + t * rng.standard_normal(onehot.shape)
+                e = np.exp(z - z.max(axis=1, keepdims=True))
+                np.testing.assert_array_equal(table, e / e.sum(axis=1, keepdims=True))
 
 
 class TestWriteSuite:
